@@ -2,10 +2,11 @@
 
 Subcommands: family, witness, avoid, threshold, construct, reduce, lift-exp,
 cache.  Exit codes: 0 success/found, 1 none-found or heuristic failure (not
-an error), 2 usage/domain error, 3 resource limit hit before a conclusion.
+an error), 2 usage/domain error, 3 resource limit hit before a conclusion
+(threshold then still prints the bound it proved, ``T >= N``).
 
 Output discipline: stdout carries only deterministic content (no wall times,
-no timestamps), so identical single-worker invocations are byte-identical;
+no timestamps), so identical invocations are byte-identical;
 diagnostics and errors go to stderr.  Machine-readable payloads are written
 to files (--out, --certificate, --trace), never mixed into the report.
 """
@@ -204,7 +205,6 @@ def cmd_avoid(args) -> int:
             fam,
             args.colors,
             args.n,
-            jobs=args.jobs,
             max_nodes=args.max_nodes,
             time_limit=args.time_limit,
             allow_box_relative=args.box_relative,
@@ -251,18 +251,21 @@ def cmd_threshold(args) -> int:
         if hit is not None and (hit.payload.get("exact") or hit.payload.get("max_n", 0) >= args.max_n):
             result_json = hit.payload
 
+    exhausted = None  # a budget ran out: report the proven bound, cache nothing
     if result_json is None:
-        res = threshold(
-            fam,
-            args.colors,
-            args.max_n,
-            jobs=args.jobs,
-            max_nodes=args.max_nodes,
-            time_limit=args.time_limit,
-        )
+        try:
+            res = threshold(
+                fam,
+                args.colors,
+                args.max_n,
+                max_nodes=args.max_nodes,
+                time_limit=args.time_limit,
+            )
+        except SearchBudgetExceeded as exc:
+            res, exhausted = exc.partial, exc
         result_json = res.to_json()
         result_json["max_n"] = args.max_n
-        if store is not None:
+        if store is not None and exhausted is None:
             store.append(ResultRecord("threshold", fp, params, result_json, make_provenance()))
 
     exact = bool(result_json["exact"])
@@ -271,6 +274,9 @@ def cmd_threshold(args) -> int:
     if args.out:
         Path(args.out).write_text(json.dumps(result_json, indent=2))
         print(f"certificate written to {args.out}")
+    if exhausted is not None:
+        print(f"resource limit: {exhausted}", file=sys.stderr)
+        return 3
     return 0 if exact else 1
 
 
@@ -393,7 +399,6 @@ def cmd_cache(args) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--jobs", type=int, default=1, help="parallel workers for searches")
     common.add_argument("--seed", type=int, default=0, help="seed for randomized strategies")
     common.add_argument("--max-nodes", type=int, default=None, help="search node budget")
     common.add_argument("--time-limit", type=float, default=None, help="search time budget (s)")

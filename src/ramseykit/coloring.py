@@ -108,11 +108,17 @@ class Coloring:
 
     @classmethod
     def from_rle(cls, n: int, r: int, runs: Iterable[Sequence[int]]) -> "Coloring":
-        parts = [np.full(int(length), int(color), dtype=np.int32) for color, length in runs]
-        arr = np.concatenate(parts) if parts else np.zeros(0, dtype=np.int32)
-        if arr.shape != (n,):
-            raise ValueError(f"run lengths sum to {arr.size}, expected {n}")
-        return cls(n, r, arr)
+        table = np.asarray(list(runs), dtype=np.int64).reshape(-1, 2)
+        colors, lengths = table[:, 0], table[:, 1]
+        # checked here, in int64: the int32 color array would wrap large values
+        if ((colors < 1) | (colors > r)).any():
+            raise ValueError(f"run colors must lie in 1..{r}")
+        if ((lengths < 0) | (lengths > n)).any():
+            raise ValueError(f"run lengths must lie in 0..{n}")
+        total = int(lengths.sum())
+        if total != n:
+            raise ValueError(f"run lengths sum to {total}, expected {n}")
+        return cls(n, r, np.repeat(colors, lengths))
 
     def save(self, path: str | Path) -> None:
         with open(path, "w") as fh:

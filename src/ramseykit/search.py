@@ -2,28 +2,42 @@
 
 An r-coloring of [1..N] *avoids* a family when no admissible instance is
 monochromatic; the threshold T(P, r) is the least N with no avoiding
-coloring.  The search is a backtracking DFS over positions 1..N:
+coloring.  The search is a backtracking DFS over positions 1..N in fixed
+order, with forward checking (Haralick & Elliott, AIJ 1980):
 
-  * instances are precomputed once and bucketed by their maximum term value,
-    so placing a color at position v only inspects instances whose maximum
-    is v (each stored as the sorted tuple of its other values);
+  * every admissible value set is indexed once by its second-largest member
+    p, as (top, lower members other than p), sorted by top; a singleton set
+    {v} is stored under 0 and leaves position v no color at all;
+  * each position keeps a bitmask of the colors still open to it.  Placing
+    color c at p removes c from the top of every set indexed under p whose
+    lower members are all colored c (the top is that set's only uncolored
+    member), and the branch dies as soon as some mask is empty.  The
+    removals are trailed per position and restored on backtracking;
   * symmetry breaking is the canonical color-introduction rule -- position 1
     takes color 1 and each new color label appears in increasing order --
     which divides the tree by up to r! and keeps the first avoider
-    deterministic;
+    deterministic (forward checking prunes dead subtrees earlier but never
+    reorders them, so the lexicographically first avoider is unchanged);
   * node and wall-clock budgets surface as SearchBudgetExceeded, a
     first-class outcome distinct from "no avoider".
 
-Parallel mode distributes canonical prefixes of a small depth to worker
-processes; whoever finds an avoider first wins (any avoider is acceptable
-there -- lexicographically-first is only promised for jobs=1).
+threshold indexes once, at a size that doubles (capped at max_n) whenever N
+outgrows it: for a box-complete family the sets at N are exactly those whose
+top is <= N.  The search at N+1 resumes from the path of the lex-first
+avoider at N, since every canonical coloring before that path was refuted at
+N and the sets at N are among those at N+1.  Every avoider is re-checked
+with count_witnesses before it becomes a certificate or a resume path.  When
+a budget runs out, threshold keeps the bound it has proven: the exception
+carries the partial ThresholdResult.
+
+There is no parallel mode; ``jobs`` is accepted only as 1.
 """
 
 from __future__ import annotations
 
+import random
 import time
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .coloring import Coloring
 from .families import PatternFamily
@@ -49,12 +63,23 @@ class IncompleteBoxError(ValueError):
 
 
 class SearchBudgetExceeded(RuntimeError):
-    """Node or time budget ran out before the question was decided."""
+    """Node or time budget ran out before the question was decided.
 
-    def __init__(self, message: str, nodes: int = 0, elapsed: float = 0.0):
+    Raised by threshold, it carries the bound proven so far in ``partial``
+    (exact=False, with the verified avoider below the undecided N).
+    """
+
+    def __init__(
+        self,
+        message: str,
+        nodes: int = 0,
+        elapsed: float = 0.0,
+        partial: "ThresholdResult | None" = None,
+    ):
         super().__init__(message)
         self.nodes = nodes
         self.elapsed = elapsed
+        self.partial = partial
 
 
 @dataclass
@@ -154,146 +179,187 @@ class ThresholdResult:
         }
 
 
-def build_instance_index(family: PatternFamily, n: int) -> list[list[tuple[int, ...]]]:
-    """buckets[v] = sorted tuples of 'other values' of instances whose max is v.
+# threshold's first index size; it doubles whenever N outgrows it
+_FIRST_INDEX_SIZE = 16
 
-    An empty tuple in a bucket marks a singleton value set: that position can
-    never be colored without completing a monochromatic instance.
+
+def build_instance_index(
+    family: PatternFamily, n: int
+) -> list[list[tuple[int, tuple[int, ...]]]]:
+    """buckets[p] = sorted (top, others) of the admissible value sets whose
+    second-largest member is p: top is the largest member, others the members
+    below p.  A singleton set {v} is stored as (v, ()) in buckets[0].
+
+    Sorting by top makes the sets inside [1..m] a prefix of every bucket.
     """
     k = len(family.terms)
-    buckets: list[set[tuple[int, ...]]] = [set() for _ in range(n + 1)]
+    value_sets: set[tuple[int, ...]] = set()
     for inst in enumerate_instances(family, n):
         vals = inst.term_values
         if family.distinct_required and len(set(vals)) != k:
             continue
-        vs = set(vals)
-        mx = max(vs)
-        buckets[mx].add(tuple(sorted(vs - {mx})))
-    return [sorted(b) for b in buckets]
+        value_sets.add(tuple(sorted(set(vals))))
+    buckets: list[list[tuple[int, tuple[int, ...]]]] = [[] for _ in range(n + 1)]
+    for vs in value_sets:
+        if len(vs) == 1:
+            buckets[0].append((vs[0], ()))
+        else:
+            buckets[vs[-2]].append((vs[-1], vs[:-2]))
+    for bucket in buckets:
+        bucket.sort()
+    return buckets
 
 
-def _blocked(bucket: list[tuple[int, ...]], colors: list[int], c: int) -> bool:
-    for others in bucket:
-        hit = True
-        for o in others:
-            if colors[o] != c:
-                hit = False
+class _Domains:
+    """Colors of positions 1..n and the bitmask of colors still open to each.
+
+    Only the value sets of ``index`` whose top is <= n take part.
+    """
+
+    def __init__(self, index: list[list[tuple[int, tuple[int, ...]]]], n: int, r: int):
+        self.index = index
+        self.n = n
+        self.colors = [0] * (n + 1)
+        self.dom = [(1 << r) - 1] * (n + 1)
+        for top, _ in index[0]:
+            if top > n:
                 break
-        if hit:
-            return True
-    return False
+            self.dom[top] = 0
+        self.removed: list[list[int]] = [[] for _ in range(n + 1)]
+
+    def place(self, p: int, c: int, complete: bool = False) -> bool:
+        """Color p with c and take c from every top that c would complete.
+
+        Returns False as soon as a mask empties; with ``complete`` the
+        remaining removals are still made (greedy reads every later mask).
+        """
+        colors, dom, n = self.colors, self.dom, self.n
+        colors[p] = c
+        bit = 1 << (c - 1)
+        removed = self.removed[p]
+        alive = True
+        for top, others in self.index[p]:
+            if top > n:
+                break
+            if dom[top] & bit:
+                for o in others:
+                    if colors[o] != c:
+                        break
+                else:
+                    dom[top] ^= bit
+                    removed.append(top)
+                    if not dom[top]:
+                        if not complete:
+                            return False
+                        alive = False
+        return alive
+
+    def undo(self, p: int) -> None:
+        bit = 1 << (self.colors[p] - 1)
+        dom = self.dom
+        removed = self.removed[p]
+        for top in removed:
+            dom[top] |= bit
+        removed.clear()
+        self.colors[p] = 0
 
 
 def _dfs(
-    buckets: list[list[tuple[int, ...]]],
+    index: list[list[tuple[int, tuple[int, ...]]]],
     n: int,
     r: int,
-    prefix: tuple[int, ...],
+    path: list[int] | tuple[int, ...],
     max_nodes: int | None,
-    time_limit: float | None,
+    deadline: float | None,
     find_all: bool = False,
 ) -> tuple[list[list[int]], int]:
-    """Canonical DFS from a fixed prefix.
+    """Canonical forward-checking DFS over [1..n], resuming at ``path``.
 
-    Returns (solutions, nodes); solutions holds the first avoiding coloring
-    (or every one of them with find_all) as plain color lists.
+    ``path`` (shorter than n) is a canonical coloring of a prefix whose
+    lexicographic predecessors are known dead; the DFS starts as if it had
+    descended along it.  Returns (solutions, nodes): the first avoiding
+    coloring, or every one of them with find_all, as plain color lists.
     """
     t0 = time.monotonic()
-    deadline = t0 + time_limit if time_limit is not None else None
-    base = len(prefix)
-    colors = [0] * (n + 1)
-    used_before = [0] * (n + 2)
-    for p, c in enumerate(prefix, start=1):
-        colors[p] = c
-        used_before[p + 1] = max(used_before[p], c)
+    cap = max_nodes if max_nodes is not None else float("inf")
+    d = _Domains(index, n, r)
+    colors, dom, place, undo = d.colors, d.dom, d.place, d.undo
+    used = [0] * (n + 2)  # used[p] = largest color on 1..p-1
+    trial = [1] * (n + 2)  # next color to try at p
     found: list[list[int]] = []
-    if base >= n:
-        return ([colors[1 : n + 1]] if n else []), 0
-    pos = base + 1
-    trial = [0] * (n + 2)
-    trial[pos] = 1
     nodes = 0
-    while pos > base:
+    pos = 1
+    for c in path:
+        nodes += 1
+        trial[pos] = c + 1
+        if not place(pos, c):
+            undo(pos)
+            break
+        used[pos + 1] = max(used[pos], c)
+        pos += 1
+    while pos >= 1:
         c = trial[pos]
-        limit = min(r, used_before[pos] + 1)
-        moved = False
+        limit = min(r, used[pos] + 1)
+        open_colors = dom[pos]
         while c <= limit:
-            nodes += 1
-            if nodes & 2047 == 0:
-                if deadline is not None and time.monotonic() > deadline:
+            if open_colors >> (c - 1) & 1:
+                nodes += 1
+                if nodes > cap:
+                    raise SearchBudgetExceeded(
+                        "node budget exceeded", nodes, time.monotonic() - t0
+                    )
+                if nodes & 2047 == 0 and deadline is not None and time.monotonic() > deadline:
                     raise SearchBudgetExceeded(
                         "time limit exceeded", nodes, time.monotonic() - t0
                     )
-            if max_nodes is not None and nodes > max_nodes:
-                raise SearchBudgetExceeded("node budget exceeded", nodes, time.monotonic() - t0)
-            if not _blocked(buckets[pos], colors, c):
-                colors[pos] = c
-                trial[pos] = c + 1
-                used_before[pos + 1] = max(used_before[pos], c)
-                if pos == n:
-                    found.append(colors[1 : n + 1])
-                    if not find_all:
-                        return found, nodes
-                    colors[pos] = 0  # keep scanning siblings
-                    c += 1
-                    continue
-                pos += 1
-                trial[pos] = 1
-                moved = True
-                break
+                if place(pos, c):
+                    break
+                undo(pos)
             c += 1
-        if moved:
+        else:
+            pos -= 1
+            if pos:
+                undo(pos)
             continue
-        colors[pos] = 0
-        pos -= 1
+        trial[pos] = c + 1
+        if pos == n:
+            found.append(colors[1:])
+            if not find_all:
+                return found, nodes
+            undo(pos)  # keep scanning siblings
+            continue
+        used[pos + 1] = max(used[pos], c)
+        pos += 1
+        trial[pos] = 1
     return found, nodes
 
 
-def _worker_search(args) -> tuple[list[int] | None, int, str | None]:
-    buckets, n, r, prefixes, max_nodes, time_limit = args
-    nodes = 0
-    for prefix in prefixes:
-        try:
-            found, k = _dfs(buckets, n, r, prefix, max_nodes, time_limit)
-        except SearchBudgetExceeded as e:
-            return None, nodes + e.nodes, str(e)
-        nodes += k
-        if found:
-            return found[0], nodes, None
-    return None, nodes, None
+def _deadline(time_limit: float | None) -> float | None:
+    return None if time_limit is None else time.monotonic() + time_limit
 
 
-def _canonical_prefixes(
-    buckets: list[list[tuple[int, ...]]], n: int, r: int, want: int
-) -> tuple[list[tuple[int, ...]], int, list[int] | None]:
-    """Expand consistent canonical prefixes until there are >= want of them.
+def _require_single_job(jobs: int) -> None:
+    if jobs != 1:
+        raise ValueError(f"jobs={jobs}: the search runs in one process, so jobs must be 1")
 
-    Returns (prefixes, nodes, full_solution); full_solution is set when the
-    expansion reached depth n, i.e. the lex-first avoider was found outright.
-    """
-    prefixes: list[tuple[int, ...]] = [()]
-    colors = [0] * (n + 1)
-    nodes = 0
-    depth = 0
-    while len(prefixes) < want and depth < n:
-        depth += 1
-        nxt: list[tuple[int, ...]] = []
-        for prefix in prefixes:
-            for p, c in enumerate(prefix, start=1):
-                colors[p] = c
-            used = max(prefix, default=0)
-            for c in range(1, min(r, used + 1) + 1):
-                nodes += 1
-                if not _blocked(buckets[depth], colors, c):
-                    nxt.append(prefix + (c,))
-            for p in range(1, len(prefix) + 1):
-                colors[p] = 0
-        prefixes = nxt
-        if not prefixes:
-            return [], nodes, None
-        if depth == n:
-            return [], nodes, list(prefixes[0])
-    return prefixes, nodes, None
+
+def _checked(family: PatternFamily, solution: list[int], r: int) -> Coloring:
+    """A search result as a Coloring, after an independent count_witnesses check."""
+    coloring = Coloring.from_sequence(solution, r)
+    if count_witnesses(family, coloring) != 0:
+        raise RuntimeError("internal error: search returned a non-avoiding coloring")
+    return coloring
+
+
+def _certificate(
+    family: PatternFamily, coloring: Coloring, box_relative: bool = False
+) -> AvoidCertificate:
+    """Certificate for a coloring that _checked has already verified."""
+    cert = AvoidCertificate.from_coloring(
+        family, coloring, box_relative=box_relative, verify=False
+    )
+    cert.verified = True
+    return cert
 
 
 def exists_avoiding(
@@ -313,6 +379,7 @@ def exists_avoiding(
     which case the certificate is stamped box_relative=True (the search then
     only rules out instances with assignments inside [1..N]^s).
     """
+    _require_single_job(jobs)
     if r < 1 or n < 1:
         raise ValueError("need r >= 1 and n >= 1")
     box_relative = not family.box_complete()
@@ -323,56 +390,14 @@ def exists_avoiding(
             "pass allow_box_relative=True for a box-relative search"
         )
     t0 = time.monotonic()
+    deadline = _deadline(time_limit)
     buckets = build_instance_index(family, n)
-
-    solution: list[int] | None = None
-    nodes = 0
-    if jobs <= 1:
-        found, nodes = _dfs(buckets, n, r, (), max_nodes, time_limit)
-        solution = found[0] if found else None
-    else:
-        prefixes, nodes, direct = _canonical_prefixes(buckets, n, r, 4 * jobs)
-        if direct is not None:
-            solution = direct
-        elif prefixes:
-            groups = [prefixes[i::jobs] for i in range(jobs)]
-            groups = [g for g in groups if g]
-            budget_msg = None
-            with ProcessPoolExecutor(max_workers=len(groups)) as ex:
-                futs = {
-                    ex.submit(_worker_search, (buckets, n, r, g, max_nodes, time_limit))
-                    for g in groups
-                }
-                pending = set(futs)
-                while pending:
-                    done, pending = wait(pending, return_when=FIRST_COMPLETED)
-                    for fut in done:
-                        sol, k, msg = fut.result()
-                        nodes += k
-                        if msg is not None:
-                            budget_msg = msg
-                        if sol is not None and solution is None:
-                            solution = sol
-                    if solution is not None:
-                        for fut in pending:
-                            fut.cancel()
-                        break
-            if solution is None and budget_msg is not None:
-                raise SearchBudgetExceeded(budget_msg, nodes, time.monotonic() - t0)
-
-    elapsed = time.monotonic() - t0
+    found, nodes = _dfs(buckets, n, r, (), max_nodes, deadline)
     if stats is not None:
-        stats.add(nodes, elapsed)
-    if solution is None:
+        stats.add(nodes, time.monotonic() - t0)
+    if not found:
         return None
-    coloring = Coloring.from_sequence(solution, r)
-    if count_witnesses(family, coloring) != 0:
-        raise RuntimeError("internal error: search returned a non-avoiding coloring")
-    cert = AvoidCertificate.from_coloring(
-        family, coloring, box_relative=box_relative, verify=False
-    )
-    cert.verified = True
-    return cert
+    return _certificate(family, _checked(family, found[0], r), box_relative)
 
 
 def find_all_avoiding(
@@ -387,7 +412,7 @@ def find_all_avoiding(
     if not family.box_complete():
         raise IncompleteBoxError("find_all_avoiding needs a box-complete family")
     buckets = build_instance_index(family, n)
-    found, _ = _dfs(buckets, n, r, (), max_nodes, time_limit, find_all=True)
+    found, _ = _dfs(buckets, n, r, (), max_nodes, _deadline(time_limit), find_all=True)
     return sorted(tuple(sol) for sol in found)
 
 
@@ -403,56 +428,62 @@ def threshold(
     """Least N <= max_n with no avoiding coloring; lower bound when none.
 
     Exact results carry the avoider at T-1; lower bounds (exact=False,
-    value = max_n+1) carry the avoider at max_n.
+    value = max_n+1) carry the avoider at max_n.  The budgets cover the whole
+    run; when one runs out at N, the SearchBudgetExceeded raised carries
+    ``partial``: T >= N with the avoider at N-1.
     """
+    _require_single_job(jobs)
     if not family.box_complete():
         raise IncompleteBoxError("threshold needs a box-complete family (else unsound)")
     if max_n < 1:
         raise ValueError("max_n must be >= 1")
-    stats = SearchStats()
     t0 = time.monotonic()
-    last_cert: AvoidCertificate | None = None
-    for n in range(1, max_n + 1):
-        remaining_nodes = None if max_nodes is None else max(0, max_nodes - stats.nodes)
-        remaining_time = (
-            None if time_limit is None else max(0.0, time_limit - (time.monotonic() - t0))
+    deadline = _deadline(time_limit)
+    nodes = 0
+
+    def result(value: int, exact: bool) -> ThresholdResult:
+        return ThresholdResult(
+            family.name,
+            family.fingerprint(),
+            r,
+            value,
+            exact,
+            _certificate(family, last) if last is not None else None,
+            nodes,
+            time.monotonic() - t0,
         )
+
+    index: list[list[tuple[int, tuple[int, ...]]]] = []
+    size = 0
+    path: list[int] = []  # lex-first avoider at n-1
+    last: Coloring | None = None  # the same, checked
+    for n in range(1, max_n + 1):
+        if n > size:
+            size = min(max_n, max(2 * size, _FIRST_INDEX_SIZE))
+            index = build_instance_index(family, size)
         try:
-            cert = exists_avoiding(
-                family,
-                r,
+            found, k = _dfs(
+                index,
                 n,
-                jobs=jobs,
-                max_nodes=remaining_nodes,
-                time_limit=remaining_time,
-                stats=stats,
+                r,
+                path,
+                None if max_nodes is None else max(0, max_nodes - nodes),
+                deadline,
             )
         except SearchBudgetExceeded as e:
+            nodes += e.nodes
             raise SearchBudgetExceeded(
-                f"threshold undecided at N={n}: {e}", stats.nodes + e.nodes, time.monotonic() - t0
-            ) from None
-        if cert is None:
-            return ThresholdResult(
-                family.name,
-                family.fingerprint(),
-                r,
-                n,
-                True,
-                last_cert,
-                stats.nodes,
+                f"threshold undecided at N={n}: {e}",
+                nodes,
                 time.monotonic() - t0,
-            )
-        last_cert = cert
-    return ThresholdResult(
-        family.name,
-        family.fingerprint(),
-        r,
-        max_n + 1,
-        False,
-        last_cert,
-        stats.nodes,
-        time.monotonic() - t0,
-    )
+                result(n, False),
+            ) from None
+        nodes += k
+        if not found:
+            return result(n, True)
+        path = found[0]
+        last = _checked(family, path, r)
+    return result(max_n + 1, False)
 
 
 def greedy_avoider(
@@ -466,24 +497,21 @@ def greedy_avoider(
 ) -> AvoidCertificate | None:
     """Heuristic avoider: no backtracking, so failure proves nothing.
 
-    first-fit: each position takes the smallest non-completing color
-    (deterministic, single pass).  random: uniform choice among the legal
+    first-fit: each position takes the smallest color still open to it
+    (deterministic, single pass).  random: uniform choice among the open
     colors, with restarts.  Successful colorings are verified via
     count_witnesses before being certified.
     """
-    import random
-
     buckets = build_instance_index(family, n)
-    box_relative = not family.box_complete()
 
     def one_pass(pick) -> list[int] | None:
-        colors = [0] * (n + 1)
+        d = _Domains(buckets, n, r)
         for pos in range(1, n + 1):
-            legal = [c for c in range(1, r + 1) if not _blocked(buckets[pos], colors, c)]
+            legal = [c for c in range(1, r + 1) if d.dom[pos] >> (c - 1) & 1]
             if not legal:
                 return None
-            colors[pos] = pick(legal)
-        return colors[1:]
+            d.place(pos, pick(legal), complete=True)
+        return d.colors[1:]
 
     if strategy == "first-fit":
         result = one_pass(lambda legal: legal[0])
@@ -498,12 +526,7 @@ def greedy_avoider(
         raise ValueError(f"unknown strategy {strategy!r} (first-fit or random)")
     if result is None:
         return None
-    coloring = Coloring.from_sequence(result, r)
-    if count_witnesses(family, coloring) != 0:
-        raise RuntimeError("internal error: greedy produced a non-avoiding coloring")
-    cert = AvoidCertificate.from_coloring(family, coloring, box_relative=box_relative, verify=False)
-    cert.verified = True
-    return cert
+    return _certificate(family, _checked(family, result, r), not family.box_complete())
 
 
 def verify_certificate(cert: AvoidCertificate, family: PatternFamily | None = None) -> bool:

@@ -418,6 +418,27 @@ class TestExitCodes:
         )
         assert code == 3 and err.startswith("resource limit:")
 
+    def test_budget_threshold_prints_proven_bound(self, capsys, tmp_path):
+        # the nodes of a run to max_n=13 leave 5 for the N=14 refutation
+        from ramseykit.search import threshold
+
+        budget = threshold(preset_family("schur"), 3, 13).nodes + 5
+        cache = tmp_path / "store.jsonl"
+        code, out, err = run(
+            capsys, "threshold", "--family", "schur", "--colors", "3",
+            "--max-n", "20", "--max-nodes", str(budget), "--cache", str(cache),
+        )
+        assert code == 3 and out == "T >= 14\n"
+        assert err.startswith("resource limit: threshold undecided at N=14")
+        good, bad = ResultStore(cache).records()
+        assert good == [] and bad == []  # a partial bound is not cached
+
+    def test_jobs_flag_removed(self, capsys):
+        code, _, _ = run(
+            capsys, "avoid", "--family", "schur", "--colors", "2", "--n", "4", "--jobs", "2"
+        )
+        assert code == 2
+
 
 class TestDeterminism:
     def test_repeat_invocations_byte_identical(self, capsys, solid6):

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ramseykit.coloring import Coloring
@@ -81,6 +81,31 @@ class TestRoundTrips:
 
     def test_rle_shape(self):
         assert Coloring.from_sequence([1, 1, 2, 2, 2, 1]).to_rle() == [[1, 2], [2, 3], [1, 1]]
+
+    @given(st.lists(st.tuples(st.integers(1, 3), st.integers(0, 4)), min_size=1, max_size=12))
+    @settings(max_examples=60, deadline=None)
+    def test_from_rle_matches_run_by_run(self, runs):
+        expected = [color for color, length in runs for _ in range(length)]
+        assume(expected)
+        chi = Coloring.from_rle(len(expected), 3, [list(run) for run in runs])
+        assert chi.colors.tolist() == expected
+
+    def test_from_rle_rejects_negative_length(self):
+        # [2, -1] would cancel one color of the first run in the sum
+        with pytest.raises(ValueError, match="run lengths"):
+            Coloring.from_rle(3, 2, [[1, 4], [2, -1]])
+
+    def test_from_rle_rejects_wrong_total(self):
+        with pytest.raises(ValueError, match="sum to 5, expected 6"):
+            Coloring.from_rle(6, 2, [[1, 2], [2, 3]])
+        with pytest.raises(ValueError):
+            Coloring.from_rle(6, 2, [])
+
+    def test_from_rle_rejects_colors_out_of_range(self):
+        with pytest.raises(ValueError, match="run colors"):
+            Coloring.from_rle(2, 2, [[3, 2]])
+        with pytest.raises(ValueError, match="run colors"):
+            Coloring.from_rle(2, 2, [[2**32 + 1, 2]])  # would wrap to 1 in int32
 
     @given(chi=colorings)
     @settings(max_examples=40, deadline=None)

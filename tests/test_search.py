@@ -40,6 +40,15 @@ BOX_COMPLETE_PRESETS = [
 ]
 
 
+EQUIVALENCE_FAMILIES = BOX_COMPLETE_PRESETS + [
+    PatternFamily.from_texts(2, ["x0", "x1", "3*x0 - x1"], "x_y_3xmy", distinct_required=True),
+]
+
+
+def _family_id(fam):
+    return fam.name + (":distinct" if fam.distinct_required else "")
+
+
 class TestExistsAvoiding:
     @pytest.mark.parametrize("fam", BOX_COMPLETE_PRESETS, ids=lambda f: f.name)
     @pytest.mark.parametrize("n", [1, 3, 6, 9, 12])
@@ -90,12 +99,22 @@ class TestExistsAvoiding:
         exists_avoiding(preset_family("schur"), 2, 5, stats=stats)
         assert stats.nodes > 0
 
-    @pytest.mark.parametrize("n", [10, 13])
-    def test_parallel_matches_serial_existence(self, n):
-        fam = preset_family("schur")
-        serial = exists_avoiding(fam, 3, n) is not None
-        parallel = exists_avoiding(fam, 3, n, jobs=3) is not None
-        assert serial == parallel
+    def test_single_job_only(self):
+        assert exists_avoiding(preset_family("schur"), 2, 4, jobs=1) is not None
+        with pytest.raises(ValueError):
+            exists_avoiding(preset_family("schur"), 3, 10, jobs=2)
+        with pytest.raises(ValueError):
+            threshold(preset_family("schur"), 3, 10, jobs=2)
+
+    @pytest.mark.parametrize("fam", EQUIVALENCE_FAMILIES, ids=_family_id)
+    @pytest.mark.parametrize("r, max_n", [(2, 10), (3, 7)])
+    def test_is_first_canonical_avoider(self, fam, r, max_n):
+        # forward checking must not change which avoider comes first
+        for n in range(1, max_n + 1):
+            oracle = naive_avoiding_canonical(fam, r, n)
+            cert = exists_avoiding(fam, r, n)
+            got = None if cert is None else tuple(cert.to_coloring().colors.tolist())
+            assert got == (oracle[0] if oracle else None), f"N={n}"
 
 
 class TestFindAllAvoiding:
@@ -176,6 +195,53 @@ class TestThreshold:
     def test_budget_propagates(self):
         with pytest.raises(SearchBudgetExceeded):
             threshold(preset_family("schur"), 3, 14, max_nodes=30)
+
+    def test_budget_keeps_proven_bound(self):
+        # the nodes of a run to max_n=13 leave 5 for the N=14 refutation
+        fam = preset_family("schur")
+        below = threshold(fam, 3, 13)
+        assert not below.exact and below.value == 14
+        with pytest.raises(SearchBudgetExceeded) as info:
+            threshold(fam, 3, 20, max_nodes=below.nodes + 5)
+        partial = info.value.partial
+        assert partial.describe() == "T >= 14" and not partial.exact
+        assert partial.certificate.n == 13 and partial.certificate.verified
+        assert verify_certificate(partial.certificate)
+        assert partial.certificate.rle == below.certificate.rle
+        assert info.value.nodes == partial.nodes > below.nodes
+
+    def test_budget_before_any_avoider(self):
+        with pytest.raises(SearchBudgetExceeded) as info:
+            threshold(preset_family("schur"), 2, 10, max_nodes=0)
+        partial = info.value.partial
+        assert partial.describe() == "T >= 1" and partial.certificate is None
+
+    @pytest.mark.parametrize("fam", EQUIVALENCE_FAMILIES, ids=_family_id)
+    @pytest.mark.parametrize("r", [2, 3])
+    def test_matches_fresh_search_per_n(self, fam, r):
+        # resuming from the avoider one step below, on an index built once
+        # and doubled, answers exactly as a fresh search at every N
+        self._assert_matches_fresh(fam, r, 20)
+
+    def test_matches_fresh_search_vdw3_r3(self):
+        # T = 27: the index is built at 16 and again at 30 before the refutation
+        self._assert_matches_fresh(preset_family("vdw", 3), 3, 30)
+
+    @staticmethod
+    def _assert_matches_fresh(fam, r, max_n):
+        res = threshold(fam, r, max_n)
+        value, exact, last = max_n + 1, False, None
+        for n in range(1, max_n + 1):
+            cert = exists_avoiding(fam, r, n)
+            if cert is None:
+                value, exact = n, True
+                break
+            last = cert
+        assert (res.value, res.exact) == (value, exact)
+        assert (res.certificate is None) == (last is None)
+        if last is not None:
+            assert res.certificate.n == last.n and res.certificate.rle == last.rle
+            assert res.certificate.verified
 
     def test_json_round_trip(self):
         res = threshold(preset_family("schur"), 2, 20)
