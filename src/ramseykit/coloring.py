@@ -16,6 +16,9 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+# to_rle finds run boundaries in blocks of this many positions
+_RLE_BLOCK = 1 << 12
+
 __all__ = ["Coloring"]
 
 
@@ -97,13 +100,18 @@ class Coloring:
     # ---- run-length and file forms ----
 
     def to_rle(self) -> list[list[int]]:
+        # run boundaries a block at a time, so no intermediate grows with N
+        arr, n = self.colors, self.n
         runs: list[list[int]] = []
-        arr = self.colors
-        start = 0
-        for i in range(1, self.n + 1):
-            if i == self.n or arr[i] != arr[start]:
-                runs.append([int(arr[start]), i - start])
-                start = i
+        start = 0  # first position of the run still open
+        for lo in range(1, n, _RLE_BLOCK):
+            block = arr[lo - 1 : lo + _RLE_BLOCK]
+            changes = np.flatnonzero(block[1:] != block[:-1]) + lo
+            if len(changes):
+                starts = np.concatenate(([start], changes))
+                runs += map(list, zip(arr[starts[:-1]].tolist(), np.diff(starts).tolist()))
+                start = int(changes[-1])
+        runs.append([int(arr[start]), n - start])
         return runs
 
     @classmethod

@@ -39,9 +39,11 @@ import random
 import time
 from dataclasses import dataclass
 
+import numpy as np
+
 from .coloring import Coloring
 from .families import PatternFamily
-from .witnesses import count_witnesses, enumerate_instances
+from .witnesses import _instance_chunks, count_witnesses
 
 __all__ = [
     "AvoidCertificate",
@@ -192,15 +194,20 @@ def build_instance_index(
 
     Sorting by top makes the sets inside [1..m] a prefix of every bucket.
     """
-    k = len(family.terms)
     value_sets: set[tuple[int, ...]] = set()
-    for inst in enumerate_instances(family, n):
-        vals = inst.term_values
-        if family.distinct_required and len(set(vals)) != k:
-            continue
-        value_sets.add(tuple(sorted(set(vals))))
+    for _, vals in _instance_chunks(family, n):
+        table = np.sort(np.stack(vals, axis=1), axis=1)
+        repeated = table[:, 1:] == table[:, :-1]
+        if family.distinct_required:
+            table = table[~repeated.any(axis=1)]
+        else:
+            # a repeated member becomes 0, and the zeros sort to the front
+            table[:, 1:][repeated] = 0
+            table.sort(axis=1)
+        value_sets.update(map(tuple, table.tolist()))
     buckets: list[list[tuple[int, tuple[int, ...]]]] = [[] for _ in range(n + 1)]
-    for vs in value_sets:
+    for row in value_sets:
+        vs = row[row.count(0):]
         if len(vs) == 1:
             buckets[0].append((vs[0], ()))
         else:

@@ -175,8 +175,8 @@ class ResultStore:
             try:
                 with open(self.path, "a") as fh:
                     fh.write(line + "\n")
-                    fh.flush()
-                count = sum(1 for _ in open(self.path))
+                with open(self.path, "rb") as fh:
+                    count = fh.read().count(b"\n")
             finally:
                 fcntl.flock(lock, fcntl.LOCK_UN)
         return count - 1

@@ -6,21 +6,36 @@ under a coloring when additionally all term values share one color (and are
 pairwise distinct, if requested).  Absence of a witness is a value, not an
 error.
 
-Enumeration is lexicographic in the assignment and prunes two ways, both
-sound over positive assignments:
-  * once a term's variables are all assigned, its value must lie in [1..N];
+One enumerator, _instance_chunks, serves every consumer: enumerate_instances,
+iter_witnesses and find_witness, count_witnesses, and the search's instance
+index.  It assigns one variable per depth, on numpy columns holding a row per
+prefix, and prunes two ways, both sound over positive assignments:
   * a term whose coefficients are all positive is monotone in every variable,
-    so its value at the current prefix padded with ones is a lower bound --
-    if that already exceeds N, the whole subtree (and all larger values of
-    the current variable) dies.
+    so its value at the prefix padded with ones is a lower bound over the
+    subtree.  At depth d each row keeps x_d in [lo .. vmax], vmax being the
+    largest value that holds every such term still open at depth d within N
+    (one floor division when the term is linear in x_d, a short bisection
+    otherwise);
+  * once a term's variables are all assigned, its value must lie in [1..N];
+    terms with a nonpositive coefficient filter the rows here.
+The ragged ranges are expanded with repeat/cumsum, so the cost grows with the
+admissible prefixes and instances (about N log N for {x, x+y, xy}), not with
+the [1..N]^s box.
 
-Counting has a vectorized numpy path, chunked over the first variable, used
-only when a symbolic bound proves int64 cannot overflow; otherwise it falls
-back to the exact streaming path.
+Chunks: at each depth the children are cut into windows of at most 2^20 rows,
+and each window is finished depth-first before the next, which keeps the
+lexicographic order and bounds memory.  Streams that may stop early start at
+2^10 rows and double, so find_witness builds little beyond its answer.
+
+Overflow: when max_abs_on_box proves every term stays below 2^62 in absolute
+value over the box the columns are int64; otherwise the same code runs on
+object arrays of Python ints, exactly.  Value columns are int64 either way,
+since admissible values lie in [1..N].
 """
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 from typing import Iterator, Sequence
@@ -48,8 +63,9 @@ __all__ = [
 
 Box = tuple[tuple[int, int], ...]
 
-# keep vectorized slabs around this many cells
-_SLAB_CELLS = 1 << 21
+# a lazy stream's chunks start at this many rows and double up to the cap
+_FIRST_CHUNK = 1 << 10
+_MAX_CHUNK = 1 << 20
 # int64 is safe while |term| stays below this (headroom under 2^63)
 _INT64_SAFE = 1 << 62
 
@@ -119,6 +135,197 @@ def _last_var(term: IntPoly) -> int:
     return max(used) if used else -1
 
 
+def _int64_safe(family: PatternFamily, nb: Box) -> bool:
+    bounds = [hi for _, hi in nb]
+    return max(bounds) < _INT64_SAFE and all(
+        t.max_abs_on_box(bounds) < _INT64_SAFE for t in family.terms
+    )
+
+
+def _eval_term_on_columns(term: IntPoly, cols: list[np.ndarray]) -> np.ndarray:
+    """The term's value on every row of the columns, in the columns' dtype.
+
+    The result may be one of the columns itself; callers never write into it.
+    """
+    total = None
+    for exps, c in term.monomials:
+        m = None
+        for i, e in enumerate(exps):
+            if e:
+                f = cols[i] if e == 1 else cols[i] ** e
+                m = f if m is None else m * f
+        if m is None:
+            m = np.full(cols[0].shape, c, dtype=cols[0].dtype)
+        elif c != 1:
+            m = m * c
+        total = m if total is None else total + m
+    if total is None:
+        return np.zeros(cols[0].shape, dtype=cols[0].dtype)
+    return total
+
+
+def _bound_coefficients(term: IntPoly, d: int) -> dict[int, int | IntPoly]:
+    """The term at (x_0..x_{d-1}, v, 1, ..., 1) as a polynomial in v.
+
+    Maps each power of v to its coefficient: an int when it does not depend
+    on the prefix, else a polynomial in x_0..x_{d-1}.
+    """
+    nv = term.num_vars
+    grouped: dict[int, list] = {}
+    for exps, c in term.monomials:
+        grouped.setdefault(exps[d], []).append((exps[:d] + (0,) * (nv - d), c))
+    out: dict[int, int | IntPoly] = {}
+    for e, monos in grouped.items():
+        poly = IntPoly(nv, monos)
+        out[e] = poly.constant_term() if not poly.used_vars() else poly
+    return out
+
+
+def _largest_v(coefs: dict, n: int, lo: int, hi: int, rows: int, dtype):
+    """Per row, the largest v with sum_e coefs[e] * v**e <= n; below lo when
+    v = lo already exceeds n.
+
+    The coefficients are nonnegative (the term's coefficients are positive),
+    so the sum is nondecreasing in v.  Linear sums are solved directly and
+    may exceed hi; higher powers bisect in [lo-1 .. hi].
+    """
+    deg = max(coefs)
+    if deg == 1:
+        v = (n - coefs.get(0, 0)) // coefs[1]
+        return np.full(rows, v, dtype=dtype) if isinstance(v, int) else v
+    below = np.full(rows, lo - 1, dtype=dtype)
+    above = np.full(rows, hi, dtype=dtype)
+    while (below < above).any():
+        mid = (below + above + 1) // 2
+        ok = sum(c * mid**e for e, c in coefs.items()) <= n
+        below = np.where(ok, mid, below)
+        above = np.where(ok, above, mid - 1)
+    return below
+
+
+@functools.lru_cache(maxsize=256)
+def _depth_plan(terms: tuple[IntPoly, ...]):
+    """What the enumerator needs at each depth d, for one term list.
+
+    Returns (constants, positive, finishing, bounds): the value of each term
+    without variables, by term index; whether each term has only positive
+    coefficients; finishing[d], the terms whose last variable is x_d; and
+    bounds[d], the _bound_coefficients of every positive term that uses x_d
+    and is still open at depth d (its last variable is x_d or later).  A
+    term without x_d needs no bound at depth d: its value at the padded
+    prefix was bounded at the depth of its previous variable, and a term
+    with none is bounded from its first variable on.
+    """
+    nv = terms[0].num_vars
+    last = [_last_var(t) for t in terms]
+    constants = {i: t.constant_term() for i, t in enumerate(terms) if last[i] == -1}
+    positive = [t.all_coeffs_positive() for t in terms]
+    finishing = [[i for i in range(len(terms)) if last[i] == d] for d in range(nv)]
+    bounds = [
+        [
+            _bound_coefficients(t, d)
+            for t, lv, pos in zip(terms, last, positive)
+            if pos and lv >= d and d in t.used_vars()
+        ]
+        for d in range(nv)
+    ]
+    return constants, positive, finishing, bounds
+
+
+def _instance_chunks(
+    family: PatternFamily, n: int, box: Sequence | None = None, lazy: bool = False
+) -> Iterator[tuple[list[np.ndarray], list[np.ndarray]]]:
+    """The admissible instances over the box, as column chunks in lex order.
+
+    Each chunk is (assignment columns, term-value columns in term order); the
+    value columns are int64, the assignment columns int64 or, when int64 is
+    not provably safe, object arrays of Python ints.  No chunk is empty.
+    A lazy stream starts with small chunks, for consumers that may stop early.
+    """
+    if n < 1:
+        raise ValueError("N must be >= 1")
+    nb = _normalize_box(family, n, box)
+    terms = family.terms
+    nv = family.num_vars
+    constants, positive, finishing, bounds = _depth_plan(terms)
+    # constant terms either kill everything or impose nothing
+    if any(not 1 <= c <= n for c in constants.values()):
+        return
+    dtype = np.int64 if _int64_safe(family, nb) else object
+    carried = [i for f in finishing for i in f]  # order of the value columns carried down
+    slot = {i: pos for pos, i in enumerate(carried)}
+
+    def child_counts(d: int, cols: list[np.ndarray], rows: int) -> np.ndarray:
+        # children of each row: v in [lo .. vmax], where vmax keeps every
+        # positive term that is still open at depth d within n
+        lo, hi = nb[d]
+        if not bounds[d]:  # no positive term is open: the box is the range
+            return np.full(rows, max(0, hi - lo + 1), dtype=np.int64)
+        vmax = hi
+        for coefs in bounds[d]:
+            evaluated = {
+                e: c if isinstance(c, int) else _eval_term_on_columns(c, cols)
+                for e, c in coefs.items()
+            }
+            vmax = np.minimum(vmax, _largest_v(evaluated, n, lo, hi, rows, dtype))
+        return np.maximum(vmax - lo + 1, 0).astype(np.int64, copy=False)
+
+    size = _FIRST_CHUNK if lazy else _MAX_CHUNK
+
+    def descend(d, cols, vals, counts):
+        # cols/vals: rows at depth d (prefixes x_0..x_{d-1}); counts: their children
+        nonlocal size
+        lo = nb[d][0]
+        cum = np.cumsum(counts)
+        total = int(cum[-1])
+        first = cum - counts  # global index of each row's first child
+        start = 0
+        while start < total:
+            stop = min(total, start + size)
+            size = min(2 * size, _MAX_CHUNK)
+            if d == 0:
+                kids, kvals = [np.arange(start, stop, dtype=np.int64)], []
+            else:
+                # the parents of children start..stop-1, and how many each has there
+                p0 = int(np.searchsorted(cum, start, side="right"))
+                p1 = int(np.searchsorted(cum, stop - 1, side="right")) + 1
+                ends = np.minimum(cum[p0:p1], stop) - start
+                par = np.repeat(np.arange(p0, p1), np.concatenate((ends[:1], ends[1:] - ends[:-1])))
+                kids = [c[par] for c in cols]
+                kids.append(np.arange(start, stop, dtype=np.int64) - first[par])
+                kvals = [x[par] for x in vals]
+            start = stop
+            # the new column holds offsets from lo so far; lo may exceed int64
+            kids[-1] = (kids[-1] if dtype is not object else kids[-1].astype(object)) + lo
+            keep = None
+            for i in finishing[d]:
+                val = _eval_term_on_columns(terms[i], kids)
+                if not positive[i]:  # positive terms are within [1..n] by vmax
+                    ok = (val >= 1) & (val <= n)
+                    keep = ok if keep is None else keep & ok
+                kvals.append(val)
+            if keep is not None and not keep.all():
+                if not keep.any():
+                    continue
+                kids = [c[keep] for c in kids]
+                kvals = [x[keep] for x in kvals]
+            fresh = len(finishing[d])
+            if dtype is object and fresh:  # the values are in [1..n] now
+                kvals[-fresh:] = [x.astype(np.int64) for x in kvals[-fresh:]]
+            rows = len(kids[0])
+            if d + 1 < nv:
+                yield from descend(d + 1, kids, kvals, child_counts(d + 1, kids, rows))
+                continue
+            yield kids, [
+                kvals[slot[i]] if i in slot else np.full(rows, constants[i], dtype=np.int64)
+                for i in range(len(terms))
+            ]
+
+    counts0 = int(np.min(child_counts(0, [], 1)))
+    if counts0 > 0:
+        yield from descend(0, [], [], np.array([counts0], dtype=np.int64))
+
+
 def enumerate_instances(
     family: PatternFamily, n: int, box: Sequence | None = None
 ) -> Iterator[Instance]:
@@ -127,64 +334,23 @@ def enumerate_instances(
     Whether this stream provably contains *all* admissible instances is
     reported by enumeration_complete(family, n, box).
     """
-    if n < 1:
-        raise ValueError("N must be >= 1")
-    nb = _normalize_box(family, n, box)
-    nv = family.num_vars
-    terms = family.terms
-    k = len(terms)
+    for cols, vals in _instance_chunks(family, n, box, lazy=True):
+        rows = zip(zip(*(c.tolist() for c in cols)), zip(*(x.tolist() for x in vals)))
+        for assignment, values in rows:
+            yield Instance(assignment, values)
 
-    last = [_last_var(t) for t in terms]
-    positive = [t.all_coeffs_positive() for t in terms]
-    # constant terms either kill everything or impose nothing
-    for i, t in enumerate(terms):
-        if last[i] == -1 and not 1 <= t.constant_term() <= n:
-            return
-    finish_at: list[list[int]] = [[] for _ in range(nv)]
-    for i in range(k):
-        if last[i] >= 0:
-            finish_at[last[i]].append(i)
-    positive_open: list[list[int]] = [[] for _ in range(nv)]
-    for i in range(k):
-        if positive[i] and last[i] >= 0:
-            for d in range(last[i]):
-                positive_open[d].append(i)
 
-    assignment = [0] * nv
-    values = [t.constant_term() for t in terms]
-    point = [1] * nv  # scratch: prefix + ones padding
-
-    def walk(d: int) -> Iterator[Instance]:
-        lo, hi = nb[d]
-        for v in range(lo, hi + 1):
-            assignment[d] = v
-            point[d] = v
-            dead = False
-            # lower bounds of still-open positive terms only grow with v: break
-            for i in positive_open[d]:
-                for j in range(d + 1, nv):
-                    point[j] = 1
-                if terms[i].evaluate(point) > n:
-                    return
-            for i in finish_at[d]:
-                val = terms[i].evaluate(assignment)
-                if 1 <= val <= n:
-                    values[i] = val
-                elif positive[i]:
-                    return  # monotone in v: larger v only worse
-                else:
-                    dead = True
-                    break
-            if dead:
-                continue
-            if d + 1 == nv:
-                yield Instance(tuple(assignment), tuple(values))
-            else:
-                yield from walk(d + 1)
-
-    if nv == 0:
-        raise ValueError("family has no variables")
-    yield from walk(0)
+def _witness_mask(vals: list[np.ndarray], colors: np.ndarray, distinct: bool):
+    """(rows whose values share one color and, if asked, are distinct; that color)."""
+    c0 = colors[vals[0] - 1]
+    ok = np.ones(len(c0), dtype=bool)
+    for v in vals[1:]:
+        ok &= colors[v - 1] == c0
+    if distinct:
+        for i in range(len(vals)):
+            for j in range(i + 1, len(vals)):
+                ok &= vals[i] != vals[j]
+    return ok, c0
 
 
 def iter_witnesses(
@@ -197,15 +363,15 @@ def iter_witnesses(
     """Witnesses in lexicographic assignment order (streaming)."""
     if distinct is None:
         distinct = family.distinct_required
-    n = coloring.n
-    cols = coloring.colors
-    for inst in enumerate_instances(family, n, box):
-        vals = inst.term_values
-        if distinct and len(set(vals)) != len(vals):
+    for cols, vals in _instance_chunks(family, coloring.n, box, lazy=True):
+        ok, c0 = _witness_mask(vals, coloring.colors, distinct)
+        (hits,) = np.nonzero(ok)
+        if not len(hits):
             continue
-        c = int(cols[vals[0] - 1])
-        if all(int(cols[v - 1]) == c for v in vals[1:]):
-            yield Witness(inst, c)
+        assignments = zip(*(c[hits].tolist() for c in cols))
+        values = zip(*(x[hits].tolist() for x in vals))
+        for a, v, c in zip(assignments, values, c0[hits].tolist()):
+            yield Witness(Instance(a, v), c)
 
 
 def find_witness(
@@ -229,22 +395,6 @@ def find_witnesses(
     return list(iter_witnesses(family, coloring, distinct=distinct, box=box))
 
 
-def _int64_safe(family: PatternFamily, nb: Box) -> bool:
-    bounds = [hi for _, hi in nb]
-    return all(t.max_abs_on_box(bounds) < _INT64_SAFE for t in family.terms)
-
-
-def _eval_term_on_columns(term: IntPoly, cols: list[np.ndarray]) -> np.ndarray:
-    total = np.zeros(cols[0].shape, dtype=np.int64)
-    for exps, c in term.monomials:
-        m = np.full(cols[0].shape, c, dtype=np.int64)
-        for i, e in enumerate(exps):
-            if e:
-                m *= cols[i] ** e
-        total += m
-    return total
-
-
 def count_witnesses(
     family: PatternFamily,
     coloring: Coloring,
@@ -252,54 +402,12 @@ def count_witnesses(
     distinct: bool | None = None,
     box: Sequence | None = None,
 ) -> int:
-    """Exact witness count; vectorized when overflow-provably-safe."""
+    """Exact witness count."""
     if distinct is None:
         distinct = family.distinct_required
-    n = coloring.n
-    nb = _normalize_box(family, n, box)
-    if not _int64_safe(family, nb):
-        return sum(1 for _ in iter_witnesses(family, coloring, distinct=distinct, box=box))
-
-    nv = family.num_vars
-    terms = family.terms
-    sizes = [hi - lo + 1 for lo, hi in nb]
-    if any(s <= 0 for s in sizes):
-        return 0
-    rest_total = 1
-    for s in sizes[1:]:
-        rest_total *= s
-    # rest-grid in lexicographic order, reused across slabs of x0
-    if nv > 1:
-        rest = np.indices(sizes[1:]).reshape(nv - 1, -1).astype(np.int64)
-        for i in range(1, nv):
-            rest[i - 1] += nb[i][0]
-    else:
-        rest = np.zeros((0, 1), dtype=np.int64)
-        rest_total = 1
-
-    cols_colors = coloring.colors.astype(np.int64)
-    slab = max(1, _SLAB_CELLS // max(1, rest_total))
-    lo0, hi0 = nb[0]
     total = 0
-    for start in range(lo0, hi0 + 1, slab):
-        stop = min(hi0, start + slab - 1)
-        x0 = np.arange(start, stop + 1, dtype=np.int64)
-        cols = [np.repeat(x0, rest_total)]
-        for i in range(1, nv):
-            cols.append(np.tile(rest[i - 1], stop - start + 1))
-        vals = [_eval_term_on_columns(t, cols) for t in terms]
-        ok = np.ones(cols[0].shape, dtype=bool)
-        for v in vals:
-            ok &= (v >= 1) & (v <= n)
-        if distinct:
-            for i in range(len(vals)):
-                for j in range(i + 1, len(vals)):
-                    ok &= vals[i] != vals[j]
-        idx0 = np.clip(vals[0], 1, n) - 1
-        c0 = cols_colors[idx0]
-        for v in vals[1:]:
-            ok &= cols_colors[np.clip(v, 1, n) - 1] == c0
-        total += int(ok.sum())
+    for _, vals in _instance_chunks(family, coloring.n, box):
+        total += int(np.count_nonzero(_witness_mask(vals, coloring.colors, distinct)[0]))
     return total
 
 

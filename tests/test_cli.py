@@ -1,9 +1,14 @@
 """Command-line interface: exit codes, frozen output strings, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from ramseykit import cli
 from ramseykit.cli import main, parse_box_arg, parse_coeffs
 from ramseykit.coloring import Coloring
 from ramseykit.families import PatternFamily, preset_family
@@ -454,3 +459,61 @@ class TestDeterminism:
             for _ in range(2)
         ]
         assert runs[0] == runs[1]
+
+
+class TestParserReuse:
+    """main builds its parser once; no option outlives the call that gave it."""
+
+    # each call with an option is followed by one without it
+    CALLS = [
+        ["witness", "--family", "xyxy", "--coloring", "c6.txt", "--distinct", "--box", "2:4,3:5",
+         "--out", "w.json", "--cache", "store.jsonl"],
+        ["witness", "--family", "xyxy", "--coloring", "c6.txt"],
+        ["witness", "--family", "schur", "--coloring", "c6.txt", "--all", "--box", "2"],
+        ["witness", "--family", "schur", "--coloring", "c6.txt", "--all"],
+        ["threshold", "--family", "schur", "--colors", "2", "--max-n", "8",
+         "--cache", "store.jsonl"],
+        ["threshold", "--family", "schur", "--colors", "2", "--max-n", "8"],
+        ["avoid", "--family", "schur", "--colors", "2", "--n", "5"],
+        ["cache", "list", "--cache", "store.jsonl"],
+        ["family", "show", "--preset", "vdw:3"],
+    ]
+
+    @staticmethod
+    def setup_dir(path):
+        path.mkdir()
+        Coloring.solid(6).save(path / "c6.txt")
+        return path
+
+    def test_one_parser_per_process(self):
+        assert cli._parser() is cli._parser()
+
+    def test_in_process_calls_match_fresh_processes(self, capsys, tmp_path, monkeypatch):
+        fresh_dir = self.setup_dir(tmp_path / "fresh")
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+        fresh = []
+        for argv in self.CALLS:
+            proc = subprocess.run([sys.executable, "-m", "ramseykit.cli", *argv], cwd=fresh_dir,
+                                  env=env, capture_output=True, text=True, timeout=120)
+            fresh.append((proc.returncode, proc.stdout))
+
+        monkeypatch.chdir(self.setup_dir(tmp_path / "reused"))
+        reused, lines = [], 0
+        for argv in self.CALLS:
+            code, out, _ = run(capsys, *argv)
+            reused.append((code, out))
+            store = Path("store.jsonl")
+            now = store.read_text().count("\n") if store.exists() else 0
+            # only a call given --cache touches the store, only one given --out writes w.json
+            assert now >= lines if "--cache" in argv else now == lines
+            lines = now
+            if "--out" in argv:
+                Path("w.json").unlink()
+            assert not Path("w.json").exists()
+        assert lines == 2
+        assert reused == fresh
+        # --distinct and --box did not carry over into the plain calls
+        assert "assignment=(2, 3) values=(2, 5, 6) color=1" in reused[0][1]
+        assert "assignment=(1, 1) values=(1, 2, 1) color=1" in reused[1][1]
+        assert "found 4 witness(es)" in reused[2][1]
+        assert "found 15 witness(es)" in reused[3][1]

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from ramseykit import coloring as coloring_module
 from ramseykit.coloring import Coloring
 
 colorings = st.integers(1, 5).flatmap(
@@ -12,6 +13,17 @@ colorings = st.integers(1, 5).flatmap(
         lambda cs: Coloring.from_sequence(cs, r=r)
     )
 )
+
+
+def reference_rle(chi):
+    """Runs built one position at a time."""
+    runs = []
+    for c in chi.colors.tolist():
+        if runs and runs[-1][0] == c:
+            runs[-1][1] += 1
+        else:
+            runs.append([c, 1])
+    return runs
 
 
 class TestConstruction:
@@ -81,6 +93,37 @@ class TestRoundTrips:
 
     def test_rle_shape(self):
         assert Coloring.from_sequence([1, 1, 2, 2, 2, 1]).to_rle() == [[1, 2], [2, 3], [1, 1]]
+
+    @given(colorings)
+    @settings(max_examples=80, deadline=None)
+    def test_to_rle_matches_position_by_position(self, chi):
+        runs = chi.to_rle()
+        assert runs == reference_rle(chi)
+        assert all(type(c) is int and type(length) is int for c, length in runs)
+
+    @pytest.mark.parametrize(
+        "colors",
+        [[2], [3] * 7, [1, 2] * 6, [2, 1, 1, 2]],
+        ids=["n=1", "one-run", "alternating", "inner-run"],
+    )
+    def test_to_rle_small_cases(self, colors):
+        chi = Coloring.from_sequence(colors, r=3)
+        assert chi.to_rle() == reference_rle(chi)
+
+    @pytest.mark.parametrize("block", [1, 2, 3, 5])
+    def test_to_rle_runs_across_blocks(self, block, monkeypatch):
+        monkeypatch.setattr(coloring_module, "_RLE_BLOCK", block)
+        rng = np.random.default_rng(block)
+        for n in range(1, 30):
+            for r in (1, 2, 3):
+                # long runs make boundaries fall inside runs as well as between them
+                colors = np.repeat(rng.integers(1, r + 1, n), rng.integers(1, 4, n))[:n]
+                chi = Coloring(n, r, colors)
+                assert chi.to_rle() == reference_rle(chi)
+
+    def test_to_rle_large(self):
+        chi = Coloring.random_uniform(100_000, 2, 9)
+        assert chi.to_rle() == reference_rle(chi)
 
     @given(st.lists(st.tuples(st.integers(1, 3), st.integers(0, 4)), min_size=1, max_size=12))
     @settings(max_examples=60, deadline=None)

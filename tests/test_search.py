@@ -10,10 +10,12 @@ import json
 
 import pytest
 
+from ramseykit import witnesses
 from ramseykit.bruteforce import (
     naive_avoiding_canonical,
     naive_exists_avoiding,
     naive_threshold,
+    naive_value_sets,
 )
 from ramseykit.coloring import Coloring
 from ramseykit.families import PatternFamily, preset_family
@@ -22,6 +24,7 @@ from ramseykit.search import (
     IncompleteBoxError,
     SearchBudgetExceeded,
     SearchStats,
+    build_instance_index,
     exists_avoiding,
     find_all_avoiding,
     greedy_avoider,
@@ -47,6 +50,27 @@ EQUIVALENCE_FAMILIES = BOX_COMPLETE_PRESETS + [
 
 def _family_id(fam):
     return fam.name + (":distinct" if fam.distinct_required else "")
+
+
+class TestInstanceIndex:
+    @pytest.mark.parametrize("fam", EQUIVALENCE_FAMILIES + [
+        PatternFamily.from_texts(3, ["x0", "x1", "x2", "x0 + x1 - x2"], "cancelling"),
+        PatternFamily.from_texts(2, ["x0", "x1", "5"], "constant"),
+        PatternFamily.from_texts(1, ["x0^2"], "one-term"),
+    ], ids=_family_id)
+    @pytest.mark.parametrize("small_chunks", [False, True])
+    def test_buckets_match_naive_value_sets(self, fam, small_chunks, monkeypatch):
+        if small_chunks:
+            monkeypatch.setattr(witnesses, "_FIRST_CHUNK", 2)
+            monkeypatch.setattr(witnesses, "_MAX_CHUNK", 4)
+        for n in (1, 5, 12):
+            expected = [[] for _ in range(n + 1)]
+            for vs in naive_value_sets(fam, n):
+                if len(vs) == 1:
+                    expected[0].append((vs[0], ()))
+                else:
+                    expected[vs[-2]].append((vs[-1], vs[:-2]))
+            assert build_instance_index(fam, n) == [sorted(b) for b in expected]
 
 
 class TestExistsAvoiding:

@@ -1,6 +1,8 @@
 """Verified append-only results store: round-trips, quarantine, tampering."""
 
+import gc
 import json
+import warnings
 
 import pytest
 
@@ -90,6 +92,19 @@ class TestAppendLookup:
     def test_lock_file_created(self, store):
         store.append(witness_record())
         assert store.lock_path.exists()
+
+    def test_append_returns_line_index(self, store):
+        assert [store.append(witness_record()) for _ in range(3)] == [0, 1, 2]
+        good, _ = store.records()
+        assert [i for i, _ in good] == [0, 1, 2]
+
+    def test_append_leaves_no_file_open(self, store):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            for _ in range(3):
+                store.append(witness_record())
+            gc.collect()
+        assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
 
 
 class TestVerification:

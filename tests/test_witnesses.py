@@ -4,9 +4,12 @@ The pruned enumerator is cross-checked against the no-pruning oracle in
 ``bruteforce`` throughout; any divergence is a bug in the pruning logic.
 """
 
+import itertools
+
 import numpy as np
 import pytest
 
+from ramseykit import witnesses
 from ramseykit.bruteforce import naive_all_witnesses, naive_count_witnesses, naive_instances
 from ramseykit.coloring import Coloring
 from ramseykit.families import PatternFamily, preset_family, reduction_family
@@ -135,7 +138,7 @@ class TestCounting:
         )
 
     def test_bignum_fallback_agrees(self):
-        # term x0^40 overflows int64 instantly, forcing the streaming path
+        # term x0^40 overflows int64 instantly, forcing the Python-int path
         fam = PatternFamily.from_texts(1, ["x0", "x0^40"])
         chi = Coloring.solid(2)
         assert count_witnesses(fam, chi) == 1  # only x0=1 keeps x0^40 <= 2
@@ -210,3 +213,121 @@ class TestSerialization:
         w = find_witness(fam, chi)
         back, fam_back = witness_from_json(witness_to_json(fam, chi, w))
         assert verify_witness(fam_back, chi, back).ok
+
+
+# ---- the chunked enumerator against a plain cartesian product ----
+
+
+def oracle_instances(family, n, box=None):
+    """Admissible (assignment, values) pairs over the box, in lex order, by
+    evaluating every term at every point of the box."""
+    if box is None:
+        box = n
+    if isinstance(box, int):
+        box = [(1, box)] * family.num_vars
+    out = []
+    for a in itertools.product(*(range(lo, hi + 1) for lo, hi in box)):
+        vals = tuple(t.evaluate(a) for t in family.terms)
+        if all(1 <= v <= n for v in vals):
+            out.append((a, vals))
+    return out
+
+
+def oracle_witnesses(family, coloring, distinct, box):
+    if distinct is None:
+        distinct = family.distinct_required
+    out = []
+    for a, vals in oracle_instances(family, coloring.n, box):
+        colors = {coloring.color_of(v) for v in vals}
+        if len(colors) == 1 and not (distinct and len(set(vals)) != len(vals)):
+            out.append((a, vals, colors.pop()))
+    return out
+
+
+def fam(num_vars, *terms, distinct=False):
+    return PatternFamily.from_texts(num_vars, terms, distinct_required=distinct)
+
+
+# (family, n, box); huge exponents put the object-dtype path to work
+ENUMERATOR_CASES = (
+    [(f, n, None) for f in ALL_PRESETS for n in (1, 2, 7, 30)]
+    + [(preset_family(k, m), 30, None) for k, m in (("vdw", 4), ("geometric", 3))]
+    + [(fam(2, "x0", "x1", "3*x0 - x1", distinct=True), n, None) for n in (9, 15, 30)]
+    + [
+        (fam(3, "x0", "x1", "x2", "x0 + x1 - x2"), 12, None),  # cancelling term
+        (fam(3, "x0", "x0*x1*x2", "x1 + 2*x2^2"), 14, None),
+        (fam(2, "x0", "x0 - x1"), 20, None),  # box-incomplete: x1 is unbounded
+        (fam(2, "x0", "x0 - x1"), 20, [(1, 20), (1, 45)]),
+        (fam(1, "x0", "x0 + 7"), 12, None),
+        (fam(2, "x0", "x1", "5"), 6, None),
+        (preset_family("xyxy"), 30, [(3, 9), (2, 20)]),  # lo > 1
+        (preset_family("schur"), 25, [(4, 30), (7, 7)]),
+        (preset_family("schur"), 20, 50),  # box wider than N
+        (preset_family("x_y_3xmy"), 20, 45),
+        (fam(2, "x0^30*x1^30", "x0"), 7, None),  # beyond int64
+        (fam(2, "x0", "x1", "x0^30 - x1^30 + x1"), 25, None),
+        (fam(2, "x0^2 + x1", "x1^3"), 30, 40),
+        (preset_family("geometric", 2), 30, [(1, 30), (2, 30)]),  # x0 > 7 has no x1
+        (fam(2, "x0", "x0 + x1 + 10^20"), 5, None),  # bound below any int64
+        (fam(2, "x0 + 10^20 - x1", "x1"), 5, [(1, 5), (10**20 - 3, 10**20 + 2)]),
+        (fam(2, "x0"), 3, [(1, 3), (10**20, 10**20 + 1)]),  # small terms, huge box
+    ]
+)
+
+
+def case_id(case):
+    f, n, box = case
+    name = f.name or "|".join(f.canonical_texts())
+    return f"{name}{'-distinct' if f.distinct_required else ''}-n{n}-box{box}"
+
+
+@pytest.fixture(params=[False, True], ids=["chunks-default", "chunks-of-3"])
+def chunking(request, monkeypatch):
+    if request.param:  # chunk boundaries fall inside every level
+        monkeypatch.setattr(witnesses, "_FIRST_CHUNK", 3)
+        monkeypatch.setattr(witnesses, "_MAX_CHUNK", 6)
+
+
+class TestChunkedEnumerator:
+    @pytest.mark.parametrize("case", ENUMERATOR_CASES, ids=case_id)
+    def test_matches_cartesian_oracle(self, case, chunking):
+        family, n, box = case
+        expected = oracle_instances(family, n, box)
+        got = [(i.assignment, i.term_values) for i in enumerate_instances(family, n, box)]
+        assert got == expected
+        assert all(type(v) is int for a, vals in got for v in a + vals)
+        for r, seed in ((1, 0), (2, 1), (3, 2)):
+            chi = Coloring.random_uniform(n, r, seed)
+            for distinct in (None, True, False):
+                want = oracle_witnesses(family, chi, distinct, box)
+                ws = list(iter_witnesses(family, chi, distinct=distinct, box=box))
+                assert [(w.assignment, w.term_values, w.color) for w in ws] == want
+                assert all(type(w.color) is int for w in ws)
+                assert count_witnesses(family, chi, distinct=distinct, box=box) == len(want)
+                first = find_witness(family, chi, distinct=distinct, box=box)
+                if want:
+                    assert (first.assignment, first.term_values, first.color) == want[0]
+                else:
+                    assert first is None
+
+    def test_object_path_is_exercised(self):
+        family = fam(2, "x0", "x1", "x0^30 - x1^30 + x1")
+        assert not witnesses._int64_safe(family, ((1, 25), (1, 25)))
+        assert [i.assignment for i in enumerate_instances(family, 25)] == [
+            (v, v) for v in range(1, 26)
+        ]
+
+    def test_find_is_lazy(self, monkeypatch):
+        # the first witness comes from the first chunk; later ones are never built
+        family, chi = preset_family("schur"), Coloring.solid(3000)
+        sizes = []
+        chunks = witnesses._instance_chunks
+
+        def spy(*args, **kwargs):
+            for cols, vals in chunks(*args, **kwargs):
+                sizes.append(len(cols[0]))
+                yield cols, vals
+
+        monkeypatch.setattr(witnesses, "_instance_chunks", spy)
+        assert find_witness(family, chi).assignment == (1, 1)
+        assert sizes and sum(sizes) <= 2 * witnesses._FIRST_CHUNK
