@@ -4,13 +4,15 @@ The color array is a numpy int32 vector indexed by value-1 (colors[v-1] is
 the color of the integer v).  Everything downstream treats a coloring as
 read-only; helpers that "modify" return a new object.
 
-File format: first line ``N r``, then N whitespace-separated colors (any line
-wrapping); written 20 per line.
+File format: ``N r`` then the N colors, every token plain ASCII decimal digits
+and tokens separated by ASCII whitespace (any line wrapping).  ``save`` writes
+the header on its own line and then 20 colors per line, one space apart.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import re
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -18,6 +20,20 @@ import numpy as np
 
 # to_rle finds run boundaries in blocks of this many positions
 _RLE_BLOCK = 1 << 12
+# save writes this many colors per block (whole lines of 20); load cuts this
+# many bytes per block, so no intermediate array of either grows with N
+_IO_BLOCK = 20 * _RLE_BLOCK
+
+_INT32_MAX = 2**31 - 1
+# byte classes for load: 0 is rejected, 1 is ASCII whitespace, 2 a digit
+_BYTE_CLASS = np.frombuffer(
+    bytes(2 if 48 <= b <= 57 else 1 if b in b" \t\n\r\v\f" else 0 for b in range(256)),
+    dtype=np.uint8,
+)
+_HEADER = re.compile(rb"\s*([0-9]+)\s+([0-9]+)(?![0-9])")
+_NON_DIGIT = re.compile(rb"[^0-9]")
+# 10**k for the places of a color's digits: 18 digits always fit in int64
+_POW10 = np.array([10**k for k in range(18)], dtype=np.int64)
 
 __all__ = ["Coloring"]
 
@@ -29,16 +45,18 @@ class Coloring:
     colors: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.colors, dtype=np.int32)
+        arr = np.asarray(self.colors)
         if self.n < 1:
             raise ValueError("N must be >= 1")
         if self.r < 1:
             raise ValueError("r must be >= 1")
         if arr.shape != (self.n,):
             raise ValueError(f"expected {self.n} colors, got shape {arr.shape}")
-        if arr.size and (arr.min() < 1 or arr.max() > self.r):
-            raise ValueError(f"colors must lie in 1..{self.r}")
-        self.colors = arr
+        # checked in the input's own type: the int32 cast would wrap 2**32 + 1 to 1
+        top = min(self.r, _INT32_MAX)
+        if arr.min() < 1 or arr.max() > top:
+            raise ValueError(f"colors must lie in 1..{top}")
+        self.colors = arr.astype(np.int32, copy=False)
 
     # ---- constructors ----
 
@@ -116,31 +134,108 @@ class Coloring:
 
     @classmethod
     def from_rle(cls, n: int, r: int, runs: Iterable[Sequence[int]]) -> "Coloring":
-        table = np.asarray(list(runs), dtype=np.int64).reshape(-1, 2)
-        colors, lengths = table[:, 0], table[:, 1]
-        # checked here, in int64: the int32 color array would wrap large values
-        if ((colors < 1) | (colors > r)).any():
-            raise ValueError(f"run colors must lie in 1..{r}")
-        if ((lengths < 0) | (lengths > n)).any():
-            raise ValueError(f"run lengths must lie in 0..{n}")
+        runs = list(runs)
+        colors = np.empty(len(runs), dtype=np.int32)
+        lengths = np.empty(len(runs), dtype=np.int64)
+        top = min(r, _INT32_MAX)
+        # a block at a time: converting one long nested list makes numpy keep
+        # per-row bookkeeping about as large as the table itself
+        for lo in range(0, len(runs), _RLE_BLOCK):
+            block = np.asarray(runs[lo : lo + _RLE_BLOCK], dtype=np.int64)
+            if block.shape[1:] != (2,):
+                raise ValueError("runs must be [color, length] pairs")
+            # checked in int64, before the int32 column could wrap them
+            if ((block[:, 0] < 1) | (block[:, 0] > top)).any():
+                raise ValueError(f"run colors must lie in 1..{top}")
+            if ((block[:, 1] < 0) | (block[:, 1] > n)).any():
+                raise ValueError(f"run lengths must lie in 0..{n}")
+            colors[lo : lo + len(block)] = block[:, 0]
+            lengths[lo : lo + len(block)] = block[:, 1]
         total = int(lengths.sum())
         if total != n:
             raise ValueError(f"run lengths sum to {total}, expected {n}")
         return cls(n, r, np.repeat(colors, lengths))
 
     def save(self, path: str | Path) -> None:
-        with open(path, "w") as fh:
-            fh.write(f"{self.n} {self.r}\n")
-            for i in range(0, self.n, 20):
-                fh.write(" ".join(str(int(c)) for c in self.colors[i : i + 20]) + "\n")
+        with open(path, "wb") as fh:
+            fh.write(f"{self.n} {self.r}\n".encode())
+            for lo in range(0, self.n, _IO_BLOCK):
+                fh.write(_encode_block(self.colors[lo : lo + _IO_BLOCK]))
 
     @classmethod
     def load(cls, path: str | Path) -> "Coloring":
-        tokens = Path(path).read_text().split()
-        if len(tokens) < 2:
-            raise ValueError(f"{path}: need a header line 'N r'")
-        n, r = int(tokens[0]), int(tokens[1])
-        body = tokens[2:]
-        if len(body) != n:
-            raise ValueError(f"{path}: header says N={n} but found {len(body)} colors")
-        return cls(n, r, np.asarray([int(t) for t in body], dtype=np.int32))
+        with open(path, "rb") as fh:
+            raw = fh.read()
+        head = _HEADER.match(raw)
+        if head is None:
+            raise ValueError(f"{path}: need a header line 'N r' of plain decimal digits")
+        n, r = int(head[1]), int(head[2])
+        body = np.frombuffer(raw, dtype=np.uint8)
+        top = min(r, _INT32_MAX)
+        parts = []
+        lo = head.end()  # the header's last digit is followed by a non-digit
+        # each block ends before a non-digit byte, so no color is cut in two
+        while lo < len(raw):
+            hi = lo + _IO_BLOCK
+            cut = _NON_DIGIT.search(raw, hi) if hi < len(raw) else None
+            hi = cut.start() if cut else len(raw)
+            parts.append(_decode_block(body[lo:hi], path, lo, top))
+            lo = hi
+        colors = np.concatenate(parts) if parts else np.zeros(0, dtype=np.int32)
+        if len(colors) != n:
+            raise ValueError(f"{path}: header says N={n} but found {len(colors)} colors")
+        return cls(n, r, colors)
+
+
+def _encode_block(colors: np.ndarray) -> bytes:
+    """The text of colors[i] for each i, a newline after every 20th color and
+    after the last one, a space after every other: the bytes of
+    ``" ".join(...) + "\\n"`` per line of 20, built without a str per color."""
+    width = len(str(int(colors.max())))
+    vals = colors.astype(np.int64)
+    cells = np.empty((len(vals), width + 1), dtype=np.uint8)
+    for j in range(width):
+        cells[:, j] = vals // 10 ** (width - 1 - j) % 10 + ord("0")
+    cells[:, width] = ord(" ")
+    cells[19::20, width] = ord("\n")
+    cells[-1, width] = ord("\n")
+    if width == 1:
+        return cells.tobytes()
+    # drop each color's leading zero cells: a color below 10**k has width - k of them
+    keep = np.ones_like(cells, dtype=bool)
+    for j in range(width - 1):
+        keep[:, j] = vals >= 10 ** (width - 1 - j)
+    return cells[keep].tobytes()
+
+
+def _decode_block(block: np.ndarray, path, offset: int, top: int) -> np.ndarray:
+    """The values of the digit runs of block as int32, each checked to lie in
+    1..top.  block starts with a non-digit byte and ends before one (or at
+    the end of the file), so no run is cut in two."""
+    kind = _BYTE_CLASS[block]
+    if not kind.all():
+        i = int(np.argmin(kind))
+        raise ValueError(
+            f"{path}: byte {bytes(block[i : i + 1])!r} at offset {offset + i} "
+            "is neither an ASCII digit nor whitespace"
+        )
+    digit = kind == 2
+    # run starts and ends alternate; block[0] is never a digit
+    edges = np.flatnonzero(digit[1:] != digit[:-1]) + 1
+    if digit[-1]:
+        edges = np.append(edges, len(block))
+    starts, ends = edges[0::2], edges[1::2]
+    lengths = ends - starts
+    if len(lengths) == 0:
+        return np.zeros(0, dtype=np.int32)
+    if lengths.max() > len(_POW10):
+        raise ValueError(f"{path}: a color has more than {len(_POW10)} digits")
+    vals = block[digit].astype(np.int64) - ord("0")
+    if lengths.max() > 1:
+        # place of each digit within its token: 0 for the last digit
+        place = np.repeat(ends, lengths) - 1 - np.flatnonzero(digit)
+        vals = np.add.reduceat(vals * _POW10[place], np.cumsum(lengths) - lengths)
+    # checked in int64, before the int32 cast could wrap a color
+    if vals.min() < 1 or vals.max() > top:
+        raise ValueError(f"{path}: colors must lie in 1..{top}")
+    return vals.astype(np.int32)

@@ -319,53 +319,54 @@ def parse_poly(text: str, num_vars: int | None = None) -> IntPoly:
     if max_idx >= nv:
         raise ValueError(f"variable x{max_idx} out of range for {nv} variables")
 
+    # each product folds into one coefficient and one exponent list, and the
+    # products are summed into one monomial dict: no IntPoly until the end
     pos = 0
+    acc: dict[Exponents, int] = {}
 
-    def atom() -> IntPoly:
+    def factor(coeff: int, exps: list[int]) -> int:
+        """Multiply one ``atom[^k]`` into exps; returns the new coefficient."""
         nonlocal pos
         if pos >= len(toks):
             raise ValueError("unexpected end of polynomial text")
         t = toks[pos]
         pos += 1
-        if t.startswith("x"):
-            return IntPoly.var(nv, int(t[1:]))
-        if t.isdigit():
-            return IntPoly.const(nv, int(t))
-        raise ValueError(f"expected a number or variable, got {t!r}")
-
-    def factor() -> IntPoly:
-        nonlocal pos
-        base = atom()
+        if not (t.startswith("x") or t.isdigit()):
+            raise ValueError(f"expected a number or variable, got {t!r}")
+        k = 1
         if pos < len(toks) and toks[pos] == "^":
             pos += 1
             if pos >= len(toks) or not toks[pos].isdigit():
                 raise ValueError("exponent must be a plain nonnegative integer")
             k = int(toks[pos])
             pos += 1
-            return base**k
-        return base
+        if t.startswith("x"):
+            exps[int(t[1:])] += k
+            return coeff
+        return coeff * int(t) ** k
 
-    def term() -> IntPoly:
+    def term(sign: int) -> None:
         nonlocal pos
-        acc = factor()
+        exps = [0] * nv
+        coeff = factor(sign, exps)
         while pos < len(toks) and toks[pos] == "*":
             pos += 1
-            acc = acc * factor()
-        return acc
+            coeff = factor(coeff, exps)
+        key = tuple(exps)
+        acc[key] = acc.get(key, 0) + coeff
 
-    total = IntPoly.zero(nv)
     sign = 1
     if toks[pos] in ("+", "-"):
         sign = -1 if toks[pos] == "-" else 1
         pos += 1
-    total = total + sign * term()
+    term(sign)
     while pos < len(toks):
         t = toks[pos]
         if t not in ("+", "-"):
             raise ValueError(f"expected + or - between terms, got {t!r}")
         pos += 1
-        total = total + (term() if t == "+" else -term())
-    return total
+        term(1 if t == "+" else -1)
+    return IntPoly(nv, acc)
 
 
 def _exact_sqrt(q: Fraction) -> Fraction | None:

@@ -6,17 +6,27 @@ renames; params pins the remaining inputs (r, n, coefficient vectors, ...).
 Appends take an exclusive flock on a sidecar lock file, so concurrent
 processes sharing a cache cannot interleave partial lines.
 
+The lock file also holds a memo of the store as the last append left it:
+``size mtime_ns inode lines``, four zero-padded 20-digit fields and a
+newline, rewritten in place at offset 0.  append() trusts the memo's line
+count only while the store's stat still matches it; any other state (no
+memo, garbage, an empty lock file from an older version, a writer that
+skipped the memo, a replaced or truncated store) costs one recount.
+
 Trust model: append() re-verifies the payload by recomputation before it is
-written (verify=False skips this for bulk imports); reading back validates
-structure and cheap invariants, quarantining lines that fail instead of
-raising, so one corrupt line cannot poison the rest of the cache.
-verify_all() re-runs the full append-time checks over every stored line.
+written (verify=False skips this for bulk imports), including that the
+record's fingerprint is its embedded family's; reading back validates
+structure only, quarantining lines that fail instead of raising, so one
+corrupt line cannot poison the rest of the cache.  lookup() does not
+re-verify what it reads.  verify_all() re-runs the full append-time checks
+over every stored line.
 """
 
 from __future__ import annotations
 
 import fcntl
 import json
+import os
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
@@ -80,6 +90,35 @@ def _canon(params: dict) -> str:
     return json.dumps(params, sort_keys=True, separators=(",", ":"))
 
 
+_MEMO_FIELD = 20
+_MEMO_SIZE = 4 * (_MEMO_FIELD + 1)
+
+
+def _stat_key(st: os.stat_result) -> tuple[int, int, int]:
+    return st.st_size, st.st_mtime_ns, st.st_ino
+
+
+def _read_memo(lock_fd: int, st: os.stat_result) -> int | None:
+    """The memo's line count if it describes the store's stat st, else None."""
+    raw = os.pread(lock_fd, _MEMO_SIZE, 0)
+    fields = raw.split()
+    if len(raw) != _MEMO_SIZE or len(fields) != 4 or not all(f.isdigit() for f in fields):
+        return None
+    size, mtime_ns, inode, lines = map(int, fields)
+    return lines if (size, mtime_ns, inode) == _stat_key(st) else None
+
+
+def _write_memo(lock_fd: int, st: os.stat_result, lines: int) -> None:
+    memo = " ".join(f"{v:0{_MEMO_FIELD}d}" for v in (*_stat_key(st), lines)) + "\n"
+    # in place, never truncated: every memo has the same width
+    os.pwrite(lock_fd, memo.encode(), 0)
+
+
+def _count_lines(path: Path) -> int:
+    with open(path, "rb") as fh:
+        return sum(chunk.count(b"\n") for chunk in iter(lambda: fh.read(1 << 20), b""))
+
+
 def _check_structure(obj: dict) -> str | None:
     """Cheap load-time validation; returns a reason string on failure."""
     for key in ("kind", "fingerprint", "params", "payload"):
@@ -92,6 +131,15 @@ def _check_structure(obj: dict) -> str | None:
     return None
 
 
+def _check_fingerprint(record: ResultRecord, payload: dict, family=None) -> None:
+    """The record is filed under its own family: the embedded family and the
+    payload's fingerprint field, where present, must hash to the record's."""
+    if family is not None and family.fingerprint() != record.fingerprint:
+        raise ValueError("embedded family does not match the record's fingerprint")
+    if "fingerprint" in payload and payload["fingerprint"] != record.fingerprint:
+        raise ValueError("payload fingerprint does not match the record's")
+
+
 def _verify_payload(record: ResultRecord) -> None:
     """Full recomputation check; raises StoreVerificationError on failure."""
     kind, payload = record.kind, record.payload
@@ -100,6 +148,7 @@ def _verify_payload(record: ResultRecord) -> None:
             w, fam = witness_from_json(payload)
             if fam is None:
                 raise ValueError("witness record must embed its family")
+            _check_fingerprint(record, payload, fam)
             n, r = int(payload["n"]), int(payload["r"])
             vals = tuple(term.evaluate(w.assignment) for term in fam.terms)
             if vals != w.term_values:
@@ -110,17 +159,20 @@ def _verify_payload(record: ResultRecord) -> None:
                 raise ValueError("color out of range")
         elif kind == "avoiding":
             cert = AvoidCertificate.from_json(payload)
+            _check_fingerprint(record, payload, cert.family)
             if not verify_certificate(cert):
                 raise ValueError("certificate fails verification")
         elif kind == "threshold":
             value, exact = int(payload["value"]), bool(payload["exact"])
             if value < 1:
                 raise ValueError("threshold value must be positive")
+            _check_fingerprint(record, payload)
             cert_obj = payload.get("certificate")
             if exact and value > 1 and cert_obj is None:
                 raise ValueError("exact threshold above 1 requires a certificate")
             if cert_obj is not None:
                 cert = AvoidCertificate.from_json(cert_obj)
+                _check_fingerprint(record, cert_obj, cert.family)
                 # exact: last avoider lives at T-1; lower bound: value is max_n+1
                 expected_n = value - 1
                 if cert.n != expected_n:
@@ -164,22 +216,27 @@ class ResultStore:
         self.lock_path = self.path.with_suffix(self.path.suffix + ".lock")
 
     def append(self, record: ResultRecord, verify: bool = True) -> int:
+        """Write one record; returns its line index (the newlines before it)."""
         if record.kind not in RECORD_KINDS:
             raise ValueError(f"unknown record kind {record.kind!r}")
         if verify:
             _verify_payload(record)
-        line = json.dumps(record.to_json(), sort_keys=True, separators=(",", ":"))
+        line = json.dumps(record.to_json(), sort_keys=True, separators=(",", ":")) + "\n"
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        with open(self.lock_path, "w") as lock:
+        # no O_APPEND on the lock file: Linux pwrite would ignore the offset
+        lock = os.open(self.lock_path, os.O_RDWR | os.O_CREAT, 0o666)
+        try:
             fcntl.flock(lock, fcntl.LOCK_EX)
-            try:
-                with open(self.path, "a") as fh:
-                    fh.write(line + "\n")
-                with open(self.path, "rb") as fh:
-                    count = fh.read().count(b"\n")
-            finally:
-                fcntl.flock(lock, fcntl.LOCK_UN)
-        return count - 1
+            with open(self.path, "ab") as fh:
+                before = _read_memo(lock, os.fstat(fh.fileno()))
+                if before is None:
+                    before = _count_lines(self.path)
+                fh.write(line.encode())
+                fh.flush()
+                _write_memo(lock, os.fstat(fh.fileno()), before + 1)
+        finally:
+            os.close(lock)  # also releases the flock
+        return before
 
     def records(self) -> tuple[list[tuple[int, ResultRecord]], list[tuple[int, str]]]:
         """All readable records plus a quarantine list of (line, reason)."""

@@ -416,6 +416,13 @@ class TestExitCodes:
         )
         assert code == 2 and "error:" in err
 
+    def test_color_beyond_int32_is_two(self, capsys, tmp_path):
+        path = tmp_path / "big.txt"
+        path.write_text("2 2\n1 99999999999\n")
+        code, out, err = run(capsys, "witness", "--family", "schur", "--coloring", str(path))
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and "Traceback" not in err
+
     def test_budget_exceeded_is_three(self, capsys):
         code, _, err = run(
             capsys, "threshold", "--family", "schur", "--colors", "2",

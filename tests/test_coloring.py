@@ -26,6 +26,15 @@ def reference_rle(chi):
     return runs
 
 
+def reference_save_text(chi):
+    """The file text written one line of 20 colors at a time."""
+    lines = [f"{chi.n} {chi.r}"]
+    colors = chi.colors.tolist()
+    for i in range(0, chi.n, 20):
+        lines.append(" ".join(str(c) for c in colors[i : i + 20]))
+    return "\n".join(lines) + "\n"
+
+
 class TestConstruction:
     def test_solid(self):
         chi = Coloring.solid(5)
@@ -53,6 +62,17 @@ class TestConstruction:
             Coloring(3, 2, [1, 2])
         with pytest.raises(ValueError):
             Coloring(2, 2, [0, 1])
+
+    def test_range_is_checked_before_the_int32_cast(self):
+        # 2**32 + 1 wraps to 1 in int32
+        with pytest.raises(ValueError, match="1..2"):
+            Coloring(2, 2, np.array([1, 2**32 + 1]))
+        with pytest.raises(ValueError, match="1..2"):
+            Coloring(2, 2, [1, 2**70])
+        with pytest.raises(ValueError, match=f"1..{2**31 - 1}"):
+            Coloring(1, 2**40, [2**32])
+        chi = Coloring(2, 2, np.array([1, 2], dtype=np.int64))
+        assert chi.colors.dtype == np.int32 and chi.colors.tolist() == [1, 2]
 
     def test_from_sequence_infers_r(self):
         chi = Coloring.from_sequence([1, 3, 2])
@@ -133,6 +153,17 @@ class TestRoundTrips:
         chi = Coloring.from_rle(len(expected), 3, [list(run) for run in runs])
         assert chi.colors.tolist() == expected
 
+    @pytest.mark.parametrize("block", [1, 2, 3])
+    def test_from_rle_across_blocks(self, block, monkeypatch):
+        monkeypatch.setattr(coloring_module, "_RLE_BLOCK", block)
+        chi = Coloring.from_sequence([1, 1, 2, 3, 3, 3, 1, 2, 2, 1])
+        assert Coloring.from_rle(chi.n, chi.r, iter(reference_rle(chi))) == chi
+
+    @pytest.mark.parametrize("runs", [[1, 3], [[1, 2, 0]], [[1, 2], [1]], [[1], [2]]])
+    def test_from_rle_rejects_non_pairs(self, runs):
+        with pytest.raises(ValueError):
+            Coloring.from_rle(3, 2, runs)
+
     def test_from_rle_rejects_negative_length(self):
         # [2, -1] would cancel one color of the first run in the sum
         with pytest.raises(ValueError, match="run lengths"):
@@ -168,3 +199,62 @@ class TestRoundTrips:
         path.write_text("3 2\n1 2\n")
         with pytest.raises(ValueError):
             Coloring.load(path)
+
+    @pytest.mark.parametrize("r", [1, 3, 9, 10, 12, 105])
+    @pytest.mark.parametrize(
+        "n", [1, 19, 20, 21, coloring_module._IO_BLOCK - 1, coloring_module._IO_BLOCK,
+              coloring_module._IO_BLOCK + 1],
+    )
+    def test_save_matches_line_by_line_writer(self, r, n, tmp_path):
+        chi = Coloring.random_uniform(n, r, r * 1000 + n)
+        path = tmp_path / "c.txt"
+        chi.save(path)
+        assert path.read_bytes() == reference_save_text(chi).encode()
+
+    @pytest.mark.parametrize("block", [20, 40])
+    def test_save_and_load_across_small_blocks(self, block, tmp_path, monkeypatch):
+        monkeypatch.setattr(coloring_module, "_IO_BLOCK", block)
+        path = tmp_path / "c.txt"
+        for n in (1, 19, 39, 40, 41, 100):
+            for r in (1, 12, 105):
+                chi = Coloring.random_uniform(n, r, n + r)
+                chi.save(path)
+                assert path.read_bytes() == reference_save_text(chi).encode()
+                # tokens of 1 to 3 digits straddle the load blocks
+                assert Coloring.load(path) == chi
+
+    def test_load_accepts_any_ascii_whitespace(self, tmp_path):
+        path = tmp_path / "c.txt"
+        path.write_bytes(b"\r\n 5\t3 \v1\f2\r\n\n03   2\t\t1")
+        assert Coloring.load(path).colors.tolist() == [1, 2, 3, 2, 1]
+
+    @pytest.mark.parametrize(
+        "text,match",
+        [
+            ("3 2\n1 2 1 2\n", "found 4 colors"),
+            ("", "header"),
+            ("3\n", "header"),
+            ("x 2\n1 2 1\n", "header"),
+            ("3 2\n1 2 a\n", "offset 8"),
+            ("3 2\n1 +2 1\n", "offset 6"),
+            ("3 2\n1 1_0 1\n", "offset 7"),
+            ("3 2\n1 \u0663 1\n", "neither an ASCII digit"),
+            ("3 2\n1 0 1\n", "1..2"),
+            ("3 2\n1 3 1\n", "1..2"),
+            ("2 2\n1 99999999999\n", "1..2"),
+            ("2 2\n1 4294967297\n", "1..2"),  # 2**32 + 1 wraps to 1 in int32
+            ("2 2\n1 999999999999999999\n", "1..2"),
+            ("2 2\n1 99999999999999999999999\n", "more than 18 digits"),
+            ("2 2\n1 0000000000000000001\n", "more than 18 digits"),
+        ],
+    )
+    def test_load_rejects(self, text, match, tmp_path):
+        path = tmp_path / "c.txt"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ValueError, match=match):
+            Coloring.load(path)
+
+    def test_load_reads_leading_zeros(self, tmp_path):
+        path = tmp_path / "c.txt"
+        path.write_text("2 12\n" + "0" * 16 + "12 0007\n")
+        assert Coloring.load(path).colors.tolist() == [12, 7]
