@@ -384,14 +384,14 @@ def cmd_cache(args) -> int:
             print(f"  #{i} QUARANTINED: {reason}", file=sys.stderr)
         return 0
     # verify
-    failures = store.verify_all()
-    good, _ = store.records()
+    read = store.records()
+    failures = store.verify_all(read)
     if failures:
         for i, reason in failures:
             print(f"  #{i} FAIL: {reason}")
         print(f"{len(failures)} record(s) failed verification")
         return 1
-    print(f"all {len(good)} record(s) verified")
+    print(f"all {len(read[0])} record(s) verified")
     return 0
 
 
@@ -400,11 +400,12 @@ def cmd_cache(args) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0, help="seed for randomized strategies")
-    common.add_argument("--max-nodes", type=int, default=None, help="search node budget")
-    common.add_argument("--time-limit", type=float, default=None, help="search time budget (s)")
     common.add_argument("--out", default=None, help="write the machine-readable result here")
     common.add_argument("--cache", default=None, help="JSONL results store to read/append")
+    # only the exhaustive searches read a budget
+    budget = argparse.ArgumentParser(add_help=False)
+    budget.add_argument("--max-nodes", type=int, default=None, help="search node budget")
+    budget.add_argument("--time-limit", type=float, default=None, help="search time budget (s)")
 
     p = argparse.ArgumentParser(
         prog="ramseykit",
@@ -436,7 +437,7 @@ def build_parser() -> argparse.ArgumentParser:
     w.add_argument("--box", default=None, help="assignment box: '100' or '10,20' or '2:10,1:20'")
     w.set_defaults(func=cmd_witness)
 
-    av = sub.add_parser("avoid", parents=[common], help="search for an avoiding coloring")
+    av = sub.add_parser("avoid", parents=[common, budget], help="search for an avoiding coloring")
     av.add_argument("--family", required=True)
     av.add_argument("--colors", type=int, required=True)
     av.add_argument("--n", type=int, required=True)
@@ -446,9 +447,11 @@ def build_parser() -> argparse.ArgumentParser:
     av.add_argument("--greedy", choices=["first-fit", "random"], default=None,
                     help="heuristic instead of exhaustive search")
     av.add_argument("--restarts", type=int, default=32, help="restarts for --greedy random")
+    av.add_argument("--seed", type=int, default=0, help="seed for --greedy random")
     av.set_defaults(func=cmd_avoid)
 
-    th = sub.add_parser("threshold", parents=[common], help="least N with no avoiding coloring")
+    th = sub.add_parser("threshold", parents=[common, budget],
+                        help="least N with no avoiding coloring")
     th.add_argument("--family", required=True)
     th.add_argument("--colors", type=int, required=True)
     th.add_argument("--max-n", type=int, required=True)

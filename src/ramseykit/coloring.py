@@ -79,7 +79,8 @@ class Coloring:
 
     @classmethod
     def from_sequence(cls, colors: Sequence[int], r: int | None = None) -> "Coloring":
-        arr = np.asarray(list(colors), dtype=np.int32)
+        # no int32 here: the constructor checks the range in the input's own type
+        arr = np.asarray(list(colors))
         return cls(len(arr), int(arr.max()) if r is None else r, arr)
 
     # ---- queries ----

@@ -14,6 +14,7 @@ witnesses decode into solutions of quadratic equations (see ``reduction``).
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 from dataclasses import dataclass, field
@@ -32,6 +33,12 @@ __all__ = [
 ]
 
 PRESET_NAMES = ("schur", "vdw", "geometric", "x_xp1", "x_y_3xmy", "xyxy")
+
+
+@functools.lru_cache(maxsize=256)
+def _parse_terms(num_vars: int, texts: tuple[str, ...]) -> tuple[IntPoly, ...]:
+    # IntPoly is immutable, so every family built from these texts can share them
+    return tuple(parse_poly(t, num_vars) for t in texts)
 
 
 @dataclass(frozen=True)
@@ -68,8 +75,12 @@ class PatternFamily:
         name: str | None = None,
         distinct_required: bool = False,
     ) -> "PatternFamily":
-        parsed = tuple(parse_poly(t, num_vars) for t in terms)
-        return cls(num_vars, parsed, name, distinct_required)
+        texts = tuple(terms)
+        parse = _parse_terms
+        if not all(isinstance(t, str) for t in texts):
+            # maybe unhashable; parse_poly raises on the bad term as it always has
+            parse = _parse_terms.__wrapped__
+        return cls(num_vars, parse(num_vars, texts), name, distinct_required)
 
     def with_terms(self, *extra: IntPoly | str, name: str | None = None) -> "PatternFamily":
         """Extended family over the same variables (for antitonicity checks)."""
@@ -110,13 +121,17 @@ class PatternFamily:
 
     def fingerprint(self) -> str:
         """Canonical-form hash: term order and display name do not matter."""
-        ident = {
-            "num_vars": self.num_vars,
-            "terms": sorted(self.canonical_texts()),
-            "distinct_required": self.distinct_required,
-        }
-        blob = json.dumps(ident, sort_keys=True).encode()
-        return hashlib.sha256(blob).hexdigest()
+        fp = self.__dict__.get("_fingerprint")
+        if fp is None:
+            ident = {
+                "num_vars": self.num_vars,
+                "terms": sorted(self.canonical_texts()),
+                "distinct_required": self.distinct_required,
+            }
+            fp = hashlib.sha256(json.dumps(ident, sort_keys=True).encode()).hexdigest()
+            # beside the fields, not one of them: eq, hash and repr ignore it
+            object.__setattr__(self, "_fingerprint", fp)
+        return fp
 
     def to_json(self) -> dict:
         return {

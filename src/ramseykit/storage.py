@@ -13,18 +13,26 @@ count only while the store's stat still matches it; any other state (no
 memo, garbage, an empty lock file from an older version, a writer that
 skipped the memo, a replaced or truncated store) costs one recount.
 
-Trust model: append() re-verifies the payload by recomputation before it is
-written (verify=False skips this for bulk imports), including that the
-record's fingerprint is its embedded family's; reading back validates
-structure only, quarantining lines that fail instead of raising, so one
-corrupt line cannot poison the rest of the cache.  lookup() does not
-re-verify what it reads.  verify_all() re-runs the full append-time checks
-over every stored line.
+Trust model: a record is verified by recomputation, including that its
+fingerprint is its embedded family's, before it is written (verify=False
+skips this for bulk imports), by verify_all() over every stored line, and by
+lookup() on what it serves: lookup() walks the matches from the latest to the
+earliest and returns the first that passes, skipping any that fail.
+records() and find() validate structure only, quarantining lines that fail
+instead of raising, so one corrupt line cannot poison the rest of the cache.
+
+Verification is a pure function of a line's text, so each distinct line is
+verified at most once per process: a module-level set holds the 16-byte
+blake2b digests of the lines (whitespace-stripped, as read back) that passed,
+and is cleared when it reaches 2**14 entries.  Any edit on disk changes a
+line's digest, so the edited line is checked again; a line that failed, or
+that append(verify=False) wrote, is never remembered.
 """
 
 from __future__ import annotations
 
 import fcntl
+import hashlib
 import json
 import os
 from dataclasses import dataclass, field
@@ -117,6 +125,27 @@ def _write_memo(lock_fd: int, st: os.stat_result, lines: int) -> None:
 def _count_lines(path: Path) -> int:
     with open(path, "rb") as fh:
         return sum(chunk.count(b"\n") for chunk in iter(lambda: fh.read(1 << 20), b""))
+
+
+# digests of store lines that passed _verify_payload in this process
+_VERIFIED: set[bytes] = set()
+_VERIFIED_MAX = 1 << 14
+
+
+def _line_digest(line: str) -> bytes:
+    return hashlib.blake2b(line.encode(), digest_size=16).digest()
+
+
+def _verify_line(line: str, record: ResultRecord) -> None:
+    """_verify_payload for the record that this store line decodes to, skipped
+    when the line's exact text has already passed in this process."""
+    digest = _line_digest(line)
+    if digest in _VERIFIED:
+        return
+    _verify_payload(record)
+    if len(_VERIFIED) >= _VERIFIED_MAX:
+        _VERIFIED.clear()
+    _VERIFIED.add(digest)
 
 
 def _check_structure(obj: dict) -> str | None:
@@ -219,9 +248,11 @@ class ResultStore:
         """Write one record; returns its line index (the newlines before it)."""
         if record.kind not in RECORD_KINDS:
             raise ValueError(f"unknown record kind {record.kind!r}")
+        line = json.dumps(record.to_json(), sort_keys=True, separators=(",", ":"))
         if verify:
-            _verify_payload(record)
-        line = json.dumps(record.to_json(), sort_keys=True, separators=(",", ":")) + "\n"
+            # the record as the store reads it back, which is what the digest names
+            _verify_line(line, ResultRecord.from_json(json.loads(line)))
+        line += "\n"
         self.path.parent.mkdir(parents=True, exist_ok=True)
         # no O_APPEND on the lock file: Linux pwrite would ignore the offset
         lock = os.open(self.lock_path, os.O_RDWR | os.O_CREAT, 0o666)
@@ -239,7 +270,10 @@ class ResultStore:
         return before
 
     def records(self) -> tuple[list[tuple[int, ResultRecord]], list[tuple[int, str]]]:
-        """All readable records plus a quarantine list of (line, reason)."""
+        """All readable records plus a quarantine list of (line, reason).
+
+        Structure only: the payloads are not verified (see lookup, verify_all).
+        """
         good: list[tuple[int, ResultRecord]] = []
         bad: list[tuple[int, str]] = []
         if not self.path.exists():
@@ -258,20 +292,30 @@ class ResultStore:
                 if reason is not None:
                     bad.append((i, reason))
                     continue
-                good.append((i, ResultRecord.from_json(obj)))
+                rec = ResultRecord.from_json(obj)
+                # beside the fields, for lookup and verify_all to key the memo on
+                object.__setattr__(rec, "_line", line)
+                good.append((i, rec))
         return good, bad
 
     def lookup(self, kind: str, fingerprint: str, params: dict) -> ResultRecord | None:
-        """Latest stored record matching (kind, fingerprint, params) exactly."""
+        """Latest stored record matching (kind, fingerprint, params) exactly
+        that passes verification; a match that fails is skipped."""
         want = _canon(params)
-        best = None
-        for _, rec in self.records()[0]:
+        for _, rec in reversed(self.records()[0]):
             if rec.kind == kind and rec.fingerprint == fingerprint and _canon(rec.params) == want:
-                best = rec
-        return best
+                try:
+                    _verify_line(rec._line, rec)
+                except StoreVerificationError:
+                    continue
+                return rec
+        return None
 
     def find(self, kind: str | None = None, fingerprint: str | None = None):
-        """All records matching the given filters, in file order."""
+        """All records matching the given filters, in file order.
+
+        Structure only, as records(): the payloads are not verified.
+        """
         out = []
         for i, rec in self.records()[0]:
             if kind is not None and rec.kind != kind:
@@ -281,13 +325,15 @@ class ResultStore:
             out.append((i, rec))
         return out
 
-    def verify_all(self) -> list[tuple[int, str]]:
-        """Re-run full verification over every line; returns failures."""
-        good, bad = self.records()
+    def verify_all(self, read=None) -> list[tuple[int, str]]:
+        """Full verification of every line; returns failures, quarantined lines
+        first, then verification failures in line order.  ``read`` is this
+        store's records() result, for a caller that already holds one."""
+        good, bad = self.records() if read is None else read
         failures = list(bad)
         for i, rec in good:
             try:
-                _verify_payload(rec)
+                _verify_line(rec._line, rec)
             except StoreVerificationError as exc:
                 failures.append((i, str(exc)))
         return failures

@@ -451,6 +451,32 @@ class TestExitCodes:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["witness", "--family", "schur", "--coloring", "c.txt", "--seed", "1"],
+        ["witness", "--family", "schur", "--coloring", "c.txt", "--max-nodes", "5"],
+        ["threshold", "--family", "schur", "--colors", "2", "--max-n", "10", "--seed", "1"],
+        ["construct", "--coloring", "c.txt", "--time-limit", "1"],
+        ["reduce", "--coeffs", "1,-1", "--coloring", "c.txt", "--max-nodes", "5"],
+        ["lift-exp", "--coloring", "c.txt", "--base", "2", "--seed", "1"],
+        ["cache", "list", "--cache", "s.jsonl", "--time-limit", "1"],
+        ["family", "show", "--preset", "schur", "--seed", "1"],
+    ])
+    def test_flags_a_command_never_reads_are_usage_errors(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "" and "unrecognized arguments" in err
+
+    def test_avoid_and_threshold_keep_seed_and_budgets(self, capsys):
+        budgets = ("--max-nodes", "100000", "--time-limit", "60")
+        code, out, _ = run(capsys, "avoid", "--family", "x_xp1", "--colors", "2", "--n", "20",
+                           "--greedy", "random", "--seed", "3", *budgets)
+        assert code == 0 and out.startswith("avoiding coloring found: N=20 r=2\n")
+        code, out, _ = run(capsys, "avoid", "--family", "schur", "--colors", "2", "--n", "4",
+                           *budgets)
+        assert code == 0 and out.startswith("avoiding coloring found: N=4 r=2\n")
+        code, out, _ = run(capsys, "threshold", "--family", "schur", "--colors", "2",
+                           "--max-n", "10", *budgets)
+        assert (code, out) == (0, "T = 5\n")
+
 
 class TestDeterminism:
     def test_repeat_invocations_byte_identical(self, capsys, solid6):

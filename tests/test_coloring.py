@@ -78,6 +78,15 @@ class TestConstruction:
         chi = Coloring.from_sequence([1, 3, 2])
         assert chi.r == 3
 
+    @pytest.mark.parametrize("big", [2**32 + 1, 2**63])
+    def test_from_sequence_checks_the_range_before_the_int32_cast(self, big):
+        with pytest.raises(ValueError, match="1..2"):
+            Coloring.from_sequence([1, big], r=2)
+        with pytest.raises(ValueError, match=f"1..{2**31 - 1}"):
+            Coloring.from_sequence([1, big])
+        chi = Coloring.from_sequence([1, 2], r=2)
+        assert chi.colors.dtype == np.int32 and chi.colors.tolist() == [1, 2]
+
 
 class TestQueries:
     def test_color_of_bounds(self):

@@ -1,5 +1,7 @@
 """Pattern-family construction, presets, generators, and serialization."""
 
+import dataclasses
+import hashlib
 import json
 
 import pytest
@@ -50,6 +52,51 @@ class TestPatternFamily:
         a = PatternFamily.from_texts(2, ["x0", "x1"])
         b = PatternFamily.from_texts(2, ["x0", "x1"], distinct_required=True)
         assert a.fingerprint() != b.fingerprint()
+
+    def test_fingerprint_is_the_canonical_json_hash(self):
+        fam = PatternFamily.from_texts(2, ["x0*x1", "x0", "x0 + x1"], "xyxy")
+        ident = {"distinct_required": False, "num_vars": 2,
+                 "terms": sorted(["x0*x1", "x0", "x0 + x1"])}
+        want = hashlib.sha256(json.dumps(ident, sort_keys=True).encode()).hexdigest()
+        assert fam.fingerprint() == want
+        assert fam.fingerprint() == want  # the stored hash, second time round
+
+    def test_fingerprint_stored_beside_the_fields(self):
+        fam = preset_family("schur")
+        fam.fingerprint()
+        fresh = PatternFamily(fam.num_vars, fam.terms, fam.name)
+        assert fam == fresh and hash(fam) == hash(fresh) and repr(fam) == repr(fresh)
+        assert [f.name for f in dataclasses.fields(fam)] == [
+            "num_vars", "terms", "name", "distinct_required"]
+
+    def test_shared_parse_keeps_each_familys_own_values(self):
+        texts = ["x0", "x1", "x0 + x1"]
+        a = PatternFamily.from_texts(2, texts, "a")
+        b = PatternFamily.from_texts(2, texts, "b", distinct_required=True)
+        assert all(s is t for s, t in zip(a.terms, b.terms))  # parsed once
+        assert (a.name, a.distinct_required) == ("a", False)
+        assert (b.name, b.distinct_required) == ("b", True)
+        assert a.fingerprint() != b.fingerprint()
+        assert a.fingerprint() == PatternFamily.from_texts(2, texts).fingerprint()
+        assert b.fingerprint() == PatternFamily.from_texts(
+            2, texts, distinct_required=True).fingerprint()
+
+    @pytest.mark.parametrize("terms, exc, message", [
+        (5, TypeError, "'int' object is not iterable"),
+        (None, TypeError, "'NoneType' object is not iterable"),
+        ([5], AttributeError, "'int' object has no attribute 'replace'"),
+        ([["x0"]], AttributeError, "'list' object has no attribute 'replace'"),
+        (["x0", None], AttributeError, "'NoneType' object has no attribute 'replace'"),
+        ("x0", ValueError, "bad polynomial syntax near 'x'"),
+        ([], ValueError, "a family needs at least one term"),
+        (["x9"], ValueError, "variable x9 out of range for 2 variables"),
+        (["x0", ""], ValueError, "empty polynomial text"),
+    ])
+    def test_malformed_terms_raise_every_time(self, terms, exc, message):
+        for _ in range(2):  # a failed parse is not remembered
+            with pytest.raises(exc) as info:
+                PatternFamily.from_texts(2, terms)
+            assert str(info.value) == message
 
     def test_json_round_trip(self, tmp_path):
         fam = preset_family("vdw", 4)

@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+from ramseykit import storage
 from ramseykit.coloring import Coloring
 from ramseykit.families import preset_family
 from ramseykit.search import exists_avoiding, threshold
@@ -355,3 +356,101 @@ class TestQuarantine:
         with open(store.path, "a") as fh:
             fh.write("garbage\n")
         assert store.lookup("witness", rec.fingerprint, rec.params) is not None
+
+
+def tamper_line(store, index):
+    """Rewrite one stored line so that its avoider is all one colour."""
+    lines = store.path.read_text().splitlines()
+    obj = json.loads(lines[index])
+    obj["payload"]["coloring_rle"] = [[1, obj["payload"]["n"]]]
+    lines[index] = json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    store.path.write_text("\n".join(lines) + "\n")
+
+
+class TestVerifiedMemo:
+    """Each line is verified once per process; an edit makes a new line."""
+
+    @pytest.fixture
+    def checks(self, monkeypatch):
+        """Counts _verify_payload runs."""
+        calls = []
+        real = storage._verify_payload
+
+        def counted(record):
+            calls.append(record.kind)
+            real(record)
+
+        monkeypatch.setattr(storage, "_verify_payload", counted)
+        return calls
+
+    def test_each_line_verified_once(self, store, checks):
+        rec = avoiding_record()
+        store.append(rec)
+        assert store.verify_all() == [] and store.verify_all() == []
+        assert store.lookup(rec.kind, rec.fingerprint, rec.params) == rec
+        assert len(checks) == 1  # the append's
+
+    def test_edited_line_flagged_and_not_served(self, store, checks):
+        first = avoiding_record()
+        second = ResultRecord(first.kind, first.fingerprint, first.params, first.payload,
+                              {"note": "second"})
+        store.append(first)
+        store.append(second)
+        assert store.verify_all() == []
+        tamper_line(store, 1)
+        for _ in range(2):  # a failed line is checked, and reported, every time
+            failures = store.verify_all()
+            assert [i for i, _ in failures] == [1] and "certificate" in failures[0][1]
+        # lookup falls back to the earlier valid match
+        assert store.lookup(first.kind, first.fingerprint, first.params) == first
+        tamper_line(store, 0)
+        assert [i for i, _ in store.verify_all()] == [0, 1]
+        assert store.lookup(first.kind, first.fingerprint, first.params) is None
+
+    def test_unverified_bad_record_never_remembered(self, store, checks):
+        good = avoiding_record()
+        payload = dict(good.payload, coloring_rle=[[1, 4]])
+        bad = ResultRecord(good.kind, good.fingerprint, good.params, payload, {})
+        store.append(bad, verify=False)
+        assert checks == []
+        for _ in range(2):
+            failures = store.verify_all()
+            assert [i for i, _ in failures] == [0] and "certificate" in failures[0][1]
+        assert store.lookup(good.kind, good.fingerprint, good.params) is None
+        store.append(good)
+        store.append(bad, verify=False)
+        assert store.lookup(good.kind, good.fingerprint, good.params) == good
+        assert [i for i, _ in store.verify_all()] == [0, 2]
+
+    def test_failure_order_unchanged(self, store):
+        store.append(avoiding_record())
+        store.append(avoiding_record())
+        with open(store.path, "a") as fh:
+            fh.write("garbage\n")
+        tamper_line(store, 0)
+        failures = store.verify_all()
+        assert [i for i, _ in failures] == [2, 0]
+        assert "unparseable" in failures[0][1] and "certificate" in failures[1][1]
+
+    def test_memo_stays_within_its_bound(self, store, monkeypatch):
+        assert storage._VERIFIED_MAX == 2**14
+        monkeypatch.setattr(storage, "_VERIFIED", set())  # no lines from other tests
+        monkeypatch.setattr(storage, "_VERIFIED_MAX", 4)
+        for i in range(10):
+            store.append(plain_record(i))
+            assert 1 <= len(storage._VERIFIED) <= 4
+        assert store.verify_all() == []
+        assert len(storage._VERIFIED) <= 4
+
+    def test_fresh_process_sees_a_tampered_line(self, store):
+        store.append(avoiding_record())
+        assert store.verify_all() == []  # remembered in this process
+        tamper_line(store, 0)
+        src = Path(__file__).resolve().parent.parent / "src"
+        proc = subprocess.run(
+            [sys.executable, "-m", "ramseykit.cli", "cache", "verify", "--cache", str(store.path)],
+            env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True,
+            timeout=120)
+        assert proc.returncode == 1
+        assert proc.stdout.startswith("  #0 FAIL: avoiding record: certificate fails verification\n")
+        assert proc.stdout.endswith("1 record(s) failed verification\n")
