@@ -5,9 +5,8 @@ From multiplicative patterns to quadratic equations
 Whatever r-coloring you pick, the equation a1^2 - a2^2 = a0 has a
 solution with a0, a1, a2 distinct, positive, and all the same color.
 The trick is a change of variables: find integers u with
-sum(c_l * u_l^2) = 0, lift the coloring by the scale b = 2 * sum(c_l u_l),
-locate a monochromatic instance of {x, x*y, x + u_l*y}, and divide
-everything back down by b.
+sum(c_l * u_l^2) = 0 and set b = 2 * sum(c_l u_l); then any monochromatic
+instance of {X, X+Y, b*X*Y, X + u_l*Y} gives a0 = b*X*Y and a_l = X + u_l*Y.
 """
 
 from ramseykit import (

@@ -61,7 +61,6 @@ from .construction import (
 )
 from .reduction import (
     DegenerateCoefficientsError,
-    DivisibilityViolation,
     QuadSolution,
     ReductionData,
     exp_lift,
@@ -96,9 +95,9 @@ __all__ = [
     "FiniteSetWindow", "YSearch", "ConstructiveTrace", "ConstructionInvariantError",
     "max_gap", "select_y", "run_construction",
     # reduction
-    "ReductionData", "QuadSolution", "DegenerateCoefficientsError", "DivisibilityViolation",
-    "quadratic_setup", "lift_coloring", "exp_lift", "solve_quadratic",
-    "verify_quad_solution", "solution_to_json",
+    "ReductionData", "QuadSolution", "DegenerateCoefficientsError", "quadratic_setup",
+    "lift_coloring", "exp_lift", "solve_quadratic", "verify_quad_solution",
+    "solution_to_json",
     # storage
     "ResultRecord", "ResultStore", "StoreVerificationError", "make_provenance",
 ]

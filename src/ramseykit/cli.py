@@ -95,7 +95,7 @@ def parse_coeffs(text: str) -> tuple[int, ...]:
 
 
 def _store(args) -> ResultStore | None:
-    return ResultStore(args.cache) if getattr(args, "cache", None) else None
+    return ResultStore(args.cache) if args.cache else None
 
 
 def _print_family(fam: PatternFamily) -> None:
@@ -399,9 +399,11 @@ def cmd_cache(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--out", default=None, help="write the machine-readable result here")
-    common.add_argument("--cache", default=None, help="JSONL results store to read/append")
+    # each subcommand takes only the flags it reads
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", default=None, help="write the machine-readable result here")
+    cache = argparse.ArgumentParser(add_help=False)
+    cache.add_argument("--cache", default=None, help="JSONL results store to read/append")
     # only the exhaustive searches read a budget
     budget = argparse.ArgumentParser(add_help=False)
     budget.add_argument("--max-nodes", type=int, default=None, help="search node budget")
@@ -413,15 +415,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = p.add_subparsers(dest="command", required=True)
 
-    fam = sub.add_parser("family", parents=[common], help="show or generate pattern families")
+    fam = sub.add_parser("family", help="show or generate pattern families")
     fam_sub = fam.add_subparsers(dest="action", required=True)
-    show = fam_sub.add_parser("show", parents=[common], help="print a preset or family file")
+    show = fam_sub.add_parser("show", parents=[out], help="print a preset or family file")
     g = show.add_mutually_exclusive_group(required=True)
     g.add_argument("--preset", help="|".join(PRESET_NAMES) + " (vdw:k, geometric:k)")
     g.add_argument("--file", help="family JSON file")
     show.set_defaults(func=cmd_family, action="show")
     pp = fam_sub.add_parser(
-        "prefix-product", parents=[common],
+        "prefix-product", parents=[out],
         help="generate {x0..xs} u {prefix + shifted f} from a function-set file",
     )
     pp.add_argument("--s", type=int, default=None, help="number of product variables beyond x0")
@@ -429,7 +431,7 @@ def build_parser() -> argparse.ArgumentParser:
     pp.add_argument("--name", default=None)
     pp.set_defaults(func=cmd_family, action="prefix-product")
 
-    w = sub.add_parser("witness", parents=[common], help="find monochromatic witnesses")
+    w = sub.add_parser("witness", parents=[out, cache], help="find monochromatic witnesses")
     w.add_argument("--family", required=True, help="preset name or family JSON path")
     w.add_argument("--coloring", required=True, help="coloring file (line 1: N r)")
     w.add_argument("--all", action="store_true", help="stream every witness")
@@ -437,7 +439,7 @@ def build_parser() -> argparse.ArgumentParser:
     w.add_argument("--box", default=None, help="assignment box: '100' or '10,20' or '2:10,1:20'")
     w.set_defaults(func=cmd_witness)
 
-    av = sub.add_parser("avoid", parents=[common, budget], help="search for an avoiding coloring")
+    av = sub.add_parser("avoid", parents=[cache, budget], help="search for an avoiding coloring")
     av.add_argument("--family", required=True)
     av.add_argument("--colors", type=int, required=True)
     av.add_argument("--n", type=int, required=True)
@@ -450,14 +452,14 @@ def build_parser() -> argparse.ArgumentParser:
     av.add_argument("--seed", type=int, default=0, help="seed for --greedy random")
     av.set_defaults(func=cmd_avoid)
 
-    th = sub.add_parser("threshold", parents=[common, budget],
+    th = sub.add_parser("threshold", parents=[out, cache, budget],
                         help="least N with no avoiding coloring")
     th.add_argument("--family", required=True)
     th.add_argument("--colors", type=int, required=True)
     th.add_argument("--max-n", type=int, required=True)
     th.set_defaults(func=cmd_threshold)
 
-    co = sub.add_parser("construct", parents=[common],
+    co = sub.add_parser("construct", parents=[cache],
                         help="run the shift-intersect-dilate rounds on a coloring")
     co.add_argument("--coloring", required=True)
     co.add_argument("--y-max", type=int, default=None)
@@ -466,20 +468,20 @@ def build_parser() -> argparse.ArgumentParser:
     co.add_argument("--trace", default=None, help="write the round-by-round trace here")
     co.set_defaults(func=cmd_construct)
 
-    re_ = sub.add_parser("reduce", parents=[common],
+    re_ = sub.add_parser("reduce", parents=[out, cache],
                          help="monochromatic solution of sum c_l a_l^2 = a0")
     re_.add_argument("--coeffs", required=True, help="comma-separated integers summing to 0")
     re_.add_argument("--coloring", required=True)
-    re_.add_argument("--box", default=None, help="search box for the lifted witness scan")
+    re_.add_argument("--box", default=None, help="box on the witness (x, y) = (bX, bY)")
     re_.set_defaults(func=cmd_reduce)
 
-    le = sub.add_parser("lift-exp", parents=[common],
+    le = sub.add_parser("lift-exp", parents=[out],
                         help="restrict a coloring to powers of a base")
     le.add_argument("--coloring", required=True)
     le.add_argument("--base", type=int, required=True)
     le.set_defaults(func=cmd_lift_exp)
 
-    ca = sub.add_parser("cache", parents=[common], help="inspect or verify a results store")
+    ca = sub.add_parser("cache", parents=[cache], help="inspect or verify a results store")
     ca.add_argument("action", choices=["list", "verify"])
     ca.set_defaults(func=cmd_cache)
 

@@ -143,9 +143,12 @@ class PatternFamily:
 
     @classmethod
     def from_json(cls, data: dict) -> "PatternFamily":
+        terms = data["terms"]
+        if not isinstance(terms, list) or not all(isinstance(t, str) for t in terms):
+            raise ValueError(f"family 'terms' must be a list of strings, got {terms!r}")
         return cls.from_texts(
             int(data["num_vars"]),
-            data["terms"],
+            terms,
             data.get("name"),
             bool(data.get("distinct_required", False)),
         )

@@ -164,9 +164,6 @@ class IntPoly:
     def is_zero(self) -> bool:
         return not self.monomials
 
-    def total_degree(self) -> int:
-        return max((sum(e) for e, _ in self.monomials), default=0)
-
     def used_vars(self) -> frozenset[int]:
         """Indices of variables with a nonzero exponent somewhere."""
         out = set()
@@ -229,30 +226,6 @@ class IntPoly:
             new = [0] * num_vars_out
             for i, e in enumerate(exps):
                 new[i + offset] = e
-            out.append((tuple(new), c))
-        return IntPoly(num_vars_out, out)
-
-    def substitute_products(
-        self, groups: Sequence[Sequence[int]], num_vars_out: int | None = None
-    ) -> "IntPoly":
-        """Substitute each variable i by the product of target variables groups[i].
-
-        Example: (x0*x1).substitute_products([(0, 1), (1,)]) = x0 * x1^2.
-        """
-        if len(groups) != self.num_vars:
-            raise ValueError("need one variable group per polynomial variable")
-        flat = [i for g in groups for i in g]
-        if num_vars_out is None:
-            num_vars_out = max(flat, default=-1) + 1
-        if any(i < 0 or i >= num_vars_out for i in flat):
-            raise ValueError("group index outside target variable count")
-        out = []
-        for exps, c in self.monomials:
-            new = [0] * num_vars_out
-            for i, e in enumerate(exps):
-                if e:
-                    for j in groups[i]:
-                        new[j] += e
             out.append((tuple(new), c))
         return IntPoly(num_vars_out, out)
 

@@ -13,12 +13,11 @@ are at most quadratic with zero constant term (the zero-sum kills it), so a
 non-zero rational root is a closed-form check away; if neither variant
 yields usable u the vector is rejected as degenerate.
 
-The coloring side: chi on [1..N] lifts to chi~ on [1..bN] with
-chi~(n) = chi(n/b) when b | n and a fresh color r + (n mod b) otherwise.
-Any monochromatic witness of the pattern under chi~ is forced onto
-multiples of b (x + y = x mod b gives b | y, then x*y = x mod b gives
-b | x), so the decode below never truncates -- a division failure raises
-rather than rounds.
+The coloring side needs no lift.  Color [1..bN] by chi(n/b) on multiples
+of b and by a fresh color per residue elsewhere: x and x+y then share a
+color only if b | y, and x and x*y only if b | x.  So its witnesses are the
+(bX, bY) for which {X, X+Y, b*X*Y, X+u_l*Y} is monochromatic under chi, in
+the same lexicographic order, and the search runs on chi itself.
 """
 
 from __future__ import annotations
@@ -29,15 +28,14 @@ from fractions import Fraction
 import numpy as np
 
 from .coloring import Coloring
-from .families import reduction_family
-from .polynomials import ZeroPolynomialError, rational_roots_deg2
+from .families import PatternFamily
+from .polynomials import IntPoly, ZeroPolynomialError, rational_roots_deg2
 from .witnesses import VerifyResult, iter_witnesses
 
 __all__ = [
     "ReductionData",
     "QuadSolution",
     "DegenerateCoefficientsError",
-    "DivisibilityViolation",
     "quadratic_setup",
     "lift_coloring",
     "exp_lift",
@@ -49,10 +47,6 @@ __all__ = [
 
 class DegenerateCoefficientsError(ValueError):
     """Neither candidate polynomial yields a usable substitution vector."""
-
-
-class DivisibilityViolation(RuntimeError):
-    """A verified witness decoded off the multiples of b: an implementation bug."""
 
 
 @dataclass(frozen=True)
@@ -192,32 +186,43 @@ def exp_lift(chi: Coloring, base: int) -> Coloring:
     return Coloring(len(powers), chi.r, [chi.color_of(v) for v in powers])
 
 
-def solve_quadratic(c, chi: Coloring, search_box=None) -> QuadSolution | None:
-    """Monochromatic solution of sum c_l a_l^2 = a_0 under chi, if one exists
-    within reach of the lifted witness search.
+def _direct_box(box, b: int):
+    """The (X, Y) box whose (bX, bY) are the multiples of b in an (x, y) box."""
+    if box is None:
+        return None
+    if isinstance(box, int):
+        return box // b
+    out = []
+    for entry in box:
+        if isinstance(entry, int):
+            out.append(entry // b)
+        else:
+            lo, hi = entry
+            out.append((-(-int(lo) // b), int(hi) // b))
+    return out
 
-    Enumerates witnesses of the u-pattern under the lifted coloring in
-    lexicographic assignment order and decodes the first one whose a-values
-    are positive and pairwise distinct.  Returns None when the stream ends
-    without a usable witness.
+
+def solve_quadratic(c, chi: Coloring, search_box=None) -> QuadSolution | None:
+    """Monochromatic solution of sum c_l a_l^2 = a0 under chi, if one exists
+    within reach of the witness search.
+
+    Streams witnesses of {X, X+Y, b*X*Y, X+u_l*Y} under chi in lexicographic
+    order and decodes the first whose a-values (a0 = b*X*Y, a_l = X+u_l*Y)
+    are pairwise distinct; its source witness is (bX, bY).  search_box
+    bounds (x, y) = (bX, bY) and is mapped to (X, Y) by ceil(lo/b) and
+    floor(hi/b).  Returns None when the stream ends without a usable witness.
     """
     rd = quadratic_setup(c)
-    lifted = lift_coloring(chi, rd.b)
-    fam = reduction_family(rd.u)
-    for w in iter_witnesses(fam, lifted, distinct=False, box=search_box):
-        x, y = (int(v) for v in w.assignment)
-        if x % rd.b or y % rd.b:
-            raise DivisibilityViolation(
-                f"witness (x={x}, y={y}) is not divisible by b={rd.b}"
-            )
-        a = [x * y // rd.b] + [(x + ul * y) // rd.b for ul in rd.u]
-        if any(v < 1 for v in a) or len(set(a)) != len(a):
-            continue
-        if w.color > chi.r:
-            raise DivisibilityViolation(
-                f"witness color {w.color} is a residue color, not one of chi's {chi.r}"
-            )
-        return QuadSolution(tuple(a), w.color, (x, y))
+    x, y = IntPoly.var(2, 0), IntPoly.var(2, 1)
+    a_terms = [rd.b * x * y] + [x + ul * y for ul in rd.u]
+    fam = PatternFamily(2, (x, x + y, *a_terms))
+    # the family drops duplicate terms (u_l = 0 or 1), so look each one up
+    position = {t: i for i, t in enumerate(fam.terms)}
+    pick = [position[t] for t in a_terms]
+    for w in iter_witnesses(fam, chi, distinct=False, box=_direct_box(search_box, rd.b)):
+        a = tuple(w.term_values[i] for i in pick)
+        if len(set(a)) == len(a):
+            return QuadSolution(a, w.color, tuple(rd.b * v for v in w.assignment))
     return None
 
 

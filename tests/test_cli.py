@@ -65,6 +65,14 @@ class TestArgHelpers:
 
 
 class TestFamily:
+    @pytest.mark.parametrize("terms", [[5], 5])
+    def test_non_string_terms_are_input_errors(self, capsys, tmp_path, terms):
+        path = tmp_path / "fam.json"
+        path.write_text(json.dumps({"num_vars": 2, "terms": terms}))
+        code, out, err = run(capsys, "family", "show", "--file", str(path))
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and "list of strings" in err
+
     def test_show_preset(self, capsys):
         code, out, _ = run(capsys, "family", "show", "--preset", "schur")
         assert code == 0
@@ -306,6 +314,34 @@ class TestReduce:
         assert "b = 4" in out
         assert "a = (8, 3, 1) color=1 from witness (x=8, y=4)" in out
 
+    # stdout of the lifted search that solve_quadratic replaced, byte for byte
+    PINNED_A = {
+        "solid": "a = (8, 3, 1) color=1 from witness (x=8, y=4)\n",
+        "parity": "a = (32, 6, 2) color=2 from witness (x=16, y=8)\n",
+        "random": "a = (80, 9, 1) color=1 from witness (x=20, y=16)\n",
+    }
+    NONE = "no solution found within the lifted search range\n"
+
+    @pytest.mark.parametrize("box, found", [
+        (None, {"solid", "parity", "random"}),
+        ("4", set()),
+        ("10,20", {"solid"}),
+        ("2:40,1:30", {"solid", "parity", "random"}),
+    ])
+    def test_stdout_pinned(self, capsys, tmp_path, box, found):
+        colorings = {
+            "solid": Coloring.solid(200),
+            "parity": Coloring.modular(200, 2),
+            "random": Coloring.random_uniform(300, 2, 1),
+        }
+        for name, chi in colorings.items():
+            path = tmp_path / f"{name}.txt"
+            chi.save(path)
+            argv = ["reduce", "--coeffs", "1,-1", "--coloring", str(path)]
+            code, out, _ = run(capsys, *argv, *(["--box", box] if box else []))
+            tail = self.PINNED_A[name] if name in found else self.NONE
+            assert (code, out) == (0 if name in found else 1, "u = (1, -1)\nb = 4\n" + tail)
+
     def test_degenerate(self, capsys, solid200):
         # '=' form: a bare value starting with '-' would parse as an option
         code, out, _ = run(
@@ -460,10 +496,22 @@ class TestExitCodes:
         ["lift-exp", "--coloring", "c.txt", "--base", "2", "--seed", "1"],
         ["cache", "list", "--cache", "s.jsonl", "--time-limit", "1"],
         ["family", "show", "--preset", "schur", "--seed", "1"],
+        ["avoid", "--family", "schur", "--colors", "2", "--n", "4", "--out", "x.json"],
+        ["construct", "--coloring", "c.txt", "--out", "x.json"],
+        ["cache", "list", "--cache", "s.jsonl", "--out", "x.json"],
+        ["family", "show", "--preset", "schur", "--cache", "s.jsonl"],
+        ["family", "prefix-product", "--functions", "f.json", "--cache", "s.jsonl"],
+        ["lift-exp", "--coloring", "c.txt", "--base", "2", "--cache", "s.jsonl"],
     ])
     def test_flags_a_command_never_reads_are_usage_errors(self, capsys, argv):
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == "" and "unrecognized arguments" in err
+
+    def test_out_before_family_show_is_a_usage_error(self, capsys, tmp_path, monkeypatch):
+        # `family show --out` writes its file (TestFamily::test_show_file_round_trip)
+        monkeypatch.chdir(tmp_path)
+        code, out, _ = run(capsys, "family", "--out", "f.json", "show", "--preset", "schur")
+        assert code == 2 and out == "" and not Path("f.json").exists()
 
     def test_avoid_and_threshold_keep_seed_and_budgets(self, capsys):
         budgets = ("--max-nodes", "100000", "--time-limit", "60")

@@ -107,6 +107,11 @@ class TestPatternFamily:
         fam.save(path)
         assert PatternFamily.load(path) == fam
 
+    @pytest.mark.parametrize("terms", [[5], 5, "x0", ["x0", None], {"x0": 1}])
+    def test_json_terms_must_be_a_list_of_strings(self, terms):
+        with pytest.raises(ValueError, match="must be a list of strings"):
+            PatternFamily.from_json({"num_vars": 2, "terms": terms})
+
 
 class TestPresets:
     def test_all_names_resolve(self):

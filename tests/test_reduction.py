@@ -6,12 +6,16 @@ which shares no arithmetic with the solver.
 """
 
 import itertools
+import re
 
 import pytest
 
+from ramseykit import reduction
 from ramseykit.coloring import Coloring
+from ramseykit.families import reduction_family
 from ramseykit.reduction import (
     DegenerateCoefficientsError,
+    QuadSolution,
     exp_lift,
     lift_coloring,
     quadratic_setup,
@@ -19,6 +23,7 @@ from ramseykit.reduction import (
     solve_quadratic,
     verify_quad_solution,
 )
+from ramseykit.witnesses import iter_witnesses
 
 
 class TestQuadraticSetup:
@@ -185,6 +190,75 @@ class TestSolveQuadratic:
         sol = solve_quadratic((1, -1), chi)
         if sol is not None:
             assert verify_quad_solution((1, -1), chi, sol).ok
+
+
+def lifted_reference(c, chi, box=None):
+    """The lifted search: chi stretched by b, its witnesses decoded by 1/b."""
+    rd = quadratic_setup(c)
+    lifted = lift_coloring(chi, rd.b)
+    for w in iter_witnesses(reduction_family(rd.u), lifted, distinct=False, box=box):
+        x, y = w.assignment
+        assert x % rd.b == 0 and y % rd.b == 0 and w.color <= chi.r
+        a = (x * y // rd.b,) + tuple((x + ul * y) // rd.b for ul in rd.u)
+        if min(a) >= 1 and len(set(a)) == len(a):
+            return QuadSolution(a, w.color, (x, y))
+    return None
+
+
+class TestDirectSearch:
+    """solve_quadratic searches chi itself and gives what the lifted search gives."""
+
+    # (-3, 4, -1) has u = (0, 1, 2): two of its a-terms are x0 and x0 + x1 again;
+    # (-2, 3, -1) has u = (1, 3, 5), b = 4: at (1, 1) a0 = 4 = a2, not distinct
+    VECTORS = [(1, -1), (1, 1, -2), (-3, 4, -1), (-2, 3, -1), (-1, 3, -3, 1), (1, 2, -3)]
+
+    @staticmethod
+    def colorings(n):
+        yield Coloring.solid(n)
+        for r in (2, 3):
+            yield Coloring.modular(n, r)
+            for seed in (0, 1):
+                yield Coloring.random_uniform(n, r, seed)
+
+    def test_same_answers_as_the_lifted_search(self):
+        found = {}
+        for c in self.VECTORS:
+            b = quadratic_setup(c).b
+            boxes = [None, 4, [10, 20], [(2, 40), (1, 30)], [(b + 1, 5 * b), (b, 3 * b)]]
+            for n in (3, 50, 300, 1000):
+                for chi in self.colorings(n):
+                    for box in boxes:
+                        ref = lifted_reference(c, chi, box)
+                        assert solve_quadratic(c, chi, box) == ref, (c, n, chi.r, box)
+                        found.setdefault(c, []).append(ref is not None)
+        # every vector has questions with a solution and questions without one
+        assert all(any(v) and not all(v) for v in found.values())
+
+    @pytest.mark.parametrize("box", [[(0, 10), 5], [5], [1, 2, 3], 0])
+    def test_box_errors_unchanged(self, box):
+        chi = Coloring.solid(50)
+        try:
+            ref = lifted_reference((1, -1), chi, box)
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=re.escape(str(exc))):
+                solve_quadratic((1, -1), chi, box)
+        else:
+            assert solve_quadratic((1, -1), chi, box) == ref
+
+    def test_duplicate_terms_read_by_polynomial(self):
+        # u = (0, 1, 2): a_1 = X and a_2 = X + Y are not terms of their own
+        chi = Coloring.solid(50)
+        sol = solve_quadratic((-3, 4, -1), chi)
+        assert sol == QuadSolution((4, 1, 2, 3), 1, (4, 4))
+        assert verify_quad_solution((-3, 4, -1), chi, sol).ok
+
+    def test_never_lifts(self, monkeypatch):
+        def lift(*args, **kwargs):
+            raise AssertionError("solve_quadratic lifted the coloring")
+
+        monkeypatch.setattr(reduction, "lift_coloring", lift)
+        assert solve_quadratic((1, -1), Coloring.solid(200)) == QuadSolution((8, 3, 1), 1, (8, 4))
+        assert solve_quadratic((1, -1), Coloring.modular(200, 2)).source_witness == (16, 8)
 
 
 class TestVerifyQuadSolution:
