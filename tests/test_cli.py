@@ -73,6 +73,25 @@ class TestFamily:
         assert code == 2 and out == ""
         assert err.startswith("error: ") and "list of strings" in err
 
+    @pytest.mark.parametrize(
+        "data, says",
+        [
+            ([1, 2], "JSON object"),
+            ("schur", "JSON object"),
+            ({"num_vars": None, "terms": ["x0"]}, "'num_vars' must be an integer"),
+            ({"num_vars": 1.7, "terms": ["x0"]}, "'num_vars' must be an integer"),
+            ({"num_vars": True, "terms": ["x0"]}, "'num_vars' must be an integer"),
+            ({"num_vars": "1", "terms": ["x0"]}, "'num_vars' must be an integer"),
+            ({"num_vars": 1, "terms": ["x0"], "distinct_required": "false"}, "true or false"),
+        ],
+    )
+    def test_malformed_family_files_are_input_errors(self, capsys, tmp_path, data, says):
+        path = tmp_path / "fam.json"
+        path.write_text(json.dumps(data))
+        code, out, err = run(capsys, "family", "show", "--file", str(path))
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and says in err
+
     def test_show_preset(self, capsys):
         code, out, _ = run(capsys, "family", "show", "--preset", "schur")
         assert code == 0

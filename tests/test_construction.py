@@ -179,10 +179,3 @@ class TestRunConstruction:
             assert verify_witness(preset_family("xyxy"), chi, trace.witness).ok
         else:
             assert "y <= 3" in trace.failure_reason
-
-    def test_skip_invariants_same_result(self):
-        chi = Coloring.random_uniform(500, 2, 42)
-        a = run_construction(chi)
-        b = run_construction(chi, check_invariants=False)
-        assert a.t == b.t and a.y == b.y
-        assert (a.witness is None) == (b.witness is None)

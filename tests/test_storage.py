@@ -84,13 +84,6 @@ class TestAppendLookup:
             "note": "second"
         }
 
-    def test_find_filters(self, store):
-        store.append(witness_record())
-        store.append(avoiding_record())
-        assert len(store.find()) == 2
-        assert len(store.find(kind="witness")) == 1
-        assert len(store.find(fingerprint=preset_family("schur").fingerprint())) == 1
-
     def test_missing_file_is_empty(self, store):
         good, bad = store.records()
         assert good == [] and bad == []
@@ -99,8 +92,10 @@ class TestAppendLookup:
         store.append(witness_record())
         assert store.lock_path.exists()
 
-    def test_append_returns_line_index(self, store):
-        assert [store.append(witness_record()) for _ in range(3)] == [0, 1, 2]
+    def test_append_returns_none_and_lock_file_stays_empty(self, store):
+        for _ in range(3):
+            assert store.append(witness_record()) is None
+            assert store.lock_path.stat().st_size == 0
         good, _ = store.records()
         assert [i for i, _ in good] == [0, 1, 2]
 
@@ -117,75 +112,82 @@ def plain_record(i):
     return ResultRecord("construction", "fp", {"i": i}, {"failure_reason": "none"}, {})
 
 
+def stored_params(store):
+    """The params of every line in the store, in file order."""
+    return [json.loads(line)["params"] for line in store.path.read_text().splitlines()]
+
+
 class TestLineIndexMemo:
-    """append() returns the line index from the lock file's memo, and
-    recounts whenever the memo does not describe the store it finds."""
+    """Each append lands at the end of the store as it is now.  The line-count
+    memo that older versions kept in the lock file is ignored, as is garbage."""
 
     def test_store_written_without_memo(self, store):
-        store.path.write_text("".join(f"line {i}\n" for i in range(5)))
-        assert store.append(plain_record(0), verify=False) == 5
-        assert store.append(plain_record(1), verify=False) == 6
+        store.path.write_text("".join(f'{{"params": {{"hand": {i}}}}}\n' for i in range(5)))
+        store.append(plain_record(0), verify=False)
+        store.append(plain_record(1), verify=False)
+        assert stored_params(store) == [{"hand": i} for i in range(5)] + [{"i": 0}, {"i": 1}]
 
     def test_other_store_object_appended(self, store):
         other = ResultStore(store.path)
-        assert store.append(plain_record(0), verify=False) == 0
-        assert other.append(plain_record(1), verify=False) == 1
-        assert store.append(plain_record(2), verify=False) == 2
+        store.append(plain_record(0), verify=False)
+        other.append(plain_record(1), verify=False)
+        store.append(plain_record(2), verify=False)
+        assert stored_params(store) == [{"i": i} for i in range(3)]
 
     @pytest.mark.parametrize(
         "garbage",
-        [b"", b"\n", b"x" * 84, b"9" * 200, b"not a memo at all", (b"0" * 20 + b" ") * 4],
+        [b"", b"\n", b"x" * 84, b"9" * 200, b"not a memo at all", (b"0" * 20 + b" ") * 4,
+         b" ".join(b"%020d" % v for v in (10**6, 10**18, 12345, 7)) + b"\n"],
     )
-    def test_garbage_lock_file(self, store, garbage):
+    def test_garbage_lock_file(self, store, tmp_path, garbage):
+        clean = ResultStore(tmp_path / "clean.jsonl")
         for i in range(3):
             store.append(plain_record(i), verify=False)
+            clean.append(plain_record(i), verify=False)
         store.lock_path.write_bytes(garbage)
-        assert store.append(plain_record(3), verify=False) == 3
-        assert store.append(plain_record(4), verify=False) == 4
-
-    def test_memo_is_fixed_width_and_rewritten_in_place(self, store):
-        store.append(plain_record(0), verify=False)
-        first = store.lock_path.read_bytes()
-        store.append(plain_record(1), verify=False)
-        memo = store.lock_path.read_bytes()
-        assert len(memo) == len(first) == 84 and memo.endswith(b"\n")
-        size, _, inode, lines = map(int, memo.split())
-        st = os.stat(store.path)
-        assert (size, inode, lines) == (st.st_size, st.st_ino, 2)
+        for i in (3, 4):
+            store.append(plain_record(i), verify=False)
+            clean.append(plain_record(i), verify=False)
+        assert store.path.read_bytes() == clean.path.read_bytes()
+        assert store.lock_path.read_bytes() == garbage  # ignored, and left as it was
 
     def test_writer_that_skipped_the_memo(self, store):
         for i in range(3):
             store.append(plain_record(i), verify=False)
         with open(store.path, "a") as fh:
-            fh.write("appended by hand\n")
-        assert store.append(plain_record(3), verify=False) == 4
+            fh.write('{"params": "by hand"}\n')
+        store.append(plain_record(3), verify=False)
+        assert stored_params(store)[3:] == ["by hand", {"i": 3}]
 
     def test_store_replaced(self, store, tmp_path):
         for i in range(3):
             store.append(plain_record(i), verify=False)
-        # same size, new inode: the memo's size alone would still match
         fresh = tmp_path / "fresh.jsonl"
-        fresh.write_bytes(store.path.read_bytes().replace(b"\n", b" ", 1))
+        fresh.write_text('{"params": "fresh"}\n')
         os.replace(fresh, store.path)
-        assert store.append(plain_record(3), verify=False) == 2
+        store.append(plain_record(3), verify=False)
+        assert stored_params(store) == ["fresh", {"i": 3}]
 
     def test_store_truncated(self, store):
         for i in range(3):
             store.append(plain_record(i), verify=False)
         store.path.write_text("")
-        assert store.append(plain_record(3), verify=False) == 0
+        store.append(plain_record(3), verify=False)
+        assert stored_params(store) == [{"i": 3}]
 
     def test_store_deleted(self, store):
         for i in range(3):
             store.append(plain_record(i), verify=False)
         store.path.unlink()
-        assert store.append(plain_record(3), verify=False) == 0
+        store.append(plain_record(3), verify=False)
+        assert stored_params(store) == [{"i": 3}]
 
     @pytest.mark.parametrize("count", [2, 4])
     def test_concurrent_processes(self, store, count):
-        """50 appends from each process: every index comes back once, and it
-        names the line that process wrote.  Four processes outnumber the
-        cores of a small machine, so their appends interleave."""
+        """50 appends from each process: every line is whole JSON, every record
+        is stored once, and each process's records keep their order.  Four
+        processes outnumber the cores of a small machine, so their appends
+        interleave."""
         src = Path(__file__).resolve().parent.parent / "src"
         env = dict(os.environ, PYTHONPATH=str(src))
         go = store.path.with_name("go")
@@ -199,10 +201,9 @@ class TestLineIndexMemo:
             "for i in range(50):\n"
             "    rec = ResultRecord('construction', 'fp', {'proc': sys.argv[2], 'i': i},\n"
             "                       {'failure_reason': 'none'}, {})\n"
-            "    print(store.append(rec, verify=False))\n"
+            "    store.append(rec, verify=False)\n"
         )
         names = "abcd"[:count]
-        said = {}
         with contextlib.ExitStack() as stack:
             procs = [
                 stack.enter_context(subprocess.Popen(
@@ -215,15 +216,14 @@ class TestLineIndexMemo:
                 assert [proc.stdout.readline() for proc in procs] == ["ready\n"] * count
             finally:
                 go.touch()  # never leave a process waiting
-            for name, proc in zip(names, procs):
-                out, _ = proc.communicate(timeout=120)
+            for proc in procs:
+                proc.communicate(timeout=120)
                 assert proc.returncode == 0
-                said[name] = [int(v) for v in out.split()]
-        assert sorted(sum(said.values(), [])) == list(range(50 * count))
-        lines = store.path.read_text().splitlines()
-        for name, indices in said.items():
-            for i, index in enumerate(indices):
-                assert json.loads(lines[index])["params"] == {"proc": name, "i": i}
+        stored = [(p["proc"], p["i"]) for p in stored_params(store)]  # each line parses
+        assert sorted(stored) == sorted((name, i) for name in names for i in range(50))
+        for name in names:
+            assert [i for proc, i in stored if proc == name] == list(range(50))
+        assert store.lock_path.stat().st_size == 0
 
     @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
     def test_append_leaves_no_fd_open(self, store):
@@ -231,8 +231,6 @@ class TestLineIndexMemo:
         before = len(os.listdir("/proc/self/fd"))
         for i in range(3):
             store.append(plain_record(i), verify=False)
-        store.lock_path.write_bytes(b"")  # the recount path as well
-        store.append(plain_record(3), verify=False)
         assert len(os.listdir("/proc/self/fd")) == before
 
 
