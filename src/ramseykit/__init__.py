@@ -14,7 +14,7 @@ The pipeline, bottom to top:
 - ``storage``/``cli``: verified results cache and the command-line tool.
 """
 
-from .polynomials import IntPoly, Rational, ZeroPolynomialError, parse_poly, rational_roots_deg2
+from .polynomials import IntPoly, ZeroPolynomialError, parse_poly, rational_roots_deg2
 from .families import (
     PRESET_NAMES,
     PatternFamily,
@@ -32,7 +32,6 @@ from .witnesses import (
     enumerate_instances,
     enumeration_complete,
     find_witness,
-    find_witnesses,
     iter_witnesses,
     verify_witness,
     witness_from_json,
@@ -53,11 +52,7 @@ from .search import (
 from .construction import (
     ConstructionInvariantError,
     ConstructiveTrace,
-    FiniteSetWindow,
-    YSearch,
-    max_gap,
     run_construction,
-    select_y,
 )
 from .reduction import (
     DegenerateCoefficientsError,
@@ -77,7 +72,7 @@ __version__ = "0.1.0"
 __all__ = [
     "__version__",
     # polynomials
-    "IntPoly", "Rational", "ZeroPolynomialError", "parse_poly", "rational_roots_deg2",
+    "IntPoly", "ZeroPolynomialError", "parse_poly", "rational_roots_deg2",
     # families
     "PatternFamily", "prefix_product_family", "preset_family", "preset_from_string",
     "reduction_family", "PRESET_NAMES",
@@ -85,15 +80,14 @@ __all__ = [
     "Coloring",
     # witnesses
     "Instance", "Witness", "VerifyResult", "enumerate_instances", "enumeration_complete",
-    "iter_witnesses", "find_witness", "find_witnesses", "count_witnesses",
+    "iter_witnesses", "find_witness", "count_witnesses",
     "verify_witness", "witness_to_json", "witness_from_json",
     # search
     "AvoidCertificate", "ThresholdResult", "SearchStats", "SearchBudgetExceeded",
     "IncompleteBoxError", "exists_avoiding", "find_all_avoiding", "threshold",
     "greedy_avoider", "verify_certificate",
     # construction
-    "FiniteSetWindow", "YSearch", "ConstructiveTrace", "ConstructionInvariantError",
-    "max_gap", "select_y", "run_construction",
+    "ConstructiveTrace", "ConstructionInvariantError", "run_construction",
     # reduction
     "ReductionData", "QuadSolution", "DegenerateCoefficientsError", "quadratic_setup",
     "lift_coloring", "exp_lift", "solve_quadratic", "verify_quad_solution",

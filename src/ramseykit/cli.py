@@ -130,13 +130,11 @@ def cmd_family(args) -> int:
     if isinstance(spec, dict):
         fsets = spec["function_sets"]
         s = spec.get("s", len(fsets))
+        if type(s) is not int or s != len(fsets):
+            raise ValueError(f'"s": {s!r} is not the number of function sets, {len(fsets)}')
     else:
-        fsets, s = spec, len(spec)
-    if args.s is not None:
-        s = args.s
-    if len(fsets) != s:
-        raise ValueError(f"--s {s} needs {s} function sets, file has {len(fsets)}")
-    fam = prefix_product_family(s, fsets, name=args.name)
+        fsets = spec
+    fam = prefix_product_family(len(fsets), fsets, name=args.name)
     _print_family(fam)
     if args.out:
         fam.save(args.out)
@@ -426,7 +424,6 @@ def build_parser() -> argparse.ArgumentParser:
         "prefix-product", parents=[out],
         help="generate {x0..xs} u {prefix + shifted f} from a function-set file",
     )
-    pp.add_argument("--s", type=int, default=None, help="number of product variables beyond x0")
     pp.add_argument("--functions", required=True, help="JSON: list of function-text lists, arities 1..s")
     pp.add_argument("--name", default=None)
     pp.set_defaults(func=cmd_family, action="prefix-product")

@@ -32,12 +32,8 @@ from .families import preset_family
 from .witnesses import Instance, Witness, verify_witness
 
 __all__ = [
-    "FiniteSetWindow",
-    "YSearch",
     "ConstructiveTrace",
     "ConstructionInvariantError",
-    "max_gap",
-    "select_y",
     "run_construction",
     "bits_from_values",
     "values_from_bits",
@@ -72,59 +68,25 @@ def values_from_bits(bits: int, n: int) -> np.ndarray:
 # ---- gap statistics ----
 
 
-@dataclass(frozen=True)
-class FiniteSetWindow:
-    """A sorted subset of [lo..hi] viewed against its window."""
-
-    elements: tuple[int, ...]
-    lo: int
-    hi: int
-
-    def __post_init__(self):
-        if self.lo > self.hi:
-            raise ValueError("empty window")
-        elems = tuple(sorted(set(self.elements)))
-        if elems and (elems[0] < self.lo or elems[-1] > self.hi):
-            raise ValueError("elements fall outside the window")
-        object.__setattr__(self, "elements", elems)
-
-
 def _max_gap_array(values: np.ndarray, lo: int, hi: int) -> int:
-    """Max gap with the window edges as virtual neighbors at lo-1 and hi."""
+    """Largest distance between consecutive sorted values in [lo..hi], with
+    the window edges as virtual neighbors at lo-1 and hi: an empty set scores
+    the full window length, {50} in [1..100] scores 50."""
     if values.size == 0:
         return hi - lo + 1
     padded = np.concatenate(([lo - 1], values, [hi]))
     return int(np.diff(padded).max())
 
 
-def max_gap(s: FiniteSetWindow) -> int:
-    """Largest distance between consecutive elements, edges included.
-
-    Empty sets score the full window length; {50} in [1..100] scores 50.
-    """
-    return _max_gap_array(np.asarray(s.elements, dtype=np.int64), s.lo, s.hi)
-
-
 # ---- shift-intersection search ----
-
-
-@dataclass(frozen=True)
-class YSearch:
-    """Outcome of the smallest-y shift search, with diagnostics on failure."""
-
-    y: int | None
-    d: tuple[int, ...]
-    best_y: int
-    best_size: int
-
-    @property
-    def ok(self) -> bool:
-        return self.y is not None
 
 
 def _select_y_bits(
     bits: int, multipliers: Sequence[int], y_max: int, size_floor: int
 ) -> tuple[int | None, int, int, int]:
+    """Smallest y in [1..y_max] with |B and_k (B - m_k y)| >= size_floor, as
+    (y, D, y, |D|) with D a bitset; B - c means {v - c : v in B, v > c}.
+    Failure gives (None, 0, best_y, best_size): the best (y, |D|) seen."""
     best_y, best_size = 0, -1
     for y in range(1, y_max + 1):
         d = bits
@@ -138,31 +100,6 @@ def _select_y_bits(
         if size > best_size:
             best_y, best_size = y, size
     return None, 0, best_y, best_size
-
-
-def select_y(
-    b: Iterable[int],
-    n: int,
-    multipliers: Sequence[int],
-    y_max: int,
-    size_floor: int = 1,
-) -> YSearch:
-    """Smallest y in [1..y_max] with |B and_k (B - m_k y)| >= size_floor.
-
-    B - c means {v - c : v in B, v > c}.  Failure reports the best (y, |D|)
-    seen, for diagnostics; it is data, not an exception.
-    """
-    if y_max < 1:
-        raise ValueError("y_max must be >= 1")
-    if size_floor < 1:
-        raise ValueError("size_floor must be >= 1")
-    mults = [int(m) for m in multipliers]
-    if any(m < 1 for m in mults):
-        raise ValueError("multipliers must be positive")
-    bits = bits_from_values(b, n)
-    y, d_bits, best_y, best_size = _select_y_bits(bits, mults, y_max, size_floor)
-    d = tuple(int(v) for v in values_from_bits(d_bits, n)) if y is not None else ()
-    return YSearch(y, d, best_y, best_size)
 
 
 # ---- the construction itself ----
@@ -221,10 +158,17 @@ def run_construction(
     Every round asserts the containment and divisibility invariants on the
     literal sets.  A repeat extracts and verifies the witness; running out of
     usable y or dilating to nothing ends the trace with failure_reason instead.
+    y_max or size_floor below 1, or max_rounds below 0, raise ValueError.
     """
     n, r = coloring.n, coloring.r
     y_max = n if y_max is None else y_max
     max_rounds = r + 1 if max_rounds is None else max_rounds
+    if y_max < 1:
+        raise ValueError("y_max must be >= 1")
+    if size_floor < 1:
+        raise ValueError("size_floor must be >= 1")
+    if max_rounds < 0:
+        raise ValueError("max_rounds must be >= 0")
     trace = ConstructiveTrace(
         n, r, {"y_max": y_max, "size_floor": size_floor, "max_rounds": max_rounds}
     )

@@ -145,15 +145,20 @@ class PatternFamily:
     def from_json(cls, data: dict) -> "PatternFamily":
         if not isinstance(data, dict):
             raise ValueError(f"a family must be a JSON object, got {data!r}")
+        for key in ("num_vars", "terms"):
+            if key not in data:
+                raise ValueError(f"family is missing the key {key!r}")
         num_vars, terms = data["num_vars"], data["terms"]
-        distinct = data.get("distinct_required", False)
+        distinct, name = data.get("distinct_required", False), data.get("name")
         if type(num_vars) is not int:  # bool is an int subclass, and not a count
             raise ValueError(f"family 'num_vars' must be an integer, got {num_vars!r}")
         if not isinstance(terms, list) or not all(isinstance(t, str) for t in terms):
             raise ValueError(f"family 'terms' must be a list of strings, got {terms!r}")
         if not isinstance(distinct, bool):
             raise ValueError(f"family 'distinct_required' must be true or false, got {distinct!r}")
-        return cls.from_texts(num_vars, terms, data.get("name"), distinct)
+        if name is not None and not isinstance(name, str):
+            raise ValueError(f"family 'name' must be a string or null, got {name!r}")
+        return cls.from_texts(num_vars, terms, name, distinct)
 
     def save(self, path: str | Path) -> None:
         Path(path).write_text(json.dumps(self.to_json(), indent=2) + "\n")

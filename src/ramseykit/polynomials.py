@@ -10,9 +10,8 @@ Text syntax (used by family files and the CLI): integer coefficients,
 variables ``x0..x{k}``, operators ``+ - * ^``, e.g. ``x0*x1 + x2^2`` or
 ``3*x0 - x1^2``.  Parsing and printing round-trip through canonical form.
 
-Rationals are stdlib ``fractions.Fraction`` (aliased ``Rational``): always
-gcd-reduced with positive denominator, which is exactly the normal form the
-root finder needs.
+Rationals are stdlib ``fractions.Fraction``: always gcd-reduced with positive
+denominator, which is exactly the normal form the root finder needs.
 """
 
 from __future__ import annotations
@@ -22,12 +21,9 @@ import re
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-Rational = Fraction
-
 Exponents = tuple[int, ...]
 
 __all__ = [
-    "Rational",
     "IntPoly",
     "ZeroPolynomialError",
     "parse_poly",

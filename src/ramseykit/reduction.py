@@ -156,15 +156,12 @@ def quadratic_setup(c) -> ReductionData:
     )
 
 
-def lift_coloring(chi: Coloring, b: int, r: int | None = None) -> Coloring:
+def lift_coloring(chi: Coloring, b: int) -> Coloring:
     """Stretch chi by b: multiples of b inherit chi(n/b), the rest get
     fresh colors r+1 .. r+b-1 by residue.  The result colors [1..b*N]."""
     if b < 2:
         raise ValueError("b must be >= 2")
-    if r is None:
-        r = chi.r
-    elif r != chi.r:
-        raise ValueError(f"r={r} does not match the coloring's r={chi.r}")
+    r = chi.r
     v = np.arange(1, b * chi.n + 1, dtype=np.int64)
     rem = v % b
     base = chi.colors[np.maximum(v // b, 1) - 1]

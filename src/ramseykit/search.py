@@ -115,21 +115,10 @@ class AvoidCertificate:
         coloring: Coloring,
         *,
         box_relative: bool = False,
-        verify: bool = True,
     ) -> "AvoidCertificate":
-        cert = cls(
-            family,
-            coloring.n,
-            coloring.r,
-            coloring.to_rle(),
-            verified=False,
-            box_relative=box_relative,
-        )
-        if verify:
-            if count_witnesses(family, coloring) != 0:
-                raise ValueError("coloring is not avoiding; refusing to certify")
-            cert.verified = True
-        return cert
+        if count_witnesses(family, coloring) != 0:
+            raise ValueError("coloring is not avoiding; refusing to certify")
+        return _certificate(family, coloring, box_relative)
 
     def to_json(self) -> dict:
         return {
@@ -362,11 +351,9 @@ def _certificate(
     family: PatternFamily, coloring: Coloring, box_relative: bool = False
 ) -> AvoidCertificate:
     """Certificate for a coloring that _checked has already verified."""
-    cert = AvoidCertificate.from_coloring(
-        family, coloring, box_relative=box_relative, verify=False
+    return AvoidCertificate(
+        family, coloring.n, coloring.r, coloring.to_rle(), True, box_relative
     )
-    cert.verified = True
-    return cert
 
 
 def exists_avoiding(
@@ -440,10 +427,10 @@ def threshold(
     ``partial``: T >= N with the avoider at N-1.
     """
     _require_single_job(jobs)
+    if r < 1 or max_n < 1:
+        raise ValueError("need r >= 1 and max_n >= 1")
     if not family.box_complete():
         raise IncompleteBoxError("threshold needs a box-complete family (else unsound)")
-    if max_n < 1:
-        raise ValueError("max_n must be >= 1")
     t0 = time.monotonic()
     deadline = _deadline(time_limit)
     nodes = 0
@@ -509,6 +496,8 @@ def greedy_avoider(
     colors, with restarts.  Successful colorings are verified via
     count_witnesses before being certified.
     """
+    if r < 1 or restarts < 1:
+        raise ValueError("need r >= 1 and restarts >= 1")
     buckets = build_instance_index(family, n)
 
     def one_pass(pick) -> list[int] | None:
@@ -536,11 +525,10 @@ def greedy_avoider(
     return _certificate(family, _checked(family, result, r), not family.box_complete())
 
 
-def verify_certificate(cert: AvoidCertificate, family: PatternFamily | None = None) -> bool:
+def verify_certificate(cert: AvoidCertificate) -> bool:
     """Recompute the zero-witness claim from the stored coloring, independently."""
-    fam = family if family is not None else cert.family
     try:
         coloring = cert.to_coloring()
     except (ValueError, TypeError):
         return False
-    return count_witnesses(fam, coloring) == 0
+    return count_witnesses(cert.family, coloring) == 0

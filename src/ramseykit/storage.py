@@ -10,10 +10,10 @@ it or from the store, so a lock file that still holds an older version's
 line-count memo is ignored.
 
 Trust model: a record is verified by recomputation, including that its
-fingerprint is its embedded family's, before it is written (verify=False
-skips this for bulk imports), by verify_all() over every stored line, and by
-lookup() on what it serves: lookup() walks the matches from the latest to the
-earliest and returns the first that passes, skipping any that fail.
+fingerprint is its embedded family's, before it is written, by verify_all()
+over every stored line, and by lookup() on what it serves: lookup() walks the
+matches from the latest to the earliest and returns the first that passes,
+skipping any that fail.
 records() validates structure only, quarantining lines that fail instead of
 raising, so one corrupt line cannot poison the rest of the cache.
 
@@ -21,8 +21,8 @@ Verification is a pure function of a line's text, so each distinct line is
 verified at most once per process: a module-level set holds the 16-byte
 blake2b digests of the lines (whitespace-stripped, as read back) that passed,
 and is cleared when it reaches 2**14 entries.  Any edit on disk changes a
-line's digest, so the edited line is checked again; a line that failed, or
-that append(verify=False) wrote, is never remembered.
+line's digest, so the edited line is checked again; a line that failed is
+never remembered.
 """
 
 from __future__ import annotations
@@ -80,13 +80,11 @@ class ResultRecord:
         )
 
 
-def make_provenance(**stats) -> dict:
-    """Provenance stamp: tool id, UTC timestamp, and whatever stats matter."""
+def make_provenance() -> dict:
+    """Provenance stamp: tool id and UTC timestamp."""
     from . import __version__
 
-    out = {"tool": f"ramseykit {__version__}", "created": datetime.now(timezone.utc).isoformat()}
-    out.update(stats)
-    return out
+    return {"tool": f"ramseykit {__version__}", "created": datetime.now(timezone.utc).isoformat()}
 
 
 def _canon(params: dict) -> str:
@@ -161,6 +159,8 @@ def _verify_payload(record: ResultRecord) -> None:
             value, exact = int(payload["value"]), bool(payload["exact"])
             if value < 1:
                 raise ValueError("threshold value must be positive")
+            if int(payload["r"]) < 1:
+                raise ValueError("threshold needs r >= 1 colors")
             _check_fingerprint(record, payload)
             cert_obj = payload.get("certificate")
             if exact and value > 1 and cert_obj is None:
@@ -210,14 +210,13 @@ class ResultStore:
         self.path = Path(path)
         self.lock_path = self.path.with_suffix(self.path.suffix + ".lock")
 
-    def append(self, record: ResultRecord, verify: bool = True) -> None:
-        """Write one record as one line at the end of the store."""
+    def append(self, record: ResultRecord) -> None:
+        """Verify one record and write it as one line at the end of the store."""
         if record.kind not in RECORD_KINDS:
             raise ValueError(f"unknown record kind {record.kind!r}")
         line = json.dumps(record.to_json(), sort_keys=True, separators=(",", ":"))
-        if verify:
-            # the record as the store reads it back, which is what the digest names
-            _verify_line(line, ResultRecord.from_json(json.loads(line)))
+        # the record as the store reads it back, which is what the digest names
+        _verify_line(line, ResultRecord.from_json(json.loads(line)))
         self.path.parent.mkdir(parents=True, exist_ok=True)
         with open(self.lock_path, "ab") as lock:
             fcntl.flock(lock, fcntl.LOCK_EX)  # released when the lock file closes

@@ -54,7 +54,6 @@ __all__ = [
     "enumeration_complete",
     "iter_witnesses",
     "find_witness",
-    "find_witnesses",
     "count_witnesses",
     "verify_witness",
     "witness_to_json",
@@ -383,16 +382,6 @@ def find_witness(
 ) -> Witness | None:
     """Lexicographically smallest witness, or None."""
     return next(iter_witnesses(family, coloring, distinct=distinct, box=box), None)
-
-
-def find_witnesses(
-    family: PatternFamily,
-    coloring: Coloring,
-    *,
-    distinct: bool | None = None,
-    box: Sequence | None = None,
-) -> list[Witness]:
-    return list(iter_witnesses(family, coloring, distinct=distinct, box=box))
 
 
 def count_witnesses(

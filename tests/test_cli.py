@@ -83,6 +83,9 @@ class TestFamily:
             ({"num_vars": True, "terms": ["x0"]}, "'num_vars' must be an integer"),
             ({"num_vars": "1", "terms": ["x0"]}, "'num_vars' must be an integer"),
             ({"num_vars": 1, "terms": ["x0"], "distinct_required": "false"}, "true or false"),
+            ({"terms": ["x0"]}, "missing the key 'num_vars'"),
+            ({"num_vars": 1}, "missing the key 'terms'"),
+            ({"num_vars": 2, "terms": ["x0"], "name": 5}, "'name' must be a string or null"),
         ],
     )
     def test_malformed_family_files_are_input_errors(self, capsys, tmp_path, data, says):
@@ -120,11 +123,15 @@ class TestFamily:
 
     def test_prefix_product_s_mismatch(self, capsys, tmp_path):
         fn = tmp_path / "fns.json"
-        fn.write_text(json.dumps([["0", "x0"]]))
-        code, _, err = run(
-            capsys, "family", "prefix-product", "--functions", str(fn), "--s", "2"
-        )
-        assert code == 2 and "error:" in err
+        for s in (2, "1"):
+            fn.write_text(json.dumps({"s": s, "function_sets": [["0", "x0"]]}))
+            code, out, err = run(capsys, "family", "prefix-product", "--functions", str(fn))
+            assert code == 2 and out == ""
+            assert err == f'error: "s": {s!r} is not the number of function sets, 1\n'
+        fn.write_text(json.dumps({"s": 1, "function_sets": [["0", "x0"]]}))
+        code, out, _ = run(capsys, "family", "prefix-product", "--functions", str(fn))
+        assert code == 0
+        assert f"fingerprint: {preset_family('xyxy').fingerprint()}" in out
 
     def test_unknown_preset(self, capsys):
         code, _, err = run(capsys, "family", "show", "--preset", "nosuch")
@@ -310,6 +317,23 @@ class TestConstruct:
         assert "y sequence: (none)" in out
         assert "failed: round 1: no y <= 1 reaches |D| >= 1" in out
 
+    @pytest.mark.parametrize("flag, value, says", [
+        ("--y-max", "0", "y_max must be >= 1"),
+        ("--size-floor", "0", "size_floor must be >= 1"),
+        ("--max-rounds", "-1", "max_rounds must be >= 0"),
+    ])
+    def test_out_of_range_parameters_are_input_errors(
+        self, capsys, solid6, tmp_path, flag, value, says
+    ):
+        trace_path, cache = tmp_path / "trace.json", tmp_path / "store.jsonl"
+        code, out, err = run(
+            capsys, "construct", "--coloring", solid6, flag, value,
+            "--trace", str(trace_path), "--cache", str(cache),
+        )
+        assert code == 2 and out == ""
+        assert err == f"error: {says}\n"
+        assert not trace_path.exists() and not cache.exists()
+
     def test_trace_file_and_cache(self, capsys, solid6, tmp_path):
         trace_path = tmp_path / "trace.json"
         cache = tmp_path / "store.jsonl"
@@ -455,6 +479,20 @@ class TestCache:
         assert "2 record(s), 1 quarantined" in out
         assert "QUARANTINED" in err
 
+    def test_threshold_record_without_colors_fails_verify(self, capsys, tmp_path):
+        cache = self.seeded(capsys, tmp_path)
+        fp = preset_family("schur").fingerprint()
+        record = {"kind": "threshold", "fingerprint": fp, "params": {"r": 0},
+                  "payload": {"family_name": "schur", "fingerprint": fp, "r": 0, "value": 1,
+                              "exact": True, "certificate": None, "nodes": 0, "max_n": 5},
+                  "provenance": {}}
+        with open(cache, "a") as fh:
+            fh.write(json.dumps(record) + "\n")
+        code, out, _ = run(capsys, "cache", "verify", "--cache", str(cache))
+        assert code == 1
+        assert out == ("  #2 FAIL: threshold record: threshold needs r >= 1 colors\n"
+                       "1 record(s) failed verification\n")
+
     def test_requires_cache_path(self, capsys):
         code, _, err = run(capsys, "cache", "list")
         assert code == 2 and "needs --cache" in err
@@ -499,6 +537,20 @@ class TestExitCodes:
         assert err.startswith("resource limit: threshold undecided at N=14")
         good, bad = ResultStore(cache).records()
         assert good == [] and bad == []  # a partial bound is not cached
+
+    @pytest.mark.parametrize("argv", [
+        ["threshold", "--family", "schur", "--colors", "0", "--max-n", "5"],
+        ["avoid", "--family", "schur", "--colors", "0", "--n", "5"],
+        ["avoid", "--family", "schur", "--colors", "0", "--n", "5", "--greedy", "first-fit"],
+        ["avoid", "--family", "schur", "--colors", "2", "--n", "5", "--greedy", "random",
+         "--restarts", "0"],
+    ])
+    def test_no_colors_or_restarts_is_an_input_error(self, capsys, tmp_path, argv):
+        cache = tmp_path / "store.jsonl"
+        for _ in range(2):  # nothing is cached, so a second call fails the same way
+            code, out, err = run(capsys, *argv, "--cache", str(cache))
+            assert code == 2 and out == "" and err.startswith("error: need r >= 1")
+            assert not cache.exists()
 
     def test_jobs_flag_removed(self, capsys):
         code, _, _ = run(

@@ -12,11 +12,10 @@ import pytest
 from ramseykit.coloring import Coloring
 from ramseykit.construction import (
     ConstructiveTrace,
-    FiniteSetWindow,
+    _max_gap_array,
+    _select_y_bits,
     bits_from_values,
-    max_gap,
     run_construction,
-    select_y,
     values_from_bits,
 )
 from ramseykit.families import preset_family
@@ -45,63 +44,63 @@ class TestBitsets:
         assert values_from_bits(bits, 10**6).tolist() == [1, 10**6]
 
 
+def max_gap(elements, lo, hi):
+    return _max_gap_array(np.asarray(elements, dtype=np.int64), lo, hi)
+
+
+def select_y(b, n, multipliers, y_max, size_floor=1):
+    """(y, D as a tuple, best_y, best_size) from _select_y_bits on B's bitset."""
+    y, d_bits, best_y, best_size = _select_y_bits(
+        bits_from_values(b, n), multipliers, y_max, size_floor
+    )
+    return y, tuple(values_from_bits(d_bits, n).tolist()), best_y, best_size
+
+
 class TestMaxGap:
     def test_window_edges_count(self):
         # {50} in [1..100]: gap to the left edge is 50, to the right edge 50
-        assert max_gap(FiniteSetWindow((50,), 1, 100)) == 50
+        assert max_gap((50,), 1, 100) == 50
 
     def test_empty_set_scores_window_length(self):
-        assert max_gap(FiniteSetWindow((), 1, 100)) == 100
+        assert max_gap((), 1, 100) == 100
 
     def test_dense_set(self):
-        assert max_gap(FiniteSetWindow(tuple(range(1, 11)), 1, 10)) == 1
+        assert max_gap(range(1, 11), 1, 10) == 1
 
     def test_interior_gap_dominates(self):
-        assert max_gap(FiniteSetWindow((1, 2, 90, 91), 1, 100)) == 88
+        assert max_gap((1, 2, 90, 91), 1, 100) == 88
 
     def test_singleton_window(self):
-        assert max_gap(FiniteSetWindow((1,), 1, 1)) == 1
-
-    def test_rejects_out_of_window(self):
-        with pytest.raises(ValueError):
-            FiniteSetWindow((5,), 1, 4)
+        assert max_gap((1,), 1, 1) == 1
 
 
 class TestSelectY:
     def test_single_shift(self):
         # B = odds in [1..9]; y=1 dies (odds - 1 = evens), y=2 survives
-        res = select_y([1, 3, 5, 7, 9], 9, [1], y_max=9)
-        assert res.ok and res.y == 2
-        assert res.d == (1, 3, 5, 7)
+        y, d, _, _ = select_y([1, 3, 5, 7, 9], 9, [1], y_max=9)
+        assert y == 2
+        assert d == (1, 3, 5, 7)
 
     def test_smallest_y_wins(self):
-        res = select_y(list(range(1, 20)), 19, [1], y_max=19)
-        assert res.y == 1
-        assert res.d == tuple(range(1, 19))
+        y, d, _, _ = select_y(list(range(1, 20)), 19, [1], y_max=19)
+        assert y == 1
+        assert d == tuple(range(1, 19))
 
     def test_size_floor(self):
-        res = select_y([1, 3, 5, 7, 9], 9, [1], y_max=9, size_floor=5)
-        assert not res.ok and res.y is None
-        assert res.best_size == 4  # y=2 was the best on offer
+        y, d, _, best_size = select_y([1, 3, 5, 7, 9], 9, [1], y_max=9, size_floor=5)
+        assert y is None and d == ()
+        assert best_size == 4  # y=2 was the best on offer
 
     def test_multiple_multipliers(self):
         # D = B cap (B - 4y) cap (B - y): needs both shifts to land back in B
         b = [2, 6, 10, 14, 18, 22, 26, 30]
-        res = select_y(b, 30, [4, 1], y_max=30)
-        assert res.ok and res.y == 4
-        assert all(v in b and v + 4 in b and v + 16 in b for v in res.d)
+        y, d, _, _ = select_y(b, 30, [4, 1], y_max=30)
+        assert y == 4 and d
+        assert all(v in b and v + 4 in b and v + 16 in b for v in d)
 
     def test_failure_reports_best_seen(self):
-        res = select_y([1, 10], 10, [1], y_max=3)
-        assert not res.ok and res.best_size == 0
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            select_y([1], 5, [1], y_max=0)
-        with pytest.raises(ValueError):
-            select_y([1], 5, [0], y_max=5)
-        with pytest.raises(ValueError):
-            select_y([1], 5, [1], y_max=5, size_floor=0)
+        y, _, _, best_size = select_y([1, 10], 10, [1], y_max=3)
+        assert y is None and best_size == 0
 
 
 class TestRunConstruction:
@@ -150,6 +149,15 @@ class TestRunConstruction:
             "color": trace.witness.color,
         }
         assert data["t"] == trace.t and data["failure_reason"] is None
+
+    def test_validation(self):
+        chi = Coloring.solid(10)
+        with pytest.raises(ValueError, match="y_max must be >= 1"):
+            run_construction(chi, y_max=0)
+        with pytest.raises(ValueError, match="size_floor must be >= 1"):
+            run_construction(chi, size_floor=0)
+        with pytest.raises(ValueError, match="max_rounds must be >= 0"):
+            run_construction(chi, max_rounds=-1)
 
     def test_max_rounds_cap(self):
         # with max_rounds=0 no round runs, so no repeat can happen

@@ -108,12 +108,6 @@ class TestLiftColoring:
         assert lifted.color_of(1) == 2 + 1
         assert lifted.color_of(6) == 2 + 2
 
-    def test_explicit_r_must_match(self):
-        chi = Coloring.modular(10, 2)
-        assert lift_coloring(chi, 3, r=2).r == 4
-        with pytest.raises(ValueError):
-            lift_coloring(chi, 3, r=5)
-
     def test_b_lower_bound(self):
         with pytest.raises(ValueError):
             lift_coloring(Coloring.solid(5), 1)

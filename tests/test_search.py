@@ -216,6 +216,10 @@ class TestThreshold:
         with pytest.raises(IncompleteBoxError):
             threshold(PatternFamily.from_texts(2, ["x0", "x0 - x1"]), 2, 10)
 
+    def test_rejects_no_colors(self):
+        with pytest.raises(ValueError, match="need r >= 1"):
+            threshold(preset_family("schur"), 0, 5)
+
     def test_budget_propagates(self):
         with pytest.raises(SearchBudgetExceeded):
             threshold(preset_family("schur"), 3, 14, max_nodes=30)
@@ -314,6 +318,13 @@ class TestGreedy:
     def test_unknown_strategy(self):
         with pytest.raises(ValueError):
             greedy_avoider(preset_family("schur"), 2, 5, "clever")
+
+    @pytest.mark.parametrize("strategy", ["first-fit", "random"])
+    def test_rejects_no_colors_or_restarts(self, strategy):
+        with pytest.raises(ValueError, match="need r >= 1"):
+            greedy_avoider(preset_family("schur"), 0, 5, strategy)
+        with pytest.raises(ValueError, match="restarts >= 1"):
+            greedy_avoider(preset_family("schur"), 2, 5, strategy, restarts=0)
 
 
 class TestCertificates:

@@ -108,6 +108,13 @@ class TestAppendLookup:
         assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
 
 
+def write_unverified(store, record):
+    """Plant a line as append would encode it, without append's verification."""
+    line = json.dumps(record.to_json(), sort_keys=True, separators=(",", ":"))
+    with open(store.path, "a") as fh:
+        fh.write(line + "\n")
+
+
 def plain_record(i):
     return ResultRecord("construction", "fp", {"i": i}, {"failure_reason": "none"}, {})
 
@@ -123,15 +130,15 @@ class TestLineIndexMemo:
 
     def test_store_written_without_memo(self, store):
         store.path.write_text("".join(f'{{"params": {{"hand": {i}}}}}\n' for i in range(5)))
-        store.append(plain_record(0), verify=False)
-        store.append(plain_record(1), verify=False)
+        store.append(plain_record(0))
+        store.append(plain_record(1))
         assert stored_params(store) == [{"hand": i} for i in range(5)] + [{"i": 0}, {"i": 1}]
 
     def test_other_store_object_appended(self, store):
         other = ResultStore(store.path)
-        store.append(plain_record(0), verify=False)
-        other.append(plain_record(1), verify=False)
-        store.append(plain_record(2), verify=False)
+        store.append(plain_record(0))
+        other.append(plain_record(1))
+        store.append(plain_record(2))
         assert stored_params(store) == [{"i": i} for i in range(3)]
 
     @pytest.mark.parametrize(
@@ -142,44 +149,44 @@ class TestLineIndexMemo:
     def test_garbage_lock_file(self, store, tmp_path, garbage):
         clean = ResultStore(tmp_path / "clean.jsonl")
         for i in range(3):
-            store.append(plain_record(i), verify=False)
-            clean.append(plain_record(i), verify=False)
+            store.append(plain_record(i))
+            clean.append(plain_record(i))
         store.lock_path.write_bytes(garbage)
         for i in (3, 4):
-            store.append(plain_record(i), verify=False)
-            clean.append(plain_record(i), verify=False)
+            store.append(plain_record(i))
+            clean.append(plain_record(i))
         assert store.path.read_bytes() == clean.path.read_bytes()
         assert store.lock_path.read_bytes() == garbage  # ignored, and left as it was
 
     def test_writer_that_skipped_the_memo(self, store):
         for i in range(3):
-            store.append(plain_record(i), verify=False)
+            store.append(plain_record(i))
         with open(store.path, "a") as fh:
             fh.write('{"params": "by hand"}\n')
-        store.append(plain_record(3), verify=False)
+        store.append(plain_record(3))
         assert stored_params(store)[3:] == ["by hand", {"i": 3}]
 
     def test_store_replaced(self, store, tmp_path):
         for i in range(3):
-            store.append(plain_record(i), verify=False)
+            store.append(plain_record(i))
         fresh = tmp_path / "fresh.jsonl"
         fresh.write_text('{"params": "fresh"}\n')
         os.replace(fresh, store.path)
-        store.append(plain_record(3), verify=False)
+        store.append(plain_record(3))
         assert stored_params(store) == ["fresh", {"i": 3}]
 
     def test_store_truncated(self, store):
         for i in range(3):
-            store.append(plain_record(i), verify=False)
+            store.append(plain_record(i))
         store.path.write_text("")
-        store.append(plain_record(3), verify=False)
+        store.append(plain_record(3))
         assert stored_params(store) == [{"i": 3}]
 
     def test_store_deleted(self, store):
         for i in range(3):
-            store.append(plain_record(i), verify=False)
+            store.append(plain_record(i))
         store.path.unlink()
-        store.append(plain_record(3), verify=False)
+        store.append(plain_record(3))
         assert stored_params(store) == [{"i": 3}]
 
     @pytest.mark.parametrize("count", [2, 4])
@@ -201,7 +208,7 @@ class TestLineIndexMemo:
             "for i in range(50):\n"
             "    rec = ResultRecord('construction', 'fp', {'proc': sys.argv[2], 'i': i},\n"
             "                       {'failure_reason': 'none'}, {})\n"
-            "    store.append(rec, verify=False)\n"
+            "    store.append(rec)\n"
         )
         names = "abcd"[:count]
         with contextlib.ExitStack() as stack:
@@ -230,7 +237,7 @@ class TestLineIndexMemo:
         # a raw fd, unlike a file object, leaks without a ResourceWarning
         before = len(os.listdir("/proc/self/fd"))
         for i in range(3):
-            store.append(plain_record(i), verify=False)
+            store.append(plain_record(i))
         assert len(os.listdir("/proc/self/fd")) == before
 
 
@@ -250,14 +257,6 @@ class TestVerification:
         with pytest.raises(StoreVerificationError):
             store.append(ResultRecord(rec.kind, rec.fingerprint, rec.params, payload, {}))
 
-    def test_verify_false_skips_checks(self, store):
-        rec = witness_record()
-        payload = dict(rec.payload)
-        payload["term_values"] = [1, 2, 999]
-        bad = ResultRecord(rec.kind, rec.fingerprint, rec.params, payload, {})
-        store.append(bad, verify=False)  # import path for untrusted bulk data
-        assert store.verify_all()  # ... which verify_all then flags
-
     def test_threshold_record_verifies(self, store):
         res = threshold(preset_family("schur"), 2, 20)
         payload = res.to_json()
@@ -266,6 +265,17 @@ class TestVerification:
             ResultRecord("threshold", res.fingerprint, {"r": 2}, payload, make_provenance())
         )
         assert store.verify_all() == []
+
+    def test_threshold_record_without_colors_blocked(self, store):
+        payload = threshold(preset_family("schur"), 1, 5).to_json()
+        payload["r"] = 0
+        bad = ResultRecord("threshold", payload["fingerprint"], {"r": 0}, payload, {})
+        with pytest.raises(StoreVerificationError, match="r >= 1"):
+            store.append(bad)
+        assert not store.path.exists()
+        write_unverified(store, bad)
+        assert "r >= 1" in store.verify_all()[0][1]
+        assert store.lookup("threshold", bad.fingerprint, {"r": 0}) is None
 
     def test_reduction_record_checks_arithmetic(self, store):
         good = {
@@ -287,7 +297,7 @@ class TestVerification:
         forged = ResultRecord(rec.kind, vdw, rec.params, rec.payload, {})
         with pytest.raises(StoreVerificationError, match="embedded family"):
             store.append(forged)
-        store.append(forged, verify=False)
+        write_unverified(store, forged)
         failures = store.verify_all()
         assert len(failures) == 1 and "embedded family" in failures[0][1]
 
@@ -314,7 +324,7 @@ class TestVerification:
         payload["fingerprint"] = vdw
         with pytest.raises(StoreVerificationError, match="embedded family"):
             store.append(ResultRecord("threshold", vdw, {"r": 2}, payload, {}))
-        store.append(ResultRecord("threshold", vdw, {"r": 2}, payload, {}), verify=False)
+        write_unverified(store, ResultRecord("threshold", vdw, {"r": 2}, payload, {}))
         assert "embedded family" in store.verify_all()[0][1]
 
     def test_unknown_kind_rejected(self, store):
@@ -409,14 +419,14 @@ class TestVerifiedMemo:
         good = avoiding_record()
         payload = dict(good.payload, coloring_rle=[[1, 4]])
         bad = ResultRecord(good.kind, good.fingerprint, good.params, payload, {})
-        store.append(bad, verify=False)
+        write_unverified(store, bad)
         assert checks == []
         for _ in range(2):
             failures = store.verify_all()
             assert [i for i, _ in failures] == [0] and "certificate" in failures[0][1]
         assert store.lookup(good.kind, good.fingerprint, good.params) is None
         store.append(good)
-        store.append(bad, verify=False)
+        write_unverified(store, bad)
         assert store.lookup(good.kind, good.fingerprint, good.params) == good
         assert [i for i, _ in store.verify_all()] == [0, 2]
 

@@ -20,7 +20,6 @@ from ramseykit.witnesses import (
     enumerate_instances,
     enumeration_complete,
     find_witness,
-    find_witnesses,
     iter_witnesses,
     verify_witness,
     witness_from_json,
@@ -111,7 +110,7 @@ class TestFindAndIterate:
         assert mine == naive_all_witnesses(fam, chi)
 
     def test_find_witnesses_list(self):
-        ws = find_witnesses(preset_family("schur"), Coloring.solid(4))
+        ws = list(iter_witnesses(preset_family("schur"), Coloring.solid(4)))
         assert [w.assignment for w in ws] == [(1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (3, 1)]
 
 
