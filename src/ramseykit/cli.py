@@ -24,6 +24,7 @@ from .families import (
     PRESET_NAMES,
     PatternFamily,
     prefix_product_family,
+    preset_family,
     preset_from_string,
     reduction_family,
 )
@@ -98,6 +99,13 @@ def _store(args) -> ResultStore | None:
     return ResultStore(args.cache) if args.cache else None
 
 
+def _persist(args, kind: str, fingerprint: str, params: dict, payload: dict) -> None:
+    """Append a verified record to the --cache store, when there is one."""
+    store = _store(args)
+    if store is not None:
+        store.append(ResultRecord(kind, fingerprint, params, payload, make_provenance()))
+
+
 def _print_family(fam: PatternFamily) -> None:
     print(f"name: {fam.name}")
     print(f"num_vars: {fam.num_vars}")
@@ -127,13 +135,18 @@ def cmd_family(args) -> int:
         return 0
     # prefix-product generation from a function-set file
     spec = json.loads(Path(args.functions).read_text())
+    fsets = spec.get("function_sets") if isinstance(spec, dict) else spec
+    if not isinstance(fsets, list) or not all(
+        isinstance(fs, list) and all(isinstance(f, str) for f in fs) for fs in fsets
+    ):
+        raise ValueError(
+            "--functions must hold a list of lists of function texts, or an object "
+            f'with such a list under "function_sets"; got {spec!r}'
+        )
     if isinstance(spec, dict):
-        fsets = spec["function_sets"]
         s = spec.get("s", len(fsets))
         if type(s) is not int or s != len(fsets):
             raise ValueError(f'"s": {s!r} is not the number of function sets, {len(fsets)}')
-    else:
-        fsets = spec
     fam = prefix_product_family(len(fsets), fsets, name=args.name)
     _print_family(fam)
     if args.out:
@@ -147,20 +160,6 @@ def cmd_witness(args) -> int:
     chi = Coloring.load(args.coloring)
     box = parse_box_arg(args.box)
     distinct = True if args.distinct else None
-    store = _store(args)
-
-    def persist(w):
-        if store is None:
-            return
-        store.append(
-            ResultRecord(
-                "witness",
-                fam.fingerprint(),
-                {"n": chi.n, "r": chi.r, "distinct": bool(args.distinct), "box": args.box},
-                witness_to_json(fam, chi, w),
-                make_provenance(),
-            )
-        )
 
     if args.all:
         found = 0
@@ -181,16 +180,17 @@ def cmd_witness(args) -> int:
         print("no monochromatic witness")
         return 1
     _print_witness(w)
-    persist(w)
+    params = {"n": chi.n, "r": chi.r, "distinct": bool(args.distinct), "box": args.box}
+    payload = witness_to_json(fam, chi, w)
+    _persist(args, "witness", fam.fingerprint(), params, payload)
     if args.out:
-        Path(args.out).write_text(json.dumps(witness_to_json(fam, chi, w), indent=2))
+        Path(args.out).write_text(json.dumps(payload, indent=2))
         print(f"witness written to {args.out}")
     return 0
 
 
 def cmd_avoid(args) -> int:
     fam = load_family_arg(args.family)
-    store = _store(args)
 
     if args.greedy:
         cert = greedy_avoider(
@@ -225,16 +225,8 @@ def cmd_avoid(args) -> int:
     if args.certificate:
         Path(args.certificate).write_text(json.dumps(cert.to_json(), indent=2))
         print(f"certificate written to {args.certificate}")
-    if store is not None:
-        store.append(
-            ResultRecord(
-                "avoiding",
-                fam.fingerprint(),
-                {"n": cert.n, "r": cert.r, "box_relative": cert.box_relative},
-                cert.to_json(),
-                make_provenance(),
-            )
-        )
+    params = {"n": cert.n, "r": cert.r, "box_relative": cert.box_relative}
+    _persist(args, "avoiding", fam.fingerprint(), params, cert.to_json())
     return 0
 
 
@@ -264,8 +256,8 @@ def cmd_threshold(args) -> int:
             res, exhausted = exc.partial, exc
         result_json = res.to_json()
         result_json["max_n"] = args.max_n
-        if store is not None and exhausted is None:
-            store.append(ResultRecord("threshold", fp, params, result_json, make_provenance()))
+        if exhausted is None:
+            _persist(args, "threshold", fp, params, result_json)
 
     exact = bool(result_json["exact"])
     value = int(result_json["value"])
@@ -294,19 +286,13 @@ def cmd_construct(args) -> int:
     if args.trace:
         Path(args.trace).write_text(json.dumps(trace.to_json(), indent=2))
         print(f"trace written to {args.trace}")
-    store = _store(args)
-    if store is not None and (trace.ok or trace.failure_reason):
-        from .families import preset_family
-
-        store.append(
-            ResultRecord(
-                "construction",
-                preset_family("xyxy").fingerprint(),
-                {"n": trace.n, "r": trace.r, **trace.params},
-                trace.to_json(),
-                make_provenance(),
-            )
-        )
+    _persist(
+        args,
+        "construction",
+        preset_family("xyxy").fingerprint(),
+        {"n": trace.n, "r": trace.r, **trace.params},
+        trace.to_json(),
+    )
     if trace.ok:
         x, y = trace.witness.assignment
         vals = ", ".join(str(v) for v in trace.witness.term_values)
@@ -339,17 +325,13 @@ def cmd_reduce(args) -> int:
     if args.out:
         Path(args.out).write_text(json.dumps(solution_to_json(rd, sol), indent=2))
         print(f"solution written to {args.out}")
-    store = _store(args)
-    if store is not None:
-        store.append(
-            ResultRecord(
-                "reduction",
-                reduction_family(rd.u).fingerprint(),
-                {"c": list(c), "n": chi.n, "r": chi.r},
-                solution_to_json(rd, sol),
-                make_provenance(),
-            )
-        )
+    _persist(
+        args,
+        "reduction",
+        reduction_family(rd.u).fingerprint(),
+        {"c": list(c), "n": chi.n, "r": chi.r},
+        solution_to_json(rd, sol),
+    )
     return 0
 
 

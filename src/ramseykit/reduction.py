@@ -30,7 +30,7 @@ import numpy as np
 from .coloring import Coloring
 from .families import PatternFamily
 from .polynomials import IntPoly, ZeroPolynomialError, rational_roots_deg2
-from .witnesses import VerifyResult, iter_witnesses
+from .witnesses import VerifyResult, _normalize_box, iter_witnesses
 
 __all__ = [
     "ReductionData",
@@ -183,20 +183,11 @@ def exp_lift(chi: Coloring, base: int) -> Coloring:
     return Coloring(len(powers), chi.r, [chi.color_of(v) for v in powers])
 
 
-def _direct_box(box, b: int):
+def _direct_box(fam: PatternFamily, n: int, box, b: int):
     """The (X, Y) box whose (bX, bY) are the multiples of b in an (x, y) box."""
     if box is None:
         return None
-    if isinstance(box, int):
-        return box // b
-    out = []
-    for entry in box:
-        if isinstance(entry, int):
-            out.append(entry // b)
-        else:
-            lo, hi = entry
-            out.append((-(-int(lo) // b), int(hi) // b))
-    return out
+    return [(-(-lo // b), hi // b) for lo, hi in _normalize_box(fam, n, box)]
 
 
 def solve_quadratic(c, chi: Coloring, search_box=None) -> QuadSolution | None:
@@ -216,7 +207,8 @@ def solve_quadratic(c, chi: Coloring, search_box=None) -> QuadSolution | None:
     # the family drops duplicate terms (u_l = 0 or 1), so look each one up
     position = {t: i for i, t in enumerate(fam.terms)}
     pick = [position[t] for t in a_terms]
-    for w in iter_witnesses(fam, chi, distinct=False, box=_direct_box(search_box, rd.b)):
+    box = _direct_box(fam, chi.n, search_box, rd.b)
+    for w in iter_witnesses(fam, chi, distinct=False, box=box):
         a = tuple(w.term_values[i] for i in pick)
         if len(set(a)) == len(a):
             return QuadSolution(a, w.color, tuple(rd.b * v for v in w.assignment))

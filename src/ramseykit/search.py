@@ -25,10 +25,13 @@ threshold indexes once, at a size that doubles (capped at max_n) whenever N
 outgrows it: for a box-complete family the sets at N are exactly those whose
 top is <= N.  The search at N+1 resumes from the path of the lex-first
 avoider at N, since every canonical coloring before that path was refuted at
-N and the sets at N are among those at N+1.  Every avoider is re-checked
-with count_witnesses before it becomes a certificate or a resume path.  When
-a budget runs out, threshold keeps the bound it has proven: the exception
-carries the partial ThresholdResult.
+N and the sets at N are among those at N+1.  Only an answer is checked with
+count_witnesses: the avoider a search reports becomes a certificate through
+one independent count over [1..N].  An intermediate avoider is only a resume
+path, and the replay tests each of its colors against the mask it meets: a
+color already struck from its position would complete a monochromatic set.
+When a budget runs out, threshold keeps the bound it has proven: the
+exception carries the partial ThresholdResult.
 
 There is no parallel mode; ``jobs`` is accepted only as 1.
 """
@@ -72,26 +75,16 @@ class SearchBudgetExceeded(RuntimeError):
     """
 
     def __init__(
-        self,
-        message: str,
-        nodes: int = 0,
-        elapsed: float = 0.0,
-        partial: "ThresholdResult | None" = None,
+        self, message: str, nodes: int = 0, partial: "ThresholdResult | None" = None
     ):
         super().__init__(message)
         self.nodes = nodes
-        self.elapsed = elapsed
         self.partial = partial
 
 
 @dataclass
 class SearchStats:
     nodes: int = 0
-    elapsed: float = 0.0
-
-    def add(self, nodes: int, elapsed: float) -> None:
-        self.nodes += nodes
-        self.elapsed += elapsed
 
 
 @dataclass
@@ -107,18 +100,6 @@ class AvoidCertificate:
 
     def to_coloring(self) -> Coloring:
         return Coloring.from_rle(self.n, self.r, self.rle)
-
-    @classmethod
-    def from_coloring(
-        cls,
-        family: PatternFamily,
-        coloring: Coloring,
-        *,
-        box_relative: bool = False,
-    ) -> "AvoidCertificate":
-        if count_witnesses(family, coloring) != 0:
-            raise ValueError("coloring is not avoiding; refusing to certify")
-        return _certificate(family, coloring, box_relative)
 
     def to_json(self) -> dict:
         return {
@@ -153,7 +134,6 @@ class ThresholdResult:
     exact: bool
     certificate: AvoidCertificate | None
     nodes: int = 0
-    elapsed: float = 0.0
 
     def describe(self) -> str:
         return f"T = {self.value}" if self.exact else f"T >= {self.value}"
@@ -273,10 +253,11 @@ def _dfs(
 
     ``path`` (shorter than n) is a canonical coloring of a prefix whose
     lexicographic predecessors are known dead; the DFS starts as if it had
-    descended along it.  Returns (solutions, nodes): the first avoiding
+    descended along it.  A path color already struck from its position
+    completes a monochromatic set, so the path is no avoider and the replay
+    raises RuntimeError.  Returns (solutions, nodes): the first avoiding
     coloring, or every one of them with find_all, as plain color lists.
     """
-    t0 = time.monotonic()
     cap = max_nodes if max_nodes is not None else float("inf")
     d = _Domains(index, n, r)
     colors, dom, place, undo = d.colors, d.dom, d.place, d.undo
@@ -286,6 +267,10 @@ def _dfs(
     nodes = 0
     pos = 1
     for c in path:
+        if not dom[pos] >> (c - 1) & 1:
+            raise RuntimeError(
+                f"internal error: the resume path completes a monochromatic set at {pos}"
+            )
         nodes += 1
         trial[pos] = c + 1
         if not place(pos, c):
@@ -301,13 +286,9 @@ def _dfs(
             if open_colors >> (c - 1) & 1:
                 nodes += 1
                 if nodes > cap:
-                    raise SearchBudgetExceeded(
-                        "node budget exceeded", nodes, time.monotonic() - t0
-                    )
+                    raise SearchBudgetExceeded("node budget exceeded", nodes)
                 if nodes & 2047 == 0 and deadline is not None and time.monotonic() > deadline:
-                    raise SearchBudgetExceeded(
-                        "time limit exceeded", nodes, time.monotonic() - t0
-                    )
+                    raise SearchBudgetExceeded("time limit exceeded", nodes)
                 if place(pos, c):
                     break
                 undo(pos)
@@ -339,18 +320,13 @@ def _require_single_job(jobs: int) -> None:
         raise ValueError(f"jobs={jobs}: the search runs in one process, so jobs must be 1")
 
 
-def _checked(family: PatternFamily, solution: list[int], r: int) -> Coloring:
-    """A search result as a Coloring, after an independent count_witnesses check."""
+def _certify(
+    family: PatternFamily, solution: list[int], r: int, box_relative: bool = False
+) -> AvoidCertificate:
+    """The certificate of a search answer, after one independent count_witnesses check."""
     coloring = Coloring.from_sequence(solution, r)
     if count_witnesses(family, coloring) != 0:
         raise RuntimeError("internal error: search returned a non-avoiding coloring")
-    return coloring
-
-
-def _certificate(
-    family: PatternFamily, coloring: Coloring, box_relative: bool = False
-) -> AvoidCertificate:
-    """Certificate for a coloring that _checked has already verified."""
     return AvoidCertificate(
         family, coloring.n, coloring.r, coloring.to_rle(), True, box_relative
     )
@@ -383,30 +359,22 @@ def exists_avoiding(
             f"variables {missing} are not bounded by any all-positive term; "
             "pass allow_box_relative=True for a box-relative search"
         )
-    t0 = time.monotonic()
     deadline = _deadline(time_limit)
     buckets = build_instance_index(family, n)
     found, nodes = _dfs(buckets, n, r, (), max_nodes, deadline)
     if stats is not None:
-        stats.add(nodes, time.monotonic() - t0)
+        stats.nodes += nodes
     if not found:
         return None
-    return _certificate(family, _checked(family, found[0], r), box_relative)
+    return _certify(family, found[0], r, box_relative)
 
 
-def find_all_avoiding(
-    family: PatternFamily,
-    r: int,
-    n: int,
-    *,
-    max_nodes: int | None = None,
-    time_limit: float | None = None,
-) -> list[tuple[int, ...]]:
+def find_all_avoiding(family: PatternFamily, r: int, n: int) -> list[tuple[int, ...]]:
     """Every canonical avoiding coloring (for naive-equivalence checks)."""
     if not family.box_complete():
         raise IncompleteBoxError("find_all_avoiding needs a box-complete family")
     buckets = build_instance_index(family, n)
-    found, _ = _dfs(buckets, n, r, (), max_nodes, _deadline(time_limit), find_all=True)
+    found, _ = _dfs(buckets, n, r, (), None, None, find_all=True)
     return sorted(tuple(sol) for sol in found)
 
 
@@ -425,32 +393,29 @@ def threshold(
     value = max_n+1) carry the avoider at max_n.  The budgets cover the whole
     run; when one runs out at N, the SearchBudgetExceeded raised carries
     ``partial``: T >= N with the avoider at N-1.
+
+    Only the avoider that is reported goes through count_witnesses.  The
+    avoider at every other N is not an answer: it is the path the search at
+    N+1 resumes from, and _dfs replays it against the masks, which hold every
+    set with top <= N+1.  A path color already struck from its position
+    would complete a monochromatic set, so one bit test per replayed
+    position refuses a corrupted path without a witness count at every N.
     """
     _require_single_job(jobs)
     if r < 1 or max_n < 1:
         raise ValueError("need r >= 1 and max_n >= 1")
     if not family.box_complete():
         raise IncompleteBoxError("threshold needs a box-complete family (else unsound)")
-    t0 = time.monotonic()
     deadline = _deadline(time_limit)
     nodes = 0
+    path: list[int] = []  # lex-first avoider at n-1
 
     def result(value: int, exact: bool) -> ThresholdResult:
-        return ThresholdResult(
-            family.name,
-            family.fingerprint(),
-            r,
-            value,
-            exact,
-            _certificate(family, last) if last is not None else None,
-            nodes,
-            time.monotonic() - t0,
-        )
+        cert = _certify(family, path, r) if path else None
+        return ThresholdResult(family.name, family.fingerprint(), r, value, exact, cert, nodes)
 
     index: list[list[tuple[int, tuple[int, ...]]]] = []
     size = 0
-    path: list[int] = []  # lex-first avoider at n-1
-    last: Coloring | None = None  # the same, checked
     for n in range(1, max_n + 1):
         if n > size:
             size = min(max_n, max(2 * size, _FIRST_INDEX_SIZE))
@@ -467,16 +432,12 @@ def threshold(
         except SearchBudgetExceeded as e:
             nodes += e.nodes
             raise SearchBudgetExceeded(
-                f"threshold undecided at N={n}: {e}",
-                nodes,
-                time.monotonic() - t0,
-                result(n, False),
+                f"threshold undecided at N={n}: {e}", nodes, result(n, False)
             ) from None
         nodes += k
         if not found:
             return result(n, True)
         path = found[0]
-        last = _checked(family, path, r)
     return result(max_n + 1, False)
 
 
@@ -493,8 +454,8 @@ def greedy_avoider(
 
     first-fit: each position takes the smallest color still open to it
     (deterministic, single pass).  random: uniform choice among the open
-    colors, with restarts.  Successful colorings are verified via
-    count_witnesses before being certified.
+    colors, with restarts.  A successful coloring is certified through one
+    count_witnesses check.
     """
     if r < 1 or restarts < 1:
         raise ValueError("need r >= 1 and restarts >= 1")
@@ -522,7 +483,7 @@ def greedy_avoider(
         raise ValueError(f"unknown strategy {strategy!r} (first-fit or random)")
     if result is None:
         return None
-    return _certificate(family, _checked(family, result, r), not family.box_complete())
+    return _certify(family, result, r, not family.box_complete())
 
 
 def verify_certificate(cert: AvoidCertificate) -> bool:

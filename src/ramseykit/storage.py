@@ -10,10 +10,11 @@ it or from the store, so a lock file that still holds an older version's
 line-count memo is ignored.
 
 Trust model: a record is verified by recomputation, including that its
-fingerprint is its embedded family's, before it is written, by verify_all()
-over every stored line, and by lookup() on what it serves: lookup() walks the
-matches from the latest to the earliest and returns the first that passes,
-skipping any that fail.
+fingerprint is its embedded family's and that the params it is filed under
+(r, n, box_relative, c) agree with its payload.  That happens before it is
+written, by verify_all() over every stored line, and by lookup() on what it
+serves: lookup() walks the matches from the latest to the earliest and
+returns the first that passes, skipping any that fail.
 records() validates structure only, quarantining lines that fail instead of
 raising, so one corrupt line cannot poison the rest of the cache.
 
@@ -133,6 +134,16 @@ def _check_fingerprint(record: ResultRecord, payload: dict, family=None) -> None
         raise ValueError("payload fingerprint does not match the record's")
 
 
+def _check_params(record: ResultRecord, **payload_values) -> None:
+    """lookup matches on params, so each key the record is filed under must
+    name what the payload holds."""
+    for key, value in payload_values.items():
+        if key in record.params and record.params[key] != value:
+            raise ValueError(
+                f"params {key}={record.params[key]!r} but the payload has {value!r}"
+            )
+
+
 def _verify_payload(record: ResultRecord) -> None:
     """Full recomputation check; raises StoreVerificationError on failure."""
     kind, payload = record.kind, record.payload
@@ -143,6 +154,7 @@ def _verify_payload(record: ResultRecord) -> None:
                 raise ValueError("witness record must embed its family")
             _check_fingerprint(record, payload, fam)
             n, r = int(payload["n"]), int(payload["r"])
+            _check_params(record, n=n, r=r)
             vals = tuple(term.evaluate(w.assignment) for term in fam.terms)
             if vals != w.term_values:
                 raise ValueError("stored term values do not recompute")
@@ -153,21 +165,26 @@ def _verify_payload(record: ResultRecord) -> None:
         elif kind == "avoiding":
             cert = AvoidCertificate.from_json(payload)
             _check_fingerprint(record, payload, cert.family)
+            _check_params(record, n=cert.n, r=cert.r, box_relative=cert.box_relative)
             if not verify_certificate(cert):
                 raise ValueError("certificate fails verification")
         elif kind == "threshold":
             value, exact = int(payload["value"]), bool(payload["exact"])
             if value < 1:
                 raise ValueError("threshold value must be positive")
-            if int(payload["r"]) < 1:
+            r = int(payload["r"])
+            if r < 1:
                 raise ValueError("threshold needs r >= 1 colors")
             _check_fingerprint(record, payload)
+            _check_params(record, r=r)
             cert_obj = payload.get("certificate")
             if exact and value > 1 and cert_obj is None:
                 raise ValueError("exact threshold above 1 requires a certificate")
             if cert_obj is not None:
                 cert = AvoidCertificate.from_json(cert_obj)
                 _check_fingerprint(record, cert_obj, cert.family)
+                if cert.r != r:
+                    raise ValueError(f"certificate has r={cert.r}, the payload r={r}")
                 # exact: last avoider lives at T-1; lower bound: value is max_n+1
                 expected_n = value - 1
                 if cert.n != expected_n:
@@ -180,12 +197,14 @@ def _verify_payload(record: ResultRecord) -> None:
             w = payload.get("witness")
             if payload.get("failure_reason") is None and w is None:
                 raise ValueError("trace claims success but has no witness")
+            _check_params(record, n=payload.get("n"), r=payload.get("r"))
             if w is not None:
                 x, y, n = int(w["x"]), int(w["y"]), int(payload["n"])
                 if x < 1 or y < 1 or x + y > n or x * y > n:
                     raise ValueError("witness values do not fit in [1..n]")
         elif kind == "reduction":
             c = [int(v) for v in payload["c"]]
+            _check_params(record, c=c)
             u = [int(v) for v in payload["u"]]
             b = int(payload["b"])
             a = [int(v) for v in payload["a"]]

@@ -133,6 +133,19 @@ class TestFamily:
         assert code == 0
         assert f"fingerprint: {preset_family('xyxy').fingerprint()}" in out
 
+    @pytest.mark.parametrize("spec", [
+        5, [[5]], [["x0"], 3], {"s": 1}, {"function_sets": 5},
+    ], ids=["int", "int-in-set", "int-as-set", "no-function_sets", "int-function_sets"])
+    def test_malformed_functions_file_is_an_input_error(self, capsys, tmp_path, spec):
+        fn = tmp_path / "fns.json"
+        fn.write_text(json.dumps(spec))
+        code, out, err = run(capsys, "family", "prefix-product", "--functions", str(fn))
+        assert code == 2 and out == ""
+        assert err == (
+            "error: --functions must hold a list of lists of function texts, or an object "
+            f'with such a list under "function_sets"; got {spec!r}\n'
+        )
+
     def test_unknown_preset(self, capsys):
         code, _, err = run(capsys, "family", "show", "--preset", "nosuch")
         assert code == 2
@@ -492,6 +505,22 @@ class TestCache:
         assert code == 1
         assert out == ("  #2 FAIL: threshold record: threshold needs r >= 1 colors\n"
                        "1 record(s) failed verification\n")
+
+    def test_record_filed_under_other_colors_is_not_served(self, capsys, tmp_path):
+        # the genuine schur r=2 result (T = 5) filed under r=3
+        cache = self.seeded(capsys, tmp_path)
+        obj = json.loads(cache.read_text().splitlines()[0])
+        assert obj["kind"] == "threshold" and obj["payload"]["value"] == 5
+        obj["params"] = {"r": 3}
+        with open(cache, "a") as fh:
+            fh.write(json.dumps(obj) + "\n")
+        code, out, _ = run(capsys, "cache", "verify", "--cache", str(cache))
+        assert code == 1
+        assert out == ("  #2 FAIL: threshold record: params r=3 but the payload has 2\n"
+                       "1 record(s) failed verification\n")
+        code, out, _ = run(capsys, "threshold", "--family", "schur", "--colors", "3",
+                           "--max-n", "20", "--cache", str(cache))
+        assert code == 0 and out == "T = 14\n"
 
     def test_requires_cache_path(self, capsys):
         code, _, err = run(capsys, "cache", "list")

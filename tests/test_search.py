@@ -10,7 +10,7 @@ import json
 
 import pytest
 
-from ramseykit import witnesses
+from ramseykit import search, witnesses
 from ramseykit.bruteforce import (
     naive_avoiding_canonical,
     naive_exists_avoiding,
@@ -279,6 +279,60 @@ class TestThreshold:
         assert verify_certificate(cert)
 
 
+class TestOneCheckPerAnswer:
+    """count_witnesses checks only the avoider that is reported; the paths a
+    threshold run resumes from are checked by the replay's mask test."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        made = []
+        real = search.count_witnesses
+
+        def counting(*args, **kwargs):
+            made.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(search, "count_witnesses", counting)
+        return made
+
+    def test_threshold_checks_only_the_reported_avoider(self, calls):
+        res = threshold(preset_family("schur"), 3, 20)
+        assert res.exact and res.value == 14
+        assert len(calls) == 1 and calls[0][1].n == 13
+
+    def test_budget_partial_checks_only_its_avoider(self, calls):
+        with pytest.raises(SearchBudgetExceeded) as info:
+            threshold(preset_family("schur"), 3, 20, max_nodes=30)
+        partial = info.value.partial
+        assert partial.certificate is not None
+        assert len(calls) == 1 and calls[0][1].n == partial.certificate.n
+
+    def test_exists_and_greedy_check_once(self, calls):
+        assert exists_avoiding(preset_family("schur"), 3, 13) is not None
+        assert len(calls) == 1
+        assert greedy_avoider(preset_family("x_xp1"), 2, 50) is not None
+        assert len(calls) == 2
+
+    @pytest.mark.parametrize("max_n, corrupt_at, says", [
+        (20, 3, "resume path completes a monochromatic set at 2"),
+        (20, 8, "resume path completes a monochromatic set at 2"),
+        (8, 8, "search returned a non-avoiding coloring"),
+    ], ids=["resume-at-4", "resume-at-9", "reported"])
+    def test_corrupted_avoider_raises(self, monkeypatch, max_n, corrupt_at, says):
+        # color {1, 2} the same, which completes the Schur set 1 + 1 = 2
+        real = search._dfs
+
+        def corrupting(index, n, *args, **kwargs):
+            found, nodes = real(index, n, *args, **kwargs)
+            if n == corrupt_at and found:
+                found[0][1] = found[0][0]
+            return found, nodes
+
+        monkeypatch.setattr(search, "_dfs", corrupting)
+        with pytest.raises(RuntimeError, match=says):
+            threshold(preset_family("schur"), 3, max_n)
+
+
 class TestColorPermutationEquivariance:
     @pytest.mark.parametrize("fam", BOX_COMPLETE_PRESETS, ids=lambda f: f.name)
     def test_witness_count_invariant(self, fam):
@@ -328,15 +382,6 @@ class TestGreedy:
 
 
 class TestCertificates:
-    def test_from_coloring_verifies(self):
-        chi = Coloring.from_sequence([1, 2, 2, 1])
-        cert = AvoidCertificate.from_coloring(preset_family("schur"), chi)
-        assert cert.verified
-
-    def test_from_coloring_rejects_non_avoider(self):
-        with pytest.raises(ValueError):
-            AvoidCertificate.from_coloring(preset_family("schur"), Coloring.solid(5))
-
     def test_tampered_certificate_fails(self):
         cert = exists_avoiding(preset_family("schur"), 2, 4)
         data = cert.to_json()

@@ -332,6 +332,68 @@ class TestVerification:
             store.append(ResultRecord("mystery", "fp", {}, {}, {}))
 
 
+def threshold_record(r, max_n=20):
+    res = threshold(preset_family("schur"), r, max_n)
+    payload = dict(res.to_json(), max_n=max_n)
+    return ResultRecord("threshold", res.fingerprint, {"r": r}, payload, {})
+
+
+def construction_record():
+    from ramseykit.construction import run_construction
+
+    trace = run_construction(Coloring.solid(6))
+    return ResultRecord("construction", preset_family("xyxy").fingerprint(),
+                        {"n": 6, "r": 1, **trace.params}, trace.to_json(), {})
+
+
+def reduction_record():
+    payload = {"c": [1, -1], "u": [1, -1], "b": 4, "a": [8, 3, 1], "color": 1,
+               "source_witness": [8, 4]}
+    return ResultRecord("reduction", "fp", {"c": [1, -1], "n": 200, "r": 1}, payload, {})
+
+
+class TestParamsAgreeWithPayload:
+    """lookup matches records on params, so a record whose params name other
+    inputs than its payload holds is refused, skipped and reported."""
+
+    @pytest.mark.parametrize("make, params", [
+        (lambda: threshold_record(2), {"r": 3}),  # the genuine r=2 result, T = 5
+        (avoiding_record, {"n": 5}),
+        (avoiding_record, {"r": 3}),
+        (avoiding_record, {"box_relative": True}),
+        (witness_record, {"n": 7}),
+        (witness_record, {"r": 2}),
+        (construction_record, {"n": 7}),
+        (construction_record, {"r": 2}),
+        (reduction_record, {"c": [2, -2]}),
+    ], ids=["threshold-r", "avoiding-n", "avoiding-r", "avoiding-box_relative", "witness-n",
+            "witness-r", "construction-n", "construction-r", "reduction-c"])
+    def test_misfiled_record_refused_skipped_and_reported(self, store, make, params):
+        good = make()
+        store.append(good)
+        assert store.lookup(good.kind, good.fingerprint, good.params) == good
+        bad = ResultRecord(good.kind, good.fingerprint, dict(good.params, **params),
+                           good.payload, {})
+        key = next(iter(params))
+        with pytest.raises(StoreVerificationError, match=f"params {key}="):
+            store.append(bad)
+        write_unverified(store, bad)
+        assert store.lookup(bad.kind, bad.fingerprint, bad.params) is None
+        failures = store.verify_all()
+        assert [i for i, _ in failures] == [1] and f"params {key}=" in failures[0][1]
+
+    def test_threshold_certificate_of_other_colors_refused(self, store):
+        # the r=2 avoider at N=4 under a payload that claims T(schur, 3) = 5
+        bad = threshold_record(2)
+        payload = dict(bad.payload, r=3)
+        bad = ResultRecord("threshold", bad.fingerprint, {"r": 3}, payload, {})
+        with pytest.raises(StoreVerificationError, match="certificate has r=2"):
+            store.append(bad)
+        write_unverified(store, bad)
+        assert store.lookup("threshold", bad.fingerprint, {"r": 3}) is None
+        assert "certificate has r=2" in store.verify_all()[0][1]
+
+
 class TestQuarantine:
     def test_corrupt_line_quarantined(self, store):
         store.append(witness_record())
