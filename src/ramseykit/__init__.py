@@ -3,7 +3,7 @@ thresholds, a round-based constructive search, and quadratic reductions.
 
 The pipeline, bottom to top:
 
-- ``polynomials``: exact integer polynomials and rational-root extraction.
+- ``polynomials``: exact integer polynomials and their text form.
 - ``families``: pattern families (term lists) with canonical text forms.
 - ``coloring``: colorings of [1..N] with file and RLE round-trips.
 - ``witnesses``: monochromatic-instance enumeration and verification.
@@ -14,7 +14,7 @@ The pipeline, bottom to top:
 - ``storage``/``cli``: verified results cache and the command-line tool.
 """
 
-from .polynomials import IntPoly, ZeroPolynomialError, parse_poly, rational_roots_deg2
+from .polynomials import IntPoly, parse_poly
 from .families import (
     PRESET_NAMES,
     PatternFamily,
@@ -72,7 +72,7 @@ __version__ = "0.1.0"
 __all__ = [
     "__version__",
     # polynomials
-    "IntPoly", "ZeroPolynomialError", "parse_poly", "rational_roots_deg2",
+    "IntPoly", "parse_poly",
     # families
     "PatternFamily", "prefix_product_family", "preset_family", "preset_from_string",
     "reduction_family", "PRESET_NAMES",

@@ -156,6 +156,9 @@ def cmd_family(args) -> int:
 
 
 def cmd_witness(args) -> int:
+    if args.all and args.cache:
+        # a record holds one witness, and lookup serves the latest record
+        raise ValueError("--cache stores one witness; it cannot be combined with --all")
     fam = load_family_arg(args.family)
     chi = Coloring.load(args.coloring)
     box = parse_box_arg(args.box)
@@ -413,7 +416,7 @@ def build_parser() -> argparse.ArgumentParser:
     w = sub.add_parser("witness", parents=[out, cache], help="find monochromatic witnesses")
     w.add_argument("--family", required=True, help="preset name or family JSON path")
     w.add_argument("--coloring", required=True, help="coloring file (line 1: N r)")
-    w.add_argument("--all", action="store_true", help="stream every witness")
+    w.add_argument("--all", action="store_true", help="stream every witness (not with --cache)")
     w.add_argument("--distinct", action="store_true", help="require distinct term values")
     w.add_argument("--box", default=None, help="assignment box: '100' or '10,20' or '2:10,1:20'")
     w.set_defaults(func=cmd_witness)

@@ -9,30 +9,19 @@ equal polynomials always render to the same text and hash the same.
 Text syntax (used by family files and the CLI): integer coefficients,
 variables ``x0..x{k}``, operators ``+ - * ^``, e.g. ``x0*x1 + x2^2`` or
 ``3*x0 - x1^2``.  Parsing and printing round-trip through canonical form.
-
-Rationals are stdlib ``fractions.Fraction``: always gcd-reduced with positive
-denominator, which is exactly the normal form the root finder needs.
 """
 
 from __future__ import annotations
 
-import math
 import re
-from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 Exponents = tuple[int, ...]
 
 __all__ = [
     "IntPoly",
-    "ZeroPolynomialError",
     "parse_poly",
-    "rational_roots_deg2",
 ]
-
-
-class ZeroPolynomialError(ValueError):
-    """The zero polynomial makes the request ill-posed (every point is a root)."""
 
 
 def _sort_key(exps: Exponents):
@@ -210,9 +199,6 @@ class IntPoly:
             total += t
         return total
 
-    def __call__(self, *point: int) -> int:
-        return self.evaluate(point)
-
     def shift_vars(self, offset: int, num_vars_out: int) -> "IntPoly":
         """Rename variable i to i + offset inside a wider variable space."""
         if offset < 0 or self.num_vars + offset > num_vars_out:
@@ -336,40 +322,3 @@ def parse_poly(text: str, num_vars: int | None = None) -> IntPoly:
         pos += 1
         term(1 if t == "+" else -1)
     return IntPoly(nv, acc)
-
-
-def _exact_sqrt(q: Fraction) -> Fraction | None:
-    if q < 0:
-        return None
-    num, den = q.numerator, q.denominator
-    rn, rd = math.isqrt(num), math.isqrt(den)
-    if rn * rn == num and rd * rd == den:
-        return Fraction(rn, rd)
-    return None
-
-
-def rational_roots_deg2(coeffs: Sequence[int | Fraction]) -> list[Fraction]:
-    """All rational roots of c0 + c1*t + c2*t^2, exact, sorted ascending.
-
-    Accepts shorter coefficient lists (lower degree) and longer ones as long
-    as everything past t^2 is zero.  Raises ZeroPolynomialError for the zero
-    polynomial (every rational is a root) and ValueError for genuine degree
-    greater than 2.
-    """
-    cs = [Fraction(c) for c in coeffs]
-    if any(c != 0 for c in cs[3:]):
-        raise ValueError("degree greater than 2")
-    cs = (cs + [Fraction(0)] * 3)[:3]
-    c0, c1, c2 = cs
-    if c0 == c1 == c2 == 0:
-        raise ZeroPolynomialError("zero polynomial: every rational is a root")
-    if c2 == 0:
-        if c1 == 0:
-            return []
-        return [-c0 / c1]
-    disc = c1 * c1 - 4 * c0 * c2
-    s = _exact_sqrt(disc)
-    if s is None:
-        return []
-    roots = {(-c1 + s) / (2 * c2), (-c1 - s) / (2 * c2)}
-    return sorted(roots)

@@ -3,15 +3,23 @@
 For a zero-sum integer vector c the substitution a_l = (x + u_l y)/b turns a
 monochromatic instance of the four-term pattern {x, x*y, x+y, x+u_l*y} into a
 solution of the quadratic equation, provided u solves sum c_l u_l^2 = 0 and
-b = 2 sum c_l u_l > 0.  Such u come from rational roots of
+b = 2 sum c_l u_l > 0.  Such u come from a non-zero rational root of
 
     p(t) = sum_l c_l (1 + l t)^2      (or q, which replaces the last
                                        addend by c_k (1 + 2k t)^2)
 
-by clearing the denominator: t = num/d gives u_l = d + l*num.  Both p and q
-are at most quadratic with zero constant term (the zero-sum kills it), so a
-non-zero rational root is a closed-form check away; if neither variant
-yields usable u the vector is rejected as degenerate.
+by clearing the denominator: t = num/d gives u_l = d + l*num (and
+d + 2k*num for the last entry under q).  The zero-sum kills the constant
+term, so each candidate is alpha*t + beta*t^2, and:
+
+- its only non-zero root is t = -alpha/beta, which exists exactly when
+  alpha*beta != 0;
+- the entries of u are then distinct, since num != 0;
+- the cross sum is sum c_l u_l = num*alpha/2 for p and q alike, never 0,
+  so negating u when it is negative gives b > 0;
+- if p is identically zero, q = c_k (2k t + 3k^2 t^2) has the root
+  -2/(3k), so some candidate always works unless both have alpha*beta = 0,
+  and then the vector is rejected as degenerate.
 
 The coloring side needs no lift.  Color [1..bN] by chi(n/b) on multiples
 of b and by a fresh color per residue elsewhere: x and x+y then share a
@@ -29,7 +37,7 @@ import numpy as np
 
 from .coloring import Coloring
 from .families import PatternFamily
-from .polynomials import IntPoly, ZeroPolynomialError, rational_roots_deg2
+from .polynomials import IntPoly
 from .witnesses import VerifyResult, _normalize_box, iter_witnesses
 
 __all__ = [
@@ -58,19 +66,7 @@ class ReductionData:
     root_t: Fraction
     d: int
     u: tuple[int, ...]
-    sign_flips: tuple[int, ...]
     b: int
-
-    def to_json(self) -> dict:
-        return {
-            "c": list(self.c),
-            "chosen_poly": self.chosen_poly,
-            "root_t": [self.root_t.numerator, self.root_t.denominator],
-            "d": self.d,
-            "u": list(self.u),
-            "sign_flips": list(self.sign_flips),
-            "b": self.b,
-        }
 
 
 @dataclass(frozen=True)
@@ -80,24 +76,23 @@ class QuadSolution:
     source_witness: tuple[int, int]
 
 
-def _candidate_coeffs(c: tuple[int, ...], variant: str) -> tuple[int, int, int]:
-    """Ascending coefficients (0, alpha, beta) of the candidate polynomial."""
+def _candidate_coeffs(c: tuple[int, ...], variant: str) -> tuple[int, int]:
+    """(alpha, beta) of the candidate polynomial alpha*t + beta*t^2."""
     k = len(c)
     alpha = 2 * sum(l * cl for l, cl in enumerate(c, 1))
     beta = sum(l * l * cl for l, cl in enumerate(c, 1))
     if variant == "q":
         alpha += 2 * k * c[-1]
         beta += 3 * k * k * c[-1]
-    return (0, alpha, beta)
+    return alpha, beta
 
 
 def quadratic_setup(c) -> ReductionData:
     """Find u with sum c u^2 = 0, all entries distinct, and b = 2 sum c u > 0.
 
-    Tries p first, then q; within a candidate a zero sum c_l u_l is repaired
-    by flipping the sign of one entry (recorded in sign_flips), and a
-    negative sum by negating all of u.  Raises DegenerateCoefficientsError
-    when both candidates fail, with the reason for each.
+    Tries p first, then q, each with its root t = -alpha/beta; a negative
+    sum c_l u_l is repaired by negating all of u.  Raises
+    DegenerateCoefficientsError when neither candidate has a non-zero root.
     """
     c = tuple(int(v) for v in c)
     k = len(c)
@@ -108,51 +103,26 @@ def quadratic_setup(c) -> ReductionData:
     if sum(c) != 0:
         raise ValueError(f"coefficients must sum to zero (got {sum(c)})")
 
-    failures = []
     for tag in ("p", "q"):
-        try:
-            roots = [t for t in rational_roots_deg2(_candidate_coeffs(c, tag)) if t != 0]
-        except ZeroPolynomialError:
-            failures.append(f"{tag} is identically zero")
+        alpha, beta = _candidate_coeffs(c, tag)
+        if not (alpha and beta):
             continue
-        if not roots:
-            failures.append(f"{tag} has no non-zero rational root")
-            continue
-        t = roots[0]
+        t = Fraction(-alpha, beta)
         d, num = t.denominator, t.numerator
         u = [d + l * num for l in range(1, k + 1)]
         if tag == "q":
             u[-1] = d + 2 * k * num
         if sum(cl * ul * ul for cl, ul in zip(c, u)) != 0:
             raise AssertionError("root did not clear the quadratic form")
-        if len(set(u)) != k:
-            failures.append(f"{tag} gives colliding u entries {tuple(u)}")
-            continue
-
         s = sum(cl * ul for cl, ul in zip(c, u))
-        flips: tuple[int, ...] = ()
-        if s == 0:
-            for idx in range(k):
-                if u[idx] == 0:
-                    continue
-                cand = list(u)
-                cand[idx] = -cand[idx]
-                if len(set(cand)) != k:
-                    continue
-                s2 = s - 2 * c[idx] * u[idx]
-                if s2 != 0:
-                    u, s, flips = cand, s2, (idx,)
-                    break
-            else:
-                failures.append(f"{tag}: sum c*u cannot be made non-zero by one flip")
-                continue
         if s < 0:
             u = [-v for v in u]
             s = -s
-        return ReductionData(c, tag, t, d, tuple(u), flips, 2 * s)
+        return ReductionData(c, tag, t, d, tuple(u), 2 * s)
 
     raise DegenerateCoefficientsError(
-        "no usable substitution vector: " + "; ".join(failures)
+        "no usable substitution vector: "
+        "p has no non-zero rational root; q has no non-zero rational root"
     )
 
 

@@ -203,6 +203,16 @@ class TestWitness:
         assert len(good) == 1 and not bad
         assert good[0][1].kind == "witness"
 
+    def test_all_with_cache_is_usage_error(self, capsys, solid6, tmp_path):
+        cache = tmp_path / "all.jsonl"
+        code, out, err = run(
+            capsys, "witness", "--family", "schur", "--coloring", solid6,
+            "--all", "--box", "6", "--cache", str(cache),
+        )
+        assert code == 2 and out == ""
+        assert err == "error: --cache stores one witness; it cannot be combined with --all\n"
+        assert not cache.exists()
+
     def test_distinct_flag(self, capsys, solid6):
         code, out, _ = run(
             capsys, "witness", "--family", "xyxy", "--coloring", solid6, "--distinct"
@@ -398,12 +408,28 @@ class TestReduce:
             tail = self.PINNED_A[name] if name in found else self.NONE
             assert (code, out) == (0 if name in found else 1, "u = (1, -1)\nb = 4\n" + tail)
 
+    @pytest.mark.parametrize("coeffs, code, out", [
+        ("1,1,-2", 1, "u = (7, 1, -5)\nb = 36\n" + NONE),
+        ("1,2,-3", 0, "u = (5, 1, -3)\nb = 32\n"
+                      "a = (128, 9, 5, 1) color=1 from witness (x=128, y=32)\n"),
+        ("-1,3,-3,1", 0, "u = (-5, -4, -3, 2)\nb = 8\n"
+                         "a = (48, 1, 2, 3, 8) color=1 from witness (x=48, y=8)\n"),
+        ("-1,2,-1", 1, "u = (23, 17, -7)\nb = 36\n" + NONE),
+    ])
+    def test_stdout_pinned_per_vector(self, capsys, solid200, coeffs, code, out):
+        # p and q, a negated u, and p identically zero, byte for byte
+        got, stdout, _ = run(capsys, "reduce", f"--coeffs={coeffs}", "--coloring", solid200)
+        assert (got, stdout) == (code, out)
+
     def test_degenerate(self, capsys, solid200):
         # '=' form: a bare value starting with '-' would parse as an option
         code, out, _ = run(
             capsys, "reduce", "--coeffs=-25,51,-27,1", "--coloring", solid200
         )
-        assert code == 1 and out.startswith("degenerate coefficients:")
+        assert (code, out) == (1, (
+            "degenerate coefficients: no usable substitution vector: "
+            "p has no non-zero rational root; q has no non-zero rational root\n"
+        ))
 
     def test_nonzero_sum_is_usage_error(self, capsys, solid200):
         code, _, err = run(

@@ -1,18 +1,10 @@
-"""Exact polynomial arithmetic, parsing, and rational root extraction."""
-
-from fractions import Fraction
+"""Exact polynomial arithmetic and parsing."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ramseykit.polynomials import (
-    IntPoly,
-    ZeroPolynomialError,
-    _tokenize,
-    parse_poly,
-    rational_roots_deg2,
-)
+from ramseykit.polynomials import IntPoly, _tokenize, parse_poly
 
 
 def poly_strategy(num_vars=3, max_monomials=4, max_exp=3, max_coeff=9):
@@ -245,38 +237,3 @@ class TestHelpers:
         assert bound >= 100 - 3
         assert p.max_abs_on_box((1, 1)) >= abs(p.evaluate((1, 1)))
 
-
-class TestRationalRoots:
-    def test_linear(self):
-        # 2 + 4t
-        assert rational_roots_deg2((2, 4)) == [Fraction(-1, 2)]
-
-    def test_quadratic_two_roots(self):
-        # -t(2 + 3t) = -2t - 3t^2: roots 0, -2/3
-        assert rational_roots_deg2((0, -2, -3)) == [Fraction(-2, 3), Fraction(0)]
-
-    def test_irrational_discriminant(self):
-        # t^2 - 2
-        assert rational_roots_deg2((-2, 0, 1)) == []
-
-    def test_negative_discriminant(self):
-        assert rational_roots_deg2((1, 0, 1)) == []
-
-    def test_zero_polynomial_raises(self):
-        with pytest.raises(ZeroPolynomialError):
-            rational_roots_deg2((0, 0, 0))
-
-    def test_degree_cap(self):
-        with pytest.raises(ValueError):
-            rational_roots_deg2((1, 2, 3, 4))
-
-    def test_trailing_zeros_tolerated(self):
-        assert rational_roots_deg2((2, 4, 0)) == [Fraction(-1, 2)]
-
-    @given(st.integers(-20, 20), st.integers(-20, 20).filter(bool), st.integers(-20, 20).filter(bool))
-    @settings(max_examples=60, deadline=None)
-    def test_constructed_roots_recovered(self, num, den, scale):
-        # scale * (den*t - num) has the single root num/den
-        root = Fraction(num, den)
-        coeffs = (-scale * num, scale * den)
-        assert rational_roots_deg2(coeffs) == [root]

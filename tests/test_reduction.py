@@ -7,6 +7,7 @@ which shares no arithmetic with the solver.
 
 import itertools
 import re
+from fractions import Fraction
 
 import pytest
 
@@ -27,6 +28,11 @@ from ramseykit.witnesses import iter_witnesses
 
 
 class TestQuadraticSetup:
+    DEGENERATE_MESSAGE = (
+        "no usable substitution vector: p has no non-zero rational root; "
+        "q has no non-zero rational root"
+    )
+
     def test_pinned_1_m1(self):
         rd = quadratic_setup((1, -1))
         assert rd.u == (1, -1)
@@ -63,29 +69,72 @@ class TestQuadraticSetup:
         assert rd.chosen_poly == "q"
         assert rd.u == (23, 17, -7)
 
+    @pytest.mark.parametrize("c", [
+        (-1, 3, -3, 1), (1, -4, 6, -4, 1), (-1, 5, -10, 10, -5, 1),
+    ])
+    def test_p_identically_zero_takes_q_root(self, c):
+        # p == 0 leaves q = c_k (2k t + 3k^2 t^2), whose root is -2/(3k)
+        k = len(c)
+        assert self.candidate(c, "p") == (0, 0)
+        rd = quadratic_setup(c)
+        assert rd.chosen_poly == "q"
+        assert rd.root_t == Fraction(-2, 3 * k)
+
     def test_both_degenerate_raises(self):
         # k = 4 vector where neither variant has a non-zero rational root
-        with pytest.raises(DegenerateCoefficientsError):
+        with pytest.raises(DegenerateCoefficientsError) as exc:
             quadratic_setup((-25, 51, -27, 1))
+        assert str(exc.value) == self.DEGENERATE_MESSAGE
 
     def test_negation_branch(self):
         rd = quadratic_setup((1, -2, 1))
         assert rd.u == (-23, -17, 7)
         assert sum(cl * ul for cl, ul in zip((1, -2, 1), rd.u)) > 0
 
-    @pytest.mark.parametrize("k", [2, 3])
+    @staticmethod
+    def candidate(c, tag):
+        """(alpha, beta) of alpha*t + beta*t^2 = sum_l c_l (1 + l' t)^2, where
+        l' = l except l' = 2k for the last entry of q; read off at t = +-1."""
+        k = len(c)
+        ls = list(range(1, k + 1))
+        if tag == "q":
+            ls[-1] = 2 * k
+
+        def at(t):
+            return sum(cl * (1 + l * t) ** 2 for cl, l in zip(c, ls))
+
+        plus, minus = at(Fraction(1)), at(Fraction(-1))
+        return (plus - minus) / 2, (plus + minus) / 2
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
     def test_exhaustive_grid(self, k):
-        for c in itertools.product(range(-5, 6), repeat=k):
-            if any(v == 0 for v in c) or sum(c) != 0:
+        vectors = [
+            c for c in itertools.product(range(-6, 7), repeat=k)
+            if 0 not in c and sum(c) == 0
+        ]
+        if k == 4:
+            # the grid holds no degenerate vector; these two are
+            vectors += [(-25, 51, -27, 1), (9, -13, 3, 1)]
+        for c in vectors:
+            usable = [tag for tag in ("p", "q") if all(self.candidate(c, tag))]
+            if not usable:
+                with pytest.raises(DegenerateCoefficientsError):
+                    quadratic_setup(c)
                 continue
-            rd = quadratic_setup(c)  # no vector in this grid is degenerate
-            assert sum(cl * ul * ul for cl, ul in zip(c, rd.u)) == 0
-            assert sum(cl * ul for cl, ul in zip(c, rd.u)) > 0
-            assert rd.b == 2 * sum(cl * ul for cl, ul in zip(c, rd.u))
+            rd = quadratic_setup(c)
+            assert rd.chosen_poly == usable[0]
+            alpha, beta = self.candidate(c, rd.chosen_poly)
+            t = rd.root_t
+            assert t != 0 and alpha * t + beta * t * t == 0
+            assert rd.d == t.denominator
+            u = [t.denominator + l * t.numerator for l in range(1, k + 1)]
+            if rd.chosen_poly == "q":
+                u[-1] = t.denominator + 2 * k * t.numerator
+            assert rd.u in (tuple(u), tuple(-v for v in u))
             assert len(set(rd.u)) == k
-            # the flip branch never fires for root-built u: the cross sum is
-            # num * alpha / 2, and a usable non-zero root needs both non-zero
-            assert rd.sign_flips == ()
+            assert rd.b == 2 * sum(cl * ul for cl, ul in zip(c, rd.u)) > 0
+            # the cross sum is num * alpha / 2, whichever candidate was chosen
+            assert rd.b == abs(t.numerator * alpha)
 
     def test_root_denominator_recorded(self):
         rd = quadratic_setup((1, -1))

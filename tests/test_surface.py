@@ -1,11 +1,12 @@
-"""Snapshot of the public surface: the package's ``__all__`` and the option
-strings of every CLI subcommand.
+"""Snapshot of the public surface: the package's ``__all__``, the field names
+of its exported dataclasses, and the option strings of every CLI subcommand.
 
-Adding or removing a public name or a flag means editing this file, so the
-change shows in review; a removal is also named in CHANGES.md.
+Adding or removing a public name, a field or a flag means editing this file,
+so the change shows in review; a removal is also named in CHANGES.md.
 """
 
 import argparse
+import dataclasses
 
 import ramseykit
 from ramseykit import cli
@@ -15,15 +16,32 @@ PUBLIC_NAMES = [
     "DegenerateCoefficientsError", "IncompleteBoxError", "Instance", "IntPoly",
     "PRESET_NAMES", "PatternFamily", "QuadSolution", "ReductionData", "ResultRecord",
     "ResultStore", "SearchBudgetExceeded", "SearchStats", "StoreVerificationError",
-    "ThresholdResult", "VerifyResult", "Witness", "ZeroPolynomialError", "__version__",
+    "ThresholdResult", "VerifyResult", "Witness", "__version__",
     "count_witnesses", "enumerate_instances", "enumeration_complete", "exists_avoiding",
     "exp_lift", "find_all_avoiding", "find_witness", "greedy_avoider", "iter_witnesses",
     "lift_coloring", "make_provenance", "parse_poly", "prefix_product_family",
-    "preset_family", "preset_from_string", "quadratic_setup", "rational_roots_deg2",
+    "preset_family", "preset_from_string", "quadratic_setup",
     "reduction_family", "run_construction", "solution_to_json", "solve_quadratic",
     "threshold", "verify_certificate", "verify_quad_solution", "verify_witness",
     "witness_from_json", "witness_to_json",
 ]
+
+DATACLASS_FIELDS = {
+    "AvoidCertificate": ["family", "n", "r", "rle", "verified", "box_relative"],
+    "Coloring": ["n", "r", "colors"],
+    "ConstructiveTrace": ["n", "r", "params", "t", "y", "b0_size", "set_sizes",
+                          "repeat_pair", "witness", "failure_reason"],
+    "Instance": ["assignment", "term_values"],
+    "PatternFamily": ["num_vars", "terms", "name", "distinct_required"],
+    "QuadSolution": ["a", "color", "source_witness"],
+    "ReductionData": ["c", "chosen_poly", "root_t", "d", "u", "b"],
+    "ResultRecord": ["kind", "fingerprint", "params", "payload", "provenance"],
+    "SearchStats": ["nodes"],
+    "ThresholdResult": ["family_name", "fingerprint", "r", "value", "exact", "certificate",
+                        "nodes"],
+    "VerifyResult": ["ok", "reason"],
+    "Witness": ["instance", "color"],
+}
 
 SUBCOMMAND_OPTIONS = {
     "avoid": ["--box-relative", "--cache", "--certificate", "--colors", "--family",
@@ -63,6 +81,15 @@ def test_public_names():
 
 def test_every_public_name_resolves():
     assert all(hasattr(ramseykit, name) for name in ramseykit.__all__)
+
+
+def test_dataclass_fields():
+    found = {
+        name: [f.name for f in dataclasses.fields(obj)]
+        for name in ramseykit.__all__
+        if dataclasses.is_dataclass(obj := getattr(ramseykit, name))
+    }
+    assert found == DATACLASS_FIELDS
 
 
 def test_subcommand_options():
