@@ -59,12 +59,9 @@ class DegenerateCoefficientsError(ValueError):
 
 @dataclass(frozen=True)
 class ReductionData:
-    """The substitution data: which polynomial, its root, and the u vector."""
+    """The substitution a_l = (x + u_l y)/b for the coefficient vector c."""
 
     c: tuple[int, ...]
-    chosen_poly: str
-    root_t: Fraction
-    d: int
     u: tuple[int, ...]
     b: int
 
@@ -118,7 +115,7 @@ def quadratic_setup(c) -> ReductionData:
         if s < 0:
             u = [-v for v in u]
             s = -s
-        return ReductionData(c, tag, t, d, tuple(u), 2 * s)
+        return ReductionData(c, tuple(u), 2 * s)
 
     raise DegenerateCoefficientsError(
         "no usable substitution vector: "

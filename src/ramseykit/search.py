@@ -21,17 +21,16 @@ order, with forward checking (Haralick & Elliott, AIJ 1980):
   * node and wall-clock budgets surface as SearchBudgetExceeded, a
     first-class outcome distinct from "no avoider".
 
-threshold indexes once, at a size that doubles (capped at max_n) whenever N
-outgrows it: for a box-complete family the sets at N are exactly those whose
-top is <= N.  The search at N+1 resumes from the path of the lex-first
-avoider at N, since every canonical coloring before that path was refuted at
-N and the sets at N are among those at N+1.  Only an answer is checked with
-count_witnesses: the avoider a search reports becomes a certificate through
-one independent count over [1..N].  An intermediate avoider is only a resume
-path, and the replay tests each of its colors against the mask it meets: a
-color already struck from its position would complete a monochromatic set.
-When a budget runs out, threshold keeps the bound it has proven: the
-exception carries the partial ThresholdResult.
+threshold runs one search that grows with N (incremental as in Een &
+Sorensson, SAT 2003).  Holding the lex-first avoider at N, it opens N+1 in
+place: each color that some set with top N+1 has on all lower members is
+struck from N+1.  If that empties N+1, the search undoes N down to the p of
+the emptying strike and tries p's next color, where a fresh search at N+1
+would first fail.  The index doubles (capped at max_n) whenever N outgrows
+it; for a box-complete family the sets at N are those with top <= N, so the
+live state stays valid.  Only the reported avoider goes through
+count_witnesses.  When a budget runs out, the exception carries the partial
+ThresholdResult: the bound proven so far.
 
 There is no parallel mode; ``jobs`` is accepted only as 1.
 """
@@ -186,34 +185,45 @@ def build_instance_index(
     return buckets
 
 
-class _Domains:
-    """Colors of positions 1..n and the bitmask of colors still open to each.
+class _Search:
+    """One forward-checking search over positions 1..n, where n grows to max_n.
 
-    Only the value sets of ``index`` whose top is <= n take part.
+    Per position: its color, the bitmask of colors still open (``dom``), the
+    tops its color struck (``removed``), the largest color below it (``used``)
+    and the next color to try (``trial``).  ``index[p]`` holds the value sets
+    by second-largest member p; ``by_top[t]`` holds their (p, others) by top
+    t, in ascending p.  Only the sets with top <= n take part.
     """
 
-    def __init__(self, index: list[list[tuple[int, tuple[int, ...]]]], n: int, r: int):
-        self.index = index
-        self.n = n
-        self.colors = [0] * (n + 1)
-        self.dom = [(1 << r) - 1] * (n + 1)
-        for top, _ in index[0]:
-            if top > n:
-                break
+    def __init__(self, family: PatternFamily, r: int, max_n: int, *, n: int, size: int):
+        self.family, self.r, self.max_n, self.n = family, r, max_n, n
+        self.last: list[int] | None = None  # the lex-first avoider at n-1
+        self.colors, self.dom, self.removed, self.used, self.trial = [], [], [], [], []
+        self._grow(size)
+
+    def _grow(self, size: int) -> None:
+        """Index the value sets inside [1..size] and make room for its positions."""
+        self.index = build_instance_index(self.family, size)
+        self.by_top: list[list[tuple[int, tuple[int, ...]]]] = [[] for _ in range(size + 1)]
+        for p in range(1, size + 1):
+            for top, others in self.index[p]:
+                self.by_top[top].append((p, others))
+        extra = size + 2 - len(self.colors)
+        self.colors += [0] * extra
+        self.dom += [(1 << self.r) - 1] * extra
+        self.removed += [[] for _ in range(extra)]
+        self.used += [0] * extra
+        self.trial += [1] * extra
+        for top, _ in self.index[0]:  # a singleton {top} leaves top no color
             self.dom[top] = 0
-        self.removed: list[list[int]] = [[] for _ in range(n + 1)]
+        self.size = size
 
-    def place(self, p: int, c: int, complete: bool = False) -> bool:
-        """Color p with c and take c from every top that c would complete.
-
-        Returns False as soon as a mask empties; with ``complete`` the
-        remaining removals are still made (greedy reads every later mask).
-        """
+    def place(self, p: int, c: int) -> bool:
+        """Color p with c and strike c from each top it completes; False once a mask empties."""
         colors, dom, n = self.colors, self.dom, self.n
         colors[p] = c
         bit = 1 << (c - 1)
         removed = self.removed[p]
-        alive = True
         for top, others in self.index[p]:
             if top > n:
                 break
@@ -225,10 +235,8 @@ class _Domains:
                     dom[top] ^= bit
                     removed.append(top)
                     if not dom[top]:
-                        if not complete:
-                            return False
-                        alive = False
-        return alive
+                        return False
+        return True
 
     def undo(self, p: int) -> None:
         bit = 1 << (self.colors[p] - 1)
@@ -239,80 +247,92 @@ class _Domains:
         removed.clear()
         self.colors[p] = 0
 
+    def open(self) -> int:
+        """Open position n+1 next to the colored 1..n: strike each color that
+        some set with top n+1 has on all lower members, on the trail of the
+        lowest such p.  Returns the p whose strike empties n+1, else 0."""
+        m = self.n = self.n + 1
+        if m > self.size:
+            self._grow(min(self.max_n, max(2 * self.size, _FIRST_INDEX_SIZE)))
+        colors, dom, removed = self.colors, self.dom, self.removed
+        for p, others in self.by_top[m]:
+            c = colors[p]
+            bit = 1 << (c - 1)
+            if dom[m] & bit:
+                for o in others:
+                    if colors[o] != c:
+                        break
+                else:
+                    dom[m] ^= bit
+                    removed[p].append(m)
+                    if not dom[m]:
+                        return p
+        return 0
 
-def _dfs(
-    index: list[list[tuple[int, tuple[int, ...]]]],
-    n: int,
-    r: int,
-    path: list[int] | tuple[int, ...],
-    max_nodes: int | None,
-    deadline: float | None,
-    find_all: bool = False,
-) -> tuple[list[list[int]], int]:
-    """Canonical forward-checking DFS over [1..n], resuming at ``path``.
+    def run(self, cap: float, deadline: float, find_all: bool = False) -> list[list[int]]:
+        """Canonical DFS from position 1: the first avoider at max_n as a color
+        list, every one with find_all, none when [1..n] has no avoider.
 
-    ``path`` (shorter than n) is a canonical coloring of a prefix whose
-    lexicographic predecessors are known dead; the DFS starts as if it had
-    descended along it.  A path color already struck from its position
-    completes a monochromatic set, so the path is no avoider and the replay
-    raises RuntimeError.  Returns (solutions, nodes): the first avoiding
-    coloring, or every one of them with find_all, as plain color lists.
-    """
-    cap = max_nodes if max_nodes is not None else float("inf")
-    d = _Domains(index, n, r)
-    colors, dom, place, undo = d.colors, d.dom, d.place, d.undo
-    used = [0] * (n + 2)  # used[p] = largest color on 1..p-1
-    trial = [1] * (n + 2)  # next color to try at p
-    found: list[list[int]] = []
-    nodes = 0
-    pos = 1
-    for c in path:
-        if not dom[pos] >> (c - 1) & 1:
-            raise RuntimeError(
-                f"internal error: the resume path completes a monochromatic set at {pos}"
-            )
-        nodes += 1
-        trial[pos] = c + 1
-        if not place(pos, c):
-            undo(pos)
-            break
-        used[pos + 1] = max(used[pos], c)
-        pos += 1
-    while pos >= 1:
-        c = trial[pos]
-        limit = min(r, used[pos] + 1)
-        open_colors = dom[pos]
-        while c <= limit:
-            if open_colors >> (c - 1) & 1:
-                nodes += 1
-                if nodes > cap:
-                    raise SearchBudgetExceeded("node budget exceeded", nodes)
-                if nodes & 2047 == 0 and deadline is not None and time.monotonic() > deadline:
-                    raise SearchBudgetExceeded("time limit exceeded", nodes)
-                if place(pos, c):
+        An avoider at n < max_n is kept as ``last`` and n+1 is opened, which
+        adds the p where n+1 empties (else n) to the nodes: a fresh search at
+        n+1 would have spent them replaying the avoider."""
+        r, max_n = self.r, self.max_n
+        colors, dom, used, trial = self.colors, self.dom, self.used, self.trial
+        place, undo = self.place, self.undo
+        n, nodes, tick = self.n, 0, 2048  # the clock is read at the first node >= tick
+        found: list[list[int]] = []
+        pos = 1
+        while pos:
+            c = trial[pos]
+            limit = min(r, used[pos] + 1)
+            open_colors = dom[pos]
+            while c <= limit:
+                if open_colors >> (c - 1) & 1:
+                    nodes += 1
+                    if nodes > cap:
+                        raise SearchBudgetExceeded("node budget exceeded", nodes)
+                    if nodes >= tick:
+                        if time.monotonic() > deadline:
+                            raise SearchBudgetExceeded("time limit exceeded", nodes)
+                        tick = nodes + 2048
+                    if place(pos, c):
+                        break
+                    undo(pos)
+                c += 1
+            else:
+                pos -= 1
+                if pos:
+                    undo(pos)
+                continue
+            trial[pos] = c + 1
+            used[pos + 1] = max(used[pos], c)
+            if pos < n:
+                pos += 1
+                trial[pos] = 1
+            elif n == max_n:
+                found.append(colors[1 : n + 1])
+                if not find_all:
                     break
-                undo(pos)
-            c += 1
-        else:
-            pos -= 1
-            if pos:
-                undo(pos)
-            continue
-        trial[pos] = c + 1
-        if pos == n:
-            found.append(colors[1:])
-            if not find_all:
-                return found, nodes
-            undo(pos)  # keep scanning siblings
-            continue
-        used[pos + 1] = max(used[pos], c)
-        pos += 1
-        trial[pos] = 1
-    return found, nodes
+                undo(pos)  # keep scanning siblings
+            else:
+                self.last = colors[1 : n + 1]
+                p = self.open()
+                nodes += p or n
+                n += 1
+                trial[n] = 1
+                pos = p or n  # if n emptied, p is where a fresh search would fail
+                for q in range(n - 1, pos - 1, -1):
+                    undo(q)
+        self.nodes = nodes
+        return found
 
 
-def _deadline(time_limit: float | None) -> float | None:
-    return None if time_limit is None else time.monotonic() + time_limit
+def _budget(max_nodes: int | None, time_limit: float | None) -> tuple[float, float]:
+    """(node cap, deadline) of a search; a budget of 0 is valid, a negative one is not."""
+    if (max_nodes or 0) < 0 or (time_limit or 0) < 0:
+        raise ValueError(f"need budgets >= 0 (max_nodes={max_nodes}, time_limit={time_limit})")
+    cap = float("inf") if max_nodes is None else max_nodes
+    return cap, float("inf") if time_limit is None else time.monotonic() + time_limit
 
 
 def _require_single_job(jobs: int) -> None:
@@ -359,11 +379,11 @@ def exists_avoiding(
             f"variables {missing} are not bounded by any all-positive term; "
             "pass allow_box_relative=True for a box-relative search"
         )
-    deadline = _deadline(time_limit)
-    buckets = build_instance_index(family, n)
-    found, nodes = _dfs(buckets, n, r, (), max_nodes, deadline)
+    cap, deadline = _budget(max_nodes, time_limit)
+    search = _Search(family, r, n, n=n, size=n)
+    found = search.run(cap, deadline)
     if stats is not None:
-        stats.nodes += nodes
+        stats.nodes += search.nodes
     if not found:
         return None
     return _certify(family, found[0], r, box_relative)
@@ -373,8 +393,7 @@ def find_all_avoiding(family: PatternFamily, r: int, n: int) -> list[tuple[int, 
     """Every canonical avoiding coloring (for naive-equivalence checks)."""
     if not family.box_complete():
         raise IncompleteBoxError("find_all_avoiding needs a box-complete family")
-    buckets = build_instance_index(family, n)
-    found, _ = _dfs(buckets, n, r, (), None, None, find_all=True)
+    found = _Search(family, r, n, n=n, size=n).run(float("inf"), float("inf"), find_all=True)
     return sorted(tuple(sol) for sol in found)
 
 
@@ -394,51 +413,33 @@ def threshold(
     run; when one runs out at N, the SearchBudgetExceeded raised carries
     ``partial``: T >= N with the avoider at N-1.
 
-    Only the avoider that is reported goes through count_witnesses.  The
-    avoider at every other N is not an answer: it is the path the search at
-    N+1 resumes from, and _dfs replays it against the masks, which hold every
-    set with top <= N+1.  A path color already struck from its position
-    would complete a monochromatic set, so one bit test per replayed
-    position refuses a corrupted path without a witness count at every N.
+    One search runs from N=1 up and opens N+1 in place once it holds the
+    avoider at N.  ``nodes``, which max_nodes bounds, counts the colors it
+    places plus, per N outgrown, the positions a fresh search at N+1 would
+    replay of the avoider at N: up to the p where N+1 empties, else all N.
     """
     _require_single_job(jobs)
     if r < 1 or max_n < 1:
         raise ValueError("need r >= 1 and max_n >= 1")
     if not family.box_complete():
         raise IncompleteBoxError("threshold needs a box-complete family (else unsound)")
-    deadline = _deadline(time_limit)
-    nodes = 0
-    path: list[int] = []  # lex-first avoider at n-1
+    cap, deadline = _budget(max_nodes, time_limit)
+    search = _Search(family, r, max_n, n=1, size=min(max_n, _FIRST_INDEX_SIZE))
 
-    def result(value: int, exact: bool) -> ThresholdResult:
-        cert = _certify(family, path, r) if path else None
+    def result(value: int, exact: bool, avoider: list[int] | None, nodes: int) -> ThresholdResult:
+        cert = _certify(family, avoider, r) if avoider else None
         return ThresholdResult(family.name, family.fingerprint(), r, value, exact, cert, nodes)
 
-    index: list[list[tuple[int, tuple[int, ...]]]] = []
-    size = 0
-    for n in range(1, max_n + 1):
-        if n > size:
-            size = min(max_n, max(2 * size, _FIRST_INDEX_SIZE))
-            index = build_instance_index(family, size)
-        try:
-            found, k = _dfs(
-                index,
-                n,
-                r,
-                path,
-                None if max_nodes is None else max(0, max_nodes - nodes),
-                deadline,
-            )
-        except SearchBudgetExceeded as e:
-            nodes += e.nodes
-            raise SearchBudgetExceeded(
-                f"threshold undecided at N={n}: {e}", nodes, result(n, False)
-            ) from None
-        nodes += k
-        if not found:
-            return result(n, True)
-        path = found[0]
-    return result(max_n + 1, False)
+    try:
+        found = search.run(cap, deadline)
+    except SearchBudgetExceeded as e:
+        partial = result(search.n, False, search.last, e.nodes)
+        raise SearchBudgetExceeded(
+            f"threshold undecided at N={search.n}: {e}", e.nodes, partial
+        ) from None
+    if found:
+        return result(max_n + 1, False, found[0], search.nodes)
+    return result(search.n, True, search.last, search.nodes)
 
 
 def greedy_avoider(
@@ -459,31 +460,28 @@ def greedy_avoider(
     """
     if r < 1 or restarts < 1:
         raise ValueError("need r >= 1 and restarts >= 1")
-    buckets = build_instance_index(family, n)
+    if strategy not in ("first-fit", "random"):
+        raise ValueError(f"unknown strategy {strategy!r} (first-fit or random)")
+    search = _Search(family, r, n, n=0, size=n)
 
     def one_pass(pick) -> list[int] | None:
-        d = _Domains(buckets, n, r)
         for pos in range(1, n + 1):
-            legal = [c for c in range(1, r + 1) if d.dom[pos] >> (c - 1) & 1]
+            search.open()
+            legal = [c for c in range(1, r + 1) if search.dom[pos] >> (c - 1) & 1]
             if not legal:
+                for placed in range(pos - 1, 0, -1):  # a restart starts from nothing
+                    search.undo(placed)
+                search.n = 0
                 return None
-            d.place(pos, pick(legal), complete=True)
-        return d.colors[1:]
+            search.place(pos, pick(legal))
+        return search.colors[1 : n + 1]
 
-    if strategy == "first-fit":
-        result = one_pass(lambda legal: legal[0])
-    elif strategy == "random":
-        rng = random.Random(seed)
-        result = None
-        for _ in range(restarts):
-            result = one_pass(rng.choice)
-            if result is not None:
-                break
-    else:
-        raise ValueError(f"unknown strategy {strategy!r} (first-fit or random)")
-    if result is None:
-        return None
-    return _certify(family, result, r, not family.box_complete())
+    pick = random.Random(seed).choice if strategy == "random" else lambda legal: legal[0]
+    for _ in range(restarts if strategy == "random" else 1):
+        result = one_pass(pick)
+        if result is not None:
+            return _certify(family, result, r, not family.box_complete())
+    return None
 
 
 def verify_certificate(cert: AvoidCertificate) -> bool:

@@ -607,6 +607,19 @@ class TestExitCodes:
             assert code == 2 and out == "" and err.startswith("error: need r >= 1")
             assert not cache.exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["threshold", "--family", "schur", "--colors", "3", "--max-n", "20",
+         "--max-nodes", "-1"],
+        ["threshold", "--family", "schur", "--colors", "3", "--max-n", "20",
+         "--time-limit", "-1"],
+        ["avoid", "--family", "schur", "--colors", "3", "--n", "13", "--max-nodes", "-3"],
+    ])
+    def test_negative_budget_is_an_input_error(self, capsys, tmp_path, argv):
+        cache = tmp_path / "store.jsonl"
+        code, out, err = run(capsys, *argv, "--cache", str(cache))
+        assert code == 2 and out == "" and err.startswith("error: need budgets >= 0")
+        assert not cache.exists()
+
     def test_jobs_flag_removed(self, capsys):
         code, _, _ = run(
             capsys, "avoid", "--family", "schur", "--colors", "2", "--n", "4", "--jobs", "2"

@@ -37,7 +37,7 @@ class TestQuadraticSetup:
         rd = quadratic_setup((1, -1))
         assert rd.u == (1, -1)
         assert rd.b == 4
-        assert rd.chosen_poly == "p"
+        assert rd.u == self.substitution((1, -1), "p")
 
     def test_pinned_1_1_m2(self):
         rd = quadratic_setup((1, 1, -2))
@@ -58,16 +58,15 @@ class TestQuadraticSetup:
         # c = (-1, 3, -3, 1): both alpha and beta vanish, so p is the zero
         # polynomial; the variant with the doubled last index takes over
         rd = quadratic_setup((-1, 3, -3, 1))
-        assert rd.chosen_poly == "q"
         c = (-1, 3, -3, 1)
+        assert rd.u == self.substitution(c, "q")
         assert sum(cl * ul * ul for cl, ul in zip(c, rd.u)) == 0
         assert rd.b == 2 * sum(cl * ul for cl, ul in zip(c, rd.u)) > 0
 
     def test_falls_to_q_when_p_has_only_zero_root(self):
         # c = (-1, 2, -1): alpha = 0 but beta != 0, so p = beta*t^2
         rd = quadratic_setup((-1, 2, -1))
-        assert rd.chosen_poly == "q"
-        assert rd.u == (23, 17, -7)
+        assert rd.u == (23, 17, -7) == self.substitution((-1, 2, -1), "q")
 
     @pytest.mark.parametrize("c", [
         (-1, 3, -3, 1), (1, -4, 6, -4, 1), (-1, 5, -10, 10, -5, 1),
@@ -76,9 +75,9 @@ class TestQuadraticSetup:
         # p == 0 leaves q = c_k (2k t + 3k^2 t^2), whose root is -2/(3k)
         k = len(c)
         assert self.candidate(c, "p") == (0, 0)
-        rd = quadratic_setup(c)
-        assert rd.chosen_poly == "q"
-        assert rd.root_t == Fraction(-2, 3 * k)
+        alpha, beta = self.candidate(c, "q")
+        assert Fraction(-alpha, beta) == Fraction(-2, 3 * k)
+        assert quadratic_setup(c).u == self.substitution(c, "q")
 
     def test_both_degenerate_raises(self):
         # k = 4 vector where neither variant has a non-zero rational root
@@ -106,6 +105,20 @@ class TestQuadraticSetup:
         plus, minus = at(Fraction(1)), at(Fraction(-1))
         return (plus - minus) / 2, (plus + minus) / 2
 
+    @classmethod
+    def substitution(cls, c, tag):
+        """u from the root t = -alpha/beta of candidate ``tag``, as num/d:
+        u_l = d + l'*num, negated when sum c_l u_l < 0."""
+        alpha, beta = cls.candidate(c, tag)
+        t = -alpha / beta
+        ls = list(range(1, len(c) + 1))
+        if tag == "q":
+            ls[-1] = 2 * len(c)
+        u = [t.denominator + l * t.numerator for l in ls]
+        if sum(cl * ul for cl, ul in zip(c, u)) < 0:
+            u = [-v for v in u]
+        return tuple(u)
+
     @pytest.mark.parametrize("k", [2, 3, 4])
     def test_exhaustive_grid(self, k):
         vectors = [
@@ -122,23 +135,16 @@ class TestQuadraticSetup:
                     quadratic_setup(c)
                 continue
             rd = quadratic_setup(c)
-            assert rd.chosen_poly == usable[0]
-            alpha, beta = self.candidate(c, rd.chosen_poly)
-            t = rd.root_t
+            # the first usable candidate, with its own root t = -alpha/beta
+            alpha, beta = self.candidate(c, usable[0])
+            t = -alpha / beta
             assert t != 0 and alpha * t + beta * t * t == 0
-            assert rd.d == t.denominator
-            u = [t.denominator + l * t.numerator for l in range(1, k + 1)]
-            if rd.chosen_poly == "q":
-                u[-1] = t.denominator + 2 * k * t.numerator
-            assert rd.u in (tuple(u), tuple(-v for v in u))
+            assert rd.u == self.substitution(c, usable[0])
             assert len(set(rd.u)) == k
+            assert sum(cl * ul * ul for cl, ul in zip(c, rd.u)) == 0
             assert rd.b == 2 * sum(cl * ul for cl, ul in zip(c, rd.u)) > 0
             # the cross sum is num * alpha / 2, whichever candidate was chosen
             assert rd.b == abs(t.numerator * alpha)
-
-    def test_root_denominator_recorded(self):
-        rd = quadratic_setup((1, -1))
-        assert rd.root_t.denominator == rd.d == 3
 
 
 class TestLiftColoring:

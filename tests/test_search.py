@@ -7,6 +7,7 @@ answers against the unfiltered oracle.
 """
 
 import json
+import random
 
 import pytest
 
@@ -117,6 +118,19 @@ class TestExistsAvoiding:
     def test_budget_raises(self):
         with pytest.raises(SearchBudgetExceeded):
             exists_avoiding(preset_family("schur"), 3, 13, max_nodes=50)
+
+    @pytest.mark.parametrize("budget", [{"max_nodes": -1}, {"time_limit": -1}])
+    def test_negative_budget_rejected(self, budget):
+        with pytest.raises(ValueError, match="need budgets >= 0"):
+            exists_avoiding(preset_family("schur"), 3, 13, **budget)
+        with pytest.raises(ValueError, match="need budgets >= 0"):
+            threshold(preset_family("schur"), 3, 20, **budget)
+
+    def test_zero_budget_is_valid(self):
+        with pytest.raises(SearchBudgetExceeded):
+            exists_avoiding(preset_family("schur"), 2, 4, max_nodes=0)
+        # the clock is first read at node 2048, and this search takes fewer
+        assert exists_avoiding(preset_family("schur"), 2, 4, time_limit=0) is not None
 
     def test_stats_accumulate(self):
         stats = SearchStats()
@@ -247,9 +261,55 @@ class TestThreshold:
     @pytest.mark.parametrize("fam", EQUIVALENCE_FAMILIES, ids=_family_id)
     @pytest.mark.parametrize("r", [2, 3])
     def test_matches_fresh_search_per_n(self, fam, r):
-        # resuming from the avoider one step below, on an index built once
-        # and doubled, answers exactly as a fresh search at every N
+        # one live search, opening one position at a time on an index that
+        # doubles, answers exactly as a fresh search at every N
         self._assert_matches_fresh(fam, r, 20)
+
+    @pytest.mark.parametrize("fam", EQUIVALENCE_FAMILIES + [
+        PatternFamily.from_texts(2, ["x0", "x0 + x1", "x0*x1"], "xyxy", distinct_required=True),
+    ], ids=_family_id)
+    @pytest.mark.parametrize("r", [1, 2, 3])
+    def test_certificate_is_the_fresh_first_avoider(self, fam, r):
+        # max_n = 40 crosses the index doublings at 16 and 32
+        res = threshold(fam, r, 40)
+        cert = res.certificate
+        if cert is not None:
+            fresh = exists_avoiding(fam, r, cert.n)
+            assert fresh is not None and (fresh.n, fresh.rle) == (cert.n, cert.rle)
+        if res.exact:
+            assert exists_avoiding(fam, r, res.value) is None
+        else:
+            assert res.value == 41 and cert.n == 40
+
+    def test_no_replay_when_nothing_backtracks(self, monkeypatch):
+        # {x, x+1} at r=3: every avoider extends, so each N places one color;
+        # the node count still adds the N positions a fresh search would replay
+        placed = []
+        real = search._Search.place
+
+        def counting(self, p, c):
+            placed.append(p)
+            return real(self, p, c)
+
+        monkeypatch.setattr(search._Search, "place", counting)
+        res = threshold(preset_family("x_xp1"), 3, 3000, max_nodes=4501500)
+        assert res.describe() == "T >= 3001" and res.nodes == 4501500
+        assert len(placed) <= 3000
+
+    def test_time_limit_read_across_opened_positions(self):
+        # each opened position adds N nodes at once, jumping past multiples of
+        # 2048; the clock is still read once 2048 more nodes have been counted
+        with pytest.raises(SearchBudgetExceeded, match="time limit exceeded") as info:
+            threshold(preset_family("x_xp1"), 3, 3000, time_limit=0)
+        assert info.value.partial.value < 3001
+
+    def test_open_undoes_to_the_emptying_position(self):
+        # xyxy at r=3: opening 36 empties its mask at p=20 (and 72 at p=27);
+        # an open that only backtracks from N thrashes through 21..35
+        res = threshold(preset_family("xyxy"), 3, 72, max_nodes=2647)
+        assert res.describe() == "T >= 73" and res.nodes == 2647
+        with pytest.raises(SearchBudgetExceeded):
+            threshold(preset_family("xyxy"), 3, 72, max_nodes=2646)
 
     def test_matches_fresh_search_vdw3_r3(self):
         # T = 27: the index is built at 16 and again at 30 before the refutation
@@ -280,8 +340,8 @@ class TestThreshold:
 
 
 class TestOneCheckPerAnswer:
-    """count_witnesses checks only the avoider that is reported; the paths a
-    threshold run resumes from are checked by the replay's mask test."""
+    """count_witnesses checks only the avoider that is reported; the avoiders
+    a threshold run outgrows are not answers."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
@@ -313,24 +373,25 @@ class TestOneCheckPerAnswer:
         assert greedy_avoider(preset_family("x_xp1"), 2, 50) is not None
         assert len(calls) == 2
 
-    @pytest.mark.parametrize("max_n, corrupt_at, says", [
-        (20, 3, "resume path completes a monochromatic set at 2"),
-        (20, 8, "resume path completes a monochromatic set at 2"),
-        (8, 8, "search returned a non-avoiding coloring"),
-    ], ids=["resume-at-4", "resume-at-9", "reported"])
-    def test_corrupted_avoider_raises(self, monkeypatch, max_n, corrupt_at, says):
+    @pytest.mark.parametrize("ask", [
+        lambda fam: threshold(fam, 3, 8),  # T >= 9 reports the avoider at 8
+        lambda fam: threshold(fam, 3, 20),  # T = 14 reports the avoider at 13
+        lambda fam: exists_avoiding(fam, 3, 8),
+    ], ids=["reported", "reported-exact", "exists"])
+    def test_corrupted_avoider_raises(self, monkeypatch, ask):
         # color {1, 2} the same, which completes the Schur set 1 + 1 = 2
-        real = search._dfs
+        real = search._Search.run
 
-        def corrupting(index, n, *args, **kwargs):
-            found, nodes = real(index, n, *args, **kwargs)
-            if n == corrupt_at and found:
-                found[0][1] = found[0][0]
-            return found, nodes
+        def corrupting(self, *args, **kwargs):
+            found = real(self, *args, **kwargs)
+            for avoider in [*found, self.last]:
+                if avoider:
+                    avoider[1] = avoider[0]
+            return found
 
-        monkeypatch.setattr(search, "_dfs", corrupting)
-        with pytest.raises(RuntimeError, match=says):
-            threshold(preset_family("schur"), 3, max_n)
+        monkeypatch.setattr(search._Search, "run", corrupting)
+        with pytest.raises(RuntimeError, match="search returned a non-avoiding coloring"):
+            ask(preset_family("schur"))
 
 
 class TestColorPermutationEquivariance:
@@ -364,6 +425,35 @@ class TestGreedy:
         assert (a is None) == (b is None)
         if a is not None:
             assert a.to_coloring() == b.to_coloring()
+
+    @pytest.mark.parametrize("fam, r, n", [
+        (preset_family("schur"), 2, 4), (preset_family("schur"), 3, 12),
+        (preset_family("vdw", 3), 2, 8), (preset_family("x_y_3xmy"), 3, 20),
+    ], ids=lambda v: getattr(v, "name", v))
+    def test_restarts_match_fresh_passes(self, fam, r, n):
+        # each restart must see the masks of a fresh start: replay the same
+        # random picks over the plain value sets, pass by pass
+        sets = naive_value_sets(fam, n)
+
+        def reference(seed, restarts):
+            rng = random.Random(seed)
+            for _ in range(restarts):
+                colors = [0] * (n + 1)
+                for pos in range(1, n + 1):
+                    legal = [c for c in range(1, r + 1) if not any(
+                        vs[-1] == pos and all(colors[v] == c for v in vs[:-1]) for vs in sets
+                    )]
+                    if not legal:
+                        break
+                    colors[pos] = rng.choice(legal)
+                else:
+                    return colors[1:]
+            return None
+
+        for seed in range(12):
+            cert = greedy_avoider(fam, r, n, "random", seed=seed, restarts=6)
+            got = None if cert is None else cert.to_coloring().colors.tolist()
+            assert got == reference(seed, 6), f"seed={seed}"
 
     def test_random_finds_schur_avoider_small(self):
         cert = greedy_avoider(preset_family("schur"), 2, 4, "random", seed=0, restarts=64)

@@ -34,7 +34,7 @@ DATACLASS_FIELDS = {
     "Instance": ["assignment", "term_values"],
     "PatternFamily": ["num_vars", "terms", "name", "distinct_required"],
     "QuadSolution": ["a", "color", "source_witness"],
-    "ReductionData": ["c", "chosen_poly", "root_t", "d", "u", "b"],
+    "ReductionData": ["c", "u", "b"],
     "ResultRecord": ["kind", "fingerprint", "params", "payload", "provenance"],
     "SearchStats": ["nodes"],
     "ThresholdResult": ["family_name", "fingerprint", "r", "value", "exact", "certificate",
