@@ -34,7 +34,7 @@ print("custom family:", ", ".join(custom.canonical_texts()))
 # multiply in a fresh variable, optionally adding a function of the
 # variables consumed so far.  With one round and the choices {0, identity}
 # this is exactly the product/sum triple {x, xy, x+y}.
-triple = prefix_product_family(1, [["0", "x0"]])
+triple = prefix_product_family([["0", "x0"]])
 print("\ngenerated triple:", ", ".join(triple.canonical_texts()))
 print("same family as the xyxy preset:",
       triple.fingerprint() == preset_family("xyxy").fingerprint())
@@ -42,7 +42,7 @@ print("same family as the xyxy preset:",
 # Four rounds with {0, full product} available at each step blow up to
 # fifteen terms -- every way of cutting the product x0*...*x4 once.
 big = prefix_product_family(
-    4, [["0", "x0"], ["0", "x0*x1"], ["0", "x0*x1*x2"], ["0", "x0*x1*x2*x3"]]
+    [["0", "x0"], ["0", "x0*x1"], ["0", "x0*x1*x2"], ["0", "x0*x1*x2*x3"]]
 )
 print(f"\nfour-round family has {len(big.terms)} terms:")
 for text in big.canonical_texts():

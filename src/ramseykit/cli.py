@@ -38,6 +38,7 @@ from .reduction import (
 )
 from .search import (
     SearchBudgetExceeded,
+    _budget,
     exists_avoiding,
     greedy_avoider,
     threshold,
@@ -147,7 +148,7 @@ def cmd_family(args) -> int:
         s = spec.get("s", len(fsets))
         if type(s) is not int or s != len(fsets):
             raise ValueError(f'"s": {s!r} is not the number of function sets, {len(fsets)}')
-    fam = prefix_product_family(len(fsets), fsets, name=args.name)
+    fam = prefix_product_family(fsets, name=args.name)
     _print_family(fam)
     if args.out:
         fam.save(args.out)
@@ -238,6 +239,7 @@ def cmd_threshold(args) -> int:
     store = _store(args)
     fp = fam.fingerprint()
     params = {"r": args.colors}
+    _budget(args.max_nodes, args.time_limit)  # a cache hit must not skip this check
 
     result_json = None
     if store is not None:

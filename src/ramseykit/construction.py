@@ -29,7 +29,7 @@ import numpy as np
 
 from .coloring import Coloring
 from .families import preset_family
-from .witnesses import Instance, Witness, verify_witness
+from .witnesses import Witness, verify_witness
 
 __all__ = [
     "ConstructiveTrace",
@@ -255,7 +255,7 @@ def run_construction(
                 yprod *= trace.y[l]
             _require(xt % yprod == 0, f"x~ = {xt} is not divisible by y = {yprod}")
             x = xt // yprod
-            w = Witness(Instance((x, yprod), (x, x + yprod, x * yprod)), t_i)
+            w = Witness((x, yprod), (x, x + yprod, x * yprod), t_i)
             check = verify_witness(preset_family("xyxy"), coloring, w)
             _require(bool(check), f"extracted witness failed verification: {check.reason}")
             trace.repeat_pair = (j, i)

@@ -190,20 +190,17 @@ def _check_vanishes_in_last_var(f: IntPoly) -> None:
 
 
 def prefix_product_family(
-    s: int,
-    function_sets: Sequence[Sequence[IntPoly | str]],
-    name: str | None = None,
+    function_sets: Sequence[Sequence[IntPoly | str]], name: str | None = None
 ) -> PatternFamily:
     """Family {x0..xs} u {x0..xj + f(x_{j+1},..,x_i) : 0 <= j < i <= s, f in F[i-j]}.
 
-    ``function_sets[d]`` lists the shift functions of arity d+1 (so the list has
-    s entries, arities 1..s).  Each function must vanish when its last variable
-    is zero; strings are parsed with the arity's variable count.
+    ``function_sets[d]`` lists the shift functions of arity d+1, so s is the
+    number of sets (arities 1..s).  Each function must vanish when its last
+    variable is zero; strings are parsed with the arity's variable count.
     """
+    s = len(function_sets)
     if s < 1:
         raise ValueError("s must be >= 1")
-    if len(function_sets) != s:
-        raise ValueError(f"need {s} function sets (arities 1..{s}), got {len(function_sets)}")
     fsets: list[list[IntPoly]] = []
     for d, fs in enumerate(function_sets):
         arity = d + 1

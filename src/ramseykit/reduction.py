@@ -182,23 +182,29 @@ def solve_quadratic(c, chi: Coloring, search_box=None) -> QuadSolution | None:
     return None
 
 
+def _check_solution(c, a) -> str | None:
+    """Why a is not a distinct positive solution of sum c_l a_l^2 = a_0, or None."""
+    if len(a) != len(c) + 1:
+        return f"expected {len(c) + 1} values, got {len(a)}"
+    if any(v < 1 for v in a):
+        return "values must be positive"
+    if len(set(a)) != len(a):
+        return "values must be pairwise distinct"
+    lhs = sum(cl * al * al for cl, al in zip(c, a[1:]))
+    if lhs != a[0]:
+        return f"equation fails: lhs={lhs} != a0={a[0]}"
+    return None
+
+
 def verify_quad_solution(c, chi: Coloring, sol: QuadSolution) -> VerifyResult:
     """Re-check a solution from scratch: equation, positivity, distinctness,
     one color.  Shares no arithmetic with the solver."""
-    c = tuple(int(v) for v in c)
-    a = sol.a
-    if len(a) != len(c) + 1:
-        return VerifyResult(False, f"expected {len(c) + 1} values, got {len(a)}")
-    if any(v < 1 for v in a):
-        return VerifyResult(False, "values must be positive")
-    if len(set(a)) != len(a):
-        return VerifyResult(False, "values must be pairwise distinct")
-    lhs = sum(cl * al * al for cl, al in zip(c, a[1:]))
-    if lhs != a[0]:
-        return VerifyResult(False, f"equation fails: lhs={lhs} != a0={a[0]}")
-    if any(v > chi.n for v in a):
+    reason = _check_solution(tuple(int(v) for v in c), sol.a)
+    if reason is not None:
+        return VerifyResult(False, reason)
+    if any(v > chi.n for v in sol.a):
         return VerifyResult(False, "a value falls outside the coloring's domain")
-    cols = {chi.color_of(v) for v in a}
+    cols = {chi.color_of(v) for v in sol.a}
     if cols != {sol.color}:
         return VerifyResult(False, f"colors {sorted(cols)} do not all equal {sol.color}")
     return VerifyResult(True, None)

@@ -5,16 +5,18 @@ The fingerprint is the pattern family's content hash, so lookups survive
 renames; params pins the remaining inputs (r, n, coefficient vectors, ...).
 Appends take an exclusive flock on a sidecar lock file, so concurrent
 processes sharing a cache cannot interleave partial lines.  The lock file is
-only the flock's target: append() writes nothing to it and reads nothing from
-it or from the store, so a lock file that still holds an older version's
-line-count memo is ignored.
+only the flock's target: nothing reads or writes its contents.
 
-Trust model: a record is verified by recomputation, including that its
-fingerprint is its embedded family's and that the params it is filed under
-(r, n, box_relative, c) agree with its payload.  That happens before it is
-written, by verify_all() over every stored line, and by lookup() on what it
-serves: lookup() walks the matches from the latest to the earliest and
-returns the first that passes, skipping any that fail.
+Trust model: a record is verified by recomputation before it is written, by
+verify_all() over every stored line, and by lookup() on what it serves (the
+latest match that passes; failing ones are skipped).  Its fingerprint must be
+its embedded family's and its params (r, n, box_relative, c) must agree with
+its payload.  Then a witness runs _check_instance (verify_witness without
+colors, under the distinct flag it is filed with) and a color range check,
+certificates verify_certificate, a reduction its u/b checks and
+_check_solution (verify_quad_solution without domain and colors), and a
+construction an x/y range check.  No coloring is stored, so the colors of
+witnesses and reductions, and the witness box, stay unchecked.
 records() validates structure only, quarantining lines that fail instead of
 raising, so one corrupt line cannot poison the rest of the cache.
 
@@ -35,8 +37,9 @@ from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
 
+from .reduction import _check_solution
 from .search import AvoidCertificate, verify_certificate
-from .witnesses import verify_witness, witness_from_json
+from .witnesses import _check_instance, witness_from_json
 
 __all__ = [
     "ResultRecord",
@@ -155,11 +158,10 @@ def _verify_payload(record: ResultRecord) -> None:
             _check_fingerprint(record, payload, fam)
             n, r = int(payload["n"]), int(payload["r"])
             _check_params(record, n=n, r=r)
-            vals = tuple(term.evaluate(w.assignment) for term in fam.terms)
-            if vals != w.term_values:
-                raise ValueError("stored term values do not recompute")
-            if any(v < 1 or v > n for v in vals):
-                raise ValueError("term values fall outside [1..n]")
+            # what cmd_witness asked find_witness for
+            reason = _check_instance(fam, n, w, True if record.params.get("distinct") else None)
+            if reason is not None:
+                raise ValueError(reason)
             if not 1 <= w.color <= r:
                 raise ValueError("color out of range")
         elif kind == "avoiding":
@@ -207,17 +209,15 @@ def _verify_payload(record: ResultRecord) -> None:
             _check_params(record, c=c)
             u = [int(v) for v in payload["u"]]
             b = int(payload["b"])
-            a = [int(v) for v in payload["a"]]
+            if len(u) != len(c):
+                raise ValueError(f"u has {len(u)} entries for {len(c)} coefficients")
             if sum(cl * ul * ul for cl, ul in zip(c, u)) != 0:
                 raise ValueError("u does not clear the quadratic form")
             if b != 2 * sum(cl * ul for cl, ul in zip(c, u)) or b <= 0:
                 raise ValueError("b is not twice the positive cross sum")
-            if sum(cl * al * al for cl, al in zip(c, a[1:])) != a[0]:
-                raise ValueError("decoded values do not solve the equation")
-            if any(v < 1 for v in a) or len(set(a)) != len(a):
-                raise ValueError("decoded values must be distinct and positive")
-    except StoreVerificationError:
-        raise
+            reason = _check_solution(c, [int(v) for v in payload["a"]])
+            if reason is not None:
+                raise ValueError(reason)
     except Exception as exc:
         raise StoreVerificationError(f"{kind} record: {exc}") from exc
 

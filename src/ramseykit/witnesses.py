@@ -36,7 +36,6 @@ since admissible values lie in [1..N].
 from __future__ import annotations
 
 import functools
-import json
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -76,17 +75,8 @@ class Instance:
 
 
 @dataclass(frozen=True)
-class Witness:
-    instance: Instance
+class Witness(Instance):
     color: int
-
-    @property
-    def assignment(self) -> tuple[int, ...]:
-        return self.instance.assignment
-
-    @property
-    def term_values(self) -> tuple[int, ...]:
-        return self.instance.term_values
 
 
 @dataclass(frozen=True)
@@ -370,7 +360,7 @@ def iter_witnesses(
         assignments = zip(*(c[hits].tolist() for c in cols))
         values = zip(*(x[hits].tolist() for x in vals))
         for a, v, c in zip(assignments, values, c0[hits].tolist()):
-            yield Witness(Instance(a, v), c)
+            yield Witness(a, v, c)
 
 
 def find_witness(
@@ -400,6 +390,29 @@ def count_witnesses(
     return total
 
 
+def _check_instance(
+    family: PatternFamily, n: int, instance: Instance, distinct: bool | None
+) -> str | None:
+    """verify_witness without the colors: why the instance fails, or None."""
+    if distinct is None:
+        distinct = family.distinct_required
+    if len(instance.assignment) != family.num_vars:
+        return "assignment arity mismatch"
+    if any(v < 1 for v in instance.assignment):
+        return "assignment entries must be positive"
+    if len(instance.term_values) != len(family.terms):
+        return "term value count mismatch"
+    for i, t in enumerate(family.terms):
+        val = t.evaluate(instance.assignment)
+        if val != instance.term_values[i]:
+            return f"term {i + 1} value {instance.term_values[i]} != recomputed {val}"
+        if not 1 <= val <= n:
+            return f"term {i + 1} out of range"
+    if distinct and len(set(instance.term_values)) != len(instance.term_values):
+        return "term values not pairwise distinct"
+    return None
+
+
 def verify_witness(
     family: PatternFamily,
     coloring: Coloring,
@@ -411,26 +424,10 @@ def verify_witness(
 
     Term positions in reasons are 1-based.
     """
-    if distinct is None:
-        distinct = family.distinct_required
-    inst = witness.instance
-    if len(inst.assignment) != family.num_vars:
-        return VerifyResult(False, "assignment arity mismatch")
-    if any(v < 1 for v in inst.assignment):
-        return VerifyResult(False, "assignment entries must be positive")
-    if len(inst.term_values) != len(family.terms):
-        return VerifyResult(False, "term value count mismatch")
-    for i, t in enumerate(family.terms):
-        val = t.evaluate(inst.assignment)
-        if val != inst.term_values[i]:
-            return VerifyResult(
-                False, f"term {i + 1} value {inst.term_values[i]} != recomputed {val}"
-            )
-        if not 1 <= val <= coloring.n:
-            return VerifyResult(False, f"term {i + 1} out of range")
-    if distinct and len(set(inst.term_values)) != len(inst.term_values):
-        return VerifyResult(False, "term values not pairwise distinct")
-    for i, val in enumerate(inst.term_values):
+    reason = _check_instance(family, coloring.n, witness, distinct)
+    if reason is not None:
+        return VerifyResult(False, reason)
+    for i, val in enumerate(witness.term_values):
         c = coloring.color_of(val)
         if c != witness.color:
             return VerifyResult(False, f"term {i + 1} colored {c} != {witness.color}")
@@ -451,9 +448,6 @@ def witness_to_json(family: PatternFamily, coloring: Coloring, witness: Witness)
 
 def witness_from_json(data: dict) -> tuple[Witness, PatternFamily | None]:
     """Rebuild a witness (and the embedded family, when present)."""
-    w = Witness(
-        Instance(tuple(data["assignment"]), tuple(data["term_values"])),
-        int(data["color"]),
-    )
+    w = Witness(tuple(data["assignment"]), tuple(data["term_values"]), int(data["color"]))
     fam = PatternFamily.from_json(data["family"]) if "family" in data else None
     return w, fam

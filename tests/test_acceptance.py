@@ -165,7 +165,6 @@ def test_criterion_5_generator_fidelity(criterion):
     # s=4, every slot offering the zero function and the full product of its
     # variables, must give exactly these 15 terms
     fam15 = prefix_product_family(
-        4,
         [["0", "x0"], ["0", "x0*x1"], ["0", "x0*x1*x2"], ["0", "x0*x1*x2*x3"]],
     )
     expected = {
@@ -190,7 +189,7 @@ def test_criterion_5_generator_fidelity(criterion):
     }
     got = set(fam15.canonical_texts())
     # s=1 with {zero, identity} must collapse to the product/sum triple
-    fam3 = prefix_product_family(1, [["0", "x0"]])
+    fam3 = prefix_product_family([["0", "x0"]])
     triple_ok = fam3.fingerprint() == preset_family("xyxy").fingerprint()
     ok = len(got) == 15 and got == expected and triple_ok
     criterion(

@@ -620,6 +620,17 @@ class TestExitCodes:
         assert code == 2 and out == "" and err.startswith("error: need budgets >= 0")
         assert not cache.exists()
 
+    @pytest.mark.parametrize("budget", [["--max-nodes", "-1"], ["--time-limit", "-1"]])
+    def test_negative_budget_is_an_input_error_on_a_cache_hit(self, capsys, tmp_path, budget):
+        cache = tmp_path / "store.jsonl"
+        argv = ["threshold", "--family", "schur", "--colors", "2", "--max-n", "10",
+                "--cache", str(cache)]
+        assert run(capsys, *argv)[:2] == (0, "T = 5\n")
+        stored = cache.read_text()
+        code, out, err = run(capsys, *argv, *budget)
+        assert code == 2 and out == "" and err.startswith("error: need budgets >= 0")
+        assert cache.read_text() == stored
+
     def test_jobs_flag_removed(self, capsys):
         code, _, _ = run(
             capsys, "avoid", "--family", "schur", "--colors", "2", "--n", "4", "--jobs", "2"

@@ -147,11 +147,11 @@ class TestPresets:
 
 class TestPrefixProductFamily:
     def test_s1_zero_and_identity(self):
-        fam = prefix_product_family(1, [["0", "x0"]])
+        fam = prefix_product_family([["0", "x0"]])
         assert set(fam.canonical_texts()) == {"x0*x1", "x0", "x0 + x1"}
 
     def test_s1_square(self):
-        fam = prefix_product_family(1, [["x0^2"]])
+        fam = prefix_product_family([["x0^2"]])
         assert set(fam.canonical_texts()) == {"x0*x1", "x1^2 + x0"}
 
     def test_s4_zero_or_product_has_15_terms(self):
@@ -163,7 +163,7 @@ class TestPrefixProductFamily:
             ["0", "x0*x1*x2"],
             ["0", "x0*x1*x2*x3"],
         ]
-        fam = prefix_product_family(4, fsets)
+        fam = prefix_product_family(fsets)
         texts = set(fam.canonical_texts())
         expected = {
             str(parse_poly(t, 5))
@@ -190,16 +190,16 @@ class TestPrefixProductFamily:
 
     def test_rejects_nonvanishing_function(self):
         with pytest.raises(ValueError):
-            prefix_product_family(1, [["x0 + 1"]])
+            prefix_product_family([["x0 + 1"]])
         with pytest.raises(ValueError):
-            prefix_product_family(2, [["x0"], ["x0"]])  # arity-2 slot, 1-var function
+            prefix_product_family([["x0"], ["x0"]])  # arity-2 slot, 1-var function
 
-    def test_rejects_wrong_set_count(self):
-        with pytest.raises(ValueError):
-            prefix_product_family(2, [["x0"]])
+    def test_rejects_no_function_sets(self):
+        with pytest.raises(ValueError, match="s must be >= 1"):
+            prefix_product_family([])
 
     def test_accepts_parsed_polynomials(self):
-        fam = prefix_product_family(1, [[parse_poly("x0", 1)]])
+        fam = prefix_product_family([[parse_poly("x0", 1)]])
         assert set(fam.canonical_texts()) == {"x0*x1", "x0 + x1"}
 
 

@@ -491,7 +491,7 @@ class TestGeneratorContainment:
     def test_generated_family_is_the_sum_product_preset(self):
         from ramseykit.families import prefix_product_family
 
-        gen = prefix_product_family(1, [["0", "x0"]])
+        gen = prefix_product_family([["0", "x0"]])
         assert gen.fingerprint() == preset_family("xyxy").fingerprint()
 
     def test_term_subset_monotonicity(self):
@@ -508,12 +508,12 @@ class TestGeneratorContainment:
     def test_product_witness_is_not_a_sum_triple_witness(self):
         # {x, x+y, xy} monochromatic does NOT make {x, y, x+y} monochromatic:
         # at (2,4), colors of 2, 8, 6 agree while 4 differs
-        from ramseykit.witnesses import Instance, Witness, verify_witness
+        from ramseykit.witnesses import Witness, verify_witness
 
         colors = [1] * 10
         colors[4 - 1] = 2
         chi = Coloring.from_sequence(colors)
-        w = Witness(Instance((2, 4), (2, 6, 8)), 1)
+        w = Witness((2, 4), (2, 6, 8), 1)
         assert verify_witness(preset_family("xyxy"), chi, w).ok
-        schur_w = Witness(Instance((2, 4), (2, 4, 6)), 1)
+        schur_w = Witness((2, 4), (2, 4, 6), 1)
         assert not verify_witness(preset_family("schur"), chi, schur_w).ok

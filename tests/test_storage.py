@@ -10,10 +10,14 @@ import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ramseykit import storage
+from ramseykit.cli import main
 from ramseykit.coloring import Coloring
-from ramseykit.families import preset_family
+from ramseykit.families import PatternFamily, preset_family
+from ramseykit.reduction import QuadSolution, quadratic_setup, verify_quad_solution
 from ramseykit.search import exists_avoiding, threshold
 from ramseykit.storage import (
     ResultRecord,
@@ -21,7 +25,7 @@ from ramseykit.storage import (
     StoreVerificationError,
     make_provenance,
 )
-from ramseykit.witnesses import find_witness, witness_to_json
+from ramseykit.witnesses import Witness, find_witness, verify_witness, witness_to_json
 
 
 @pytest.fixture
@@ -392,6 +396,122 @@ class TestParamsAgreeWithPayload:
         write_unverified(store, bad)
         assert store.lookup("threshold", bad.fingerprint, {"r": 3}) is None
         assert "certificate has r=2" in store.verify_all()[0][1]
+
+
+# {x, xy} with pairwise distinct values required
+X_XY = PatternFamily.from_texts(2, ["x0", "x0*x1"], "x-xy", distinct_required=True)
+
+
+def witness_of(fam, n, r, assignment, values, color, distinct):
+    """A witness record as cmd_witness files it, for any claimed witness."""
+    payload = {"family_name": fam.name, "family": fam.to_json(), "n": n, "r": r,
+               "assignment": list(assignment), "term_values": list(values), "color": color}
+    params = {"n": n, "r": r, "distinct": distinct, "box": None}
+    return ResultRecord("witness", fam.fingerprint(), params, payload, {})
+
+
+def reduction_of(c, u, b, a):
+    payload = {"c": list(c), "u": list(u), "b": b, "a": list(a), "color": 1,
+               "source_witness": [1, 1]}
+    return ResultRecord("reduction", "fp", {"c": list(c)}, payload, {})
+
+
+def accepted(store, record):
+    try:
+        store.append(record)
+    except StoreVerificationError:
+        return False
+    return True
+
+
+class TestOneCheckPerAnswer:
+    """Witness and reduction records go through the package's own
+    verify_witness and verify_quad_solution checks, colors aside."""
+
+    @pytest.mark.parametrize("bad, reason", [
+        (witness_of(preset_family("vdw", 3), 9, 1, (5, -1), (5, 4, 3), 1, False),
+         "assignment entries must be positive"),
+        (witness_of(preset_family("schur"), 2, 1, (1, 1), (1, 1, 2), 1, True),
+         "term values not pairwise distinct"),
+        (witness_of(X_XY, 4, 1, (2, 1), (2, 2), 1, False),
+         "term values not pairwise distinct"),
+        (reduction_of((1, -1), (1, -1), 4, (4, 2)), "expected 3 values, got 2"),
+        (reduction_of((1, -4, 3), (-2, -1), 4, (17, 3, 1, 2)),
+         "u has 2 entries for 3 coefficients"),
+    ], ids=["vdw3-nonpositive", "schur-distinct-param", "distinct-required-family",
+            "reduction-short-a", "reduction-short-u"])
+    def test_refused_skipped_and_reported(self, store, capsys, bad, reason):
+        with pytest.raises(StoreVerificationError, match=reason):
+            store.append(bad)
+        assert not store.path.exists()
+        write_unverified(store, bad)
+        assert store.lookup(bad.kind, bad.fingerprint, bad.params) is None
+        assert main(["cache", "verify", "--cache", str(store.path)]) == 1
+        assert capsys.readouterr().out == (
+            f"  #0 FAIL: {bad.kind} record: {reason}\n1 record(s) failed verification\n"
+        )
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_witness_record_accepted_iff_verify_witness_accepts(self, tmp_path_factory, data):
+        fam = data.draw(st.sampled_from([preset_family("schur"), preset_family("vdw", 3),
+                                         preset_family("xyxy"), X_XY]))
+        r = data.draw(st.integers(1, 3))
+        assignment = data.draw(st.lists(st.integers(1, 6), min_size=2, max_size=2))
+        color, distinct = data.draw(st.integers(1, r)), data.draw(st.booleans())
+        mutation = data.draw(st.sampled_from(
+            ["none", "nonpositive", "value", "range", "repeat", "color"]))
+        if mutation == "nonpositive":
+            assignment[data.draw(st.integers(0, 1))] = data.draw(st.integers(-3, 0))
+        if mutation == "repeat":
+            assignment, distinct = [assignment[0]] * 2, True
+        values = [t.evaluate(assignment) for t in fam.terms]
+        if mutation == "value":
+            values[data.draw(st.integers(0, len(values) - 1))] += data.draw(
+                st.sampled_from([-2, -1, 1, 2]))
+        top = max(1, max(values))
+        n = max(1, top - 1) if mutation == "range" else top + data.draw(st.integers(0, 3))
+        colors = data.draw(st.lists(st.integers(1, r), min_size=n, max_size=n))
+        if mutation == "color":
+            color = data.draw(st.sampled_from([0, r + 1]))
+        else:  # a coloring that gives the claimed values the claimed color
+            for v in values:
+                if 1 <= v <= n:
+                    colors[v - 1] = color
+        w = Witness(tuple(assignment), tuple(values), color)
+        expected = verify_witness(fam, Coloring(n, r, colors), w,
+                                  distinct=True if distinct else None)
+        store = ResultStore(tmp_path_factory.getbasetemp() / "one-check.jsonl")
+        record = witness_of(fam, n, r, assignment, values, color, distinct)
+        assert accepted(store, record) == expected.ok, expected.reason
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_reduction_record_accepted_iff_verify_quad_solution_accepts(
+        self, tmp_path_factory, data
+    ):
+        c = data.draw(st.sampled_from([(1, -1), (1, 2, -3), (1, -4, 3), (2, -1, -1)]))
+        rd = quadratic_setup(c)
+        y = data.draw(st.integers(1, 4))
+        x = y * max(map(abs, rd.u)) + data.draw(st.integers(1, 6))
+        a = [rd.b * x * y] + [x + ul * y for ul in rd.u]  # a solution, as solve_quadratic decodes
+        mutation = data.draw(st.sampled_from(
+            ["none", "drop", "extra", "nonpositive", "repeat", "equation"]))
+        i = data.draw(st.integers(0, len(a) - 1))
+        if mutation == "drop":
+            del a[i]
+        if mutation == "extra":
+            a.append(data.draw(st.integers(1, 50)))
+        if mutation == "nonpositive":
+            a[i] = data.draw(st.integers(-3, 0))
+        if mutation == "repeat":
+            a[i] = a[(i + 1) % len(a)]
+        if mutation == "equation":
+            a[0] += data.draw(st.sampled_from([-2, -1, 1, 2]))
+        sol = QuadSolution(tuple(a), 1, (1, 1))
+        expected = verify_quad_solution(c, Coloring.solid(max(a + [1])), sol)
+        store = ResultStore(tmp_path_factory.getbasetemp() / "one-check.jsonl")
+        assert accepted(store, reduction_of(c, rd.u, rd.b, a)) == expected.ok, expected.reason
 
 
 class TestQuarantine:

@@ -40,7 +40,7 @@ DATACLASS_FIELDS = {
     "ThresholdResult": ["family_name", "fingerprint", "r", "value", "exact", "certificate",
                         "nodes"],
     "VerifyResult": ["ok", "reason"],
-    "Witness": ["instance", "color"],
+    "Witness": ["assignment", "term_values", "color"],
 }
 
 SUBCOMMAND_OPTIONS = {

@@ -4,6 +4,7 @@ The pruned enumerator is cross-checked against the no-pruning oracle in
 ``bruteforce`` throughout; any divergence is a bug in the pruning logic.
 """
 
+import dataclasses
 import itertools
 
 import numpy as np
@@ -151,43 +152,52 @@ class TestVerifyWitness:
     def setup_method(self):
         self.fam = preset_family("schur")
         self.chi = Coloring.solid(10)
-        self.good = Witness(Instance((2, 3), (2, 3, 5)), 1)
+        self.good = Witness((2, 3), (2, 3, 5), 1)
 
     def test_good(self):
         res = verify_witness(self.fam, self.chi, self.good)
         assert res.ok and bool(res)
 
     def test_bad_recomputation(self):
-        w = Witness(Instance((2, 3), (2, 3, 6)), 1)
+        w = Witness((2, 3), (2, 3, 6), 1)
         res = verify_witness(self.fam, self.chi, w)
         assert not res.ok
         assert "term 3" in res.reason and "!=" in res.reason
 
     def test_out_of_range(self):
-        w = Witness(Instance((9, 9), (9, 9, 18)), 1)
+        w = Witness((9, 9), (9, 9, 18), 1)
         res = verify_witness(self.fam, self.chi, w)
         assert not res.ok and "out of range" in res.reason
 
     def test_wrong_color(self):
         chi = Coloring.modular(10, 2)
-        w = Witness(Instance((2, 2), (2, 2, 4)), 1)
+        w = Witness((2, 2), (2, 2, 4), 1)
         res = verify_witness(self.fam, chi, w)
         assert not res.ok
         assert "term 1 colored 2 != 1" in res.reason
 
     def test_arity_mismatch(self):
-        w = Witness(Instance((2,), (2, 3, 5)), 1)
+        w = Witness((2,), (2, 3, 5), 1)
         assert not verify_witness(self.fam, self.chi, w).ok
 
     def test_distinct_enforced_when_required(self):
         fam = PatternFamily.from_texts(2, ["x0", "x0*x1"], distinct_required=True)
-        w = Witness(Instance((2, 1), (2, 2)), 1)
+        w = Witness((2, 1), (2, 2), 1)
         res = verify_witness(fam, self.chi, w)
         assert not res.ok and "distinct" in res.reason
 
     def test_nonpositive_assignment(self):
-        w = Witness(Instance((0, 3), (0, 3, 3)), 1)
+        w = Witness((0, 3), (0, 3, 3), 1)
         assert not verify_witness(self.fam, self.chi, w).ok
+
+    def test_witness_is_an_instance_with_a_color(self):
+        assert isinstance(self.good, Instance)
+        assert [f.name for f in dataclasses.fields(self.good)] == [
+            "assignment", "term_values", "color"
+        ]
+        assert (self.good.assignment, self.good.term_values, self.good.color) == (
+            (2, 3), (2, 3, 5), 1
+        )
 
 
 class TestSerialization:
