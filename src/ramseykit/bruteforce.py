@@ -11,7 +11,6 @@ at desk scale -- the callers keep N small.
 from __future__ import annotations
 
 import itertools
-from typing import Iterable
 
 import numpy as np
 

@@ -244,7 +244,8 @@ def cmd_threshold(args) -> int:
     result_json = None
     if store is not None:
         hit = store.lookup("threshold", fp, params)
-        if hit is not None and (hit.payload.get("exact") or hit.payload.get("max_n", 0) >= args.max_n):
+        # decided on verified fields only: an exact T, or a bound T >= value > max_n
+        if hit is not None and (hit.payload["exact"] or int(hit.payload["value"]) > args.max_n):
             result_json = hit.payload
 
     exhausted = None  # a budget ran out: report the proven bound, cache nothing

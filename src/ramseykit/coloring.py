@@ -200,8 +200,6 @@ def _encode_block(colors: np.ndarray) -> bytes:
     cells[:, width] = ord(" ")
     cells[19::20, width] = ord("\n")
     cells[-1, width] = ord("\n")
-    if width == 1:
-        return cells.tobytes()
     # drop each color's leading zero cells: a color below 10**k has width - k of them
     keep = np.ones_like(cells, dtype=bool)
     for j in range(width - 1):

@@ -10,7 +10,8 @@ dilates (B_i = y_i * D_i, truncated to [1..N]) and re-colors by the class of
 largest overlap.  When a color repeats (t_j = t_i, forced by pigeonhole once
 enough rounds complete), x~ = min B_i with y = y_{j+1}...y_i yields
 x = x~/y and the monochromatic set {x, x+y, x*y}.  On literally computed
-sets the containment chain is exact, so a non-integer x or a failed final
+sets the containment chain is exact, and y_1...y_i divides every element of
+B_i, so x is an integer; a failed containment, divisibility or final
 verification can only mean an implementation bug -- those raise
 ConstructionInvariantError, while a round simply running out of usable y is
 an expected outcome reported in the trace.
@@ -58,8 +59,6 @@ def bits_from_values(values: Iterable[int] | np.ndarray, n: int) -> int:
 
 
 def values_from_bits(bits: int, n: int) -> np.ndarray:
-    if bits == 0:
-        return np.zeros(0, dtype=np.int64)
     raw = bits.to_bytes((n + 8) // 8 + 1, "little")
     flat = np.unpackbits(np.frombuffer(raw, dtype=np.uint8), bitorder="little")
     return np.flatnonzero(flat[: n + 1]).astype(np.int64)
@@ -184,15 +183,10 @@ def run_construction(
     b_bits = class_bits[t0]
     trace.b0_size = b_bits.bit_count()
 
+    # carried across rounds: in round i, mults = (y_j^2 ... y_{i-1}^2)_{j=1..i},
+    # the last being the empty product 1, and prods[k] = y_1 ... y_k for k < i
+    mults, prods = [1], [1]
     for i in range(1, max_rounds + 1):
-        # multiplier list (y_j^2 ... y_{i-1}^2)_{j=1..i}; the last is the empty product 1
-        mults = []
-        acc = 1
-        for l in range(i - 1, 0, -1):
-            acc *= trace.y[l - 1] ** 2
-            mults.append(acc)
-        mults = mults[::-1] + [1]
-
         y_i, d_bits, best_y, best_size = _select_y_bits(b_bits, mults, y_max, size_floor)
         if y_i is None:
             trace.failure_reason = (
@@ -230,30 +224,22 @@ def run_construction(
         )
 
         _require(b_bits & ~dil_bits == 0, f"round {i}: B not inside y*D")
-        vals = values_from_bits(b_bits, n)
-        div = 1
-        for m in range(i - 1, -1, -1):
-            div *= trace.y[m]
-            if div == 1:
-                continue
-            if div < (1 << 62):
-                bad = (vals % div).any()
-            else:
-                bad = any(int(v) % div for v in vals)
-            _require(
-                not bad,
-                f"round {i}: an element of B_{i} is not divisible by "
-                f"y_{m + 1}*...*y_{i} = {div}",
-            )
+        # y_1 ... y_i divides every element of B_i, so every suffix product
+        # y_j ... y_i does too; B_i is non-empty and inside [1..n], so a
+        # product above n already breaks the invariant.  A product of 1 skips
+        # decoding B_i, which is most of a y = 1 round at N = 10^6.
+        prods.append(prods[-1] * y_i)
+        div = prods[i]
+        _require(
+            div == 1 or div <= n and not (values_from_bits(b_bits, n) % div).any(),
+            f"round {i}: an element of B_{i} is not divisible by y_1*...*y_{i} = {div}",
+        )
+        mults = [m * y_i * y_i for m in mults] + [1]
 
-        first = trace.t.index(t_i)
-        if first < i:
-            j = first
+        j = trace.t.index(t_i)
+        if j < i:
             xt = (b_bits & -b_bits).bit_length() - 1
-            yprod = 1
-            for l in range(j, i):
-                yprod *= trace.y[l]
-            _require(xt % yprod == 0, f"x~ = {xt} is not divisible by y = {yprod}")
+            yprod = prods[i] // prods[j]  # y_{j+1} ... y_i, which divides x~ by the invariant
             x = xt // yprod
             w = Witness((x, yprod), (x, x + yprod, x * yprod), t_i)
             check = verify_witness(preset_family("xyxy"), coloring, w)

@@ -188,17 +188,18 @@ def build_instance_index(
 class _Search:
     """One forward-checking search over positions 1..n, where n grows to max_n.
 
-    Per position: its color, the bitmask of colors still open (``dom``), the
-    tops its color struck (``removed``), the largest color below it (``used``)
-    and the next color to try (``trial``).  ``index[p]`` holds the value sets
-    by second-largest member p; ``by_top[t]`` holds their (p, others) by top
-    t, in ascending p.  Only the sets with top <= n take part.
+    Per position: its color (kept after an undo, so the next color to try is
+    one above it; a fresh position is set to 0), the bitmask of colors still
+    open (``dom``), the tops its color struck (``removed``) and the largest
+    color below it (``used``).  ``index[p]`` holds the value sets by
+    second-largest member p; ``by_top[t]`` holds their (p, others) by top t,
+    in ascending p.  Only the sets with top <= n take part.
     """
 
     def __init__(self, family: PatternFamily, r: int, max_n: int, *, n: int, size: int):
         self.family, self.r, self.max_n, self.n = family, r, max_n, n
         self.last: list[int] | None = None  # the lex-first avoider at n-1
-        self.colors, self.dom, self.removed, self.used, self.trial = [], [], [], [], []
+        self.colors, self.dom, self.removed, self.used = [], [], [], []
         self._grow(size)
 
     def _grow(self, size: int) -> None:
@@ -213,7 +214,6 @@ class _Search:
         self.dom += [(1 << self.r) - 1] * extra
         self.removed += [[] for _ in range(extra)]
         self.used += [0] * extra
-        self.trial += [1] * extra
         for top, _ in self.index[0]:  # a singleton {top} leaves top no color
             self.dom[top] = 0
         self.size = size
@@ -245,7 +245,6 @@ class _Search:
         for top in removed:
             dom[top] |= bit
         removed.clear()
-        self.colors[p] = 0
 
     def open(self) -> int:
         """Open position n+1 next to the colored 1..n: strike each color that
@@ -277,13 +276,13 @@ class _Search:
         adds the p where n+1 empties (else n) to the nodes: a fresh search at
         n+1 would have spent them replaying the avoider."""
         r, max_n = self.r, self.max_n
-        colors, dom, used, trial = self.colors, self.dom, self.used, self.trial
+        colors, dom, used = self.colors, self.dom, self.used
         place, undo = self.place, self.undo
         n, nodes, tick = self.n, 0, 2048  # the clock is read at the first node >= tick
         found: list[list[int]] = []
         pos = 1
         while pos:
-            c = trial[pos]
+            c = colors[pos] + 1
             limit = min(r, used[pos] + 1)
             open_colors = dom[pos]
             while c <= limit:
@@ -304,11 +303,10 @@ class _Search:
                 if pos:
                     undo(pos)
                 continue
-            trial[pos] = c + 1
             used[pos + 1] = max(used[pos], c)
             if pos < n:
                 pos += 1
-                trial[pos] = 1
+                colors[pos] = 0
             elif n == max_n:
                 found.append(colors[1 : n + 1])
                 if not find_all:
@@ -319,7 +317,7 @@ class _Search:
                 p = self.open()
                 nodes += p or n
                 n += 1
-                trial[n] = 1
+                colors[n] = 0
                 pos = p or n  # if n emptied, p is where a fresh search would fail
                 for q in range(n - 1, pos - 1, -1):
                     undo(q)

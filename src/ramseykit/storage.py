@@ -10,13 +10,15 @@ only the flock's target: nothing reads or writes its contents.
 Trust model: a record is verified by recomputation before it is written, by
 verify_all() over every stored line, and by lookup() on what it serves (the
 latest match that passes; failing ones are skipped).  Its fingerprint must be
-its embedded family's and its params (r, n, box_relative, c) must agree with
+its family's (the embedded one; {x, x+y, xy} for a construction; the family
+of u for a reduction) and its params (r, n, box_relative, c) must agree with
 its payload.  Then a witness runs _check_instance (verify_witness without
 colors, under the distinct flag it is filed with) and a color range check,
-certificates verify_certificate, a reduction its u/b checks and
-_check_solution (verify_quad_solution without domain and colors), and a
-construction an x/y range check.  No coloring is stored, so the colors of
-witnesses and reductions, and the witness box, stay unchecked.
+certificates verify_certificate, a reduction its u/b checks, _check_solution
+(verify_quad_solution without domain and colors) and the decoding of its a
+from its source witness, and a construction an x/y range check.  No coloring
+is stored, so the colors of witnesses and reductions, and the witness box,
+stay unchecked.
 records() validates structure only, quarantining lines that fail instead of
 raising, so one corrupt line cannot poison the rest of the cache.
 
@@ -37,6 +39,7 @@ from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
 
+from .families import preset_family, reduction_family
 from .reduction import _check_solution
 from .search import AvoidCertificate, verify_certificate
 from .witnesses import _check_instance, witness_from_json
@@ -128,11 +131,13 @@ def _check_structure(obj: dict) -> str | None:
     return None
 
 
-def _check_fingerprint(record: ResultRecord, payload: dict, family=None) -> None:
-    """The record is filed under its own family: the embedded family and the
-    payload's fingerprint field, where present, must hash to the record's."""
+def _check_fingerprint(
+    record: ResultRecord, payload: dict, family=None, what: str = "embedded family"
+) -> None:
+    """The record is filed under its own family: the family and the payload's
+    fingerprint field, where present, must hash to the record's."""
     if family is not None and family.fingerprint() != record.fingerprint:
-        raise ValueError("embedded family does not match the record's fingerprint")
+        raise ValueError(f"{what} does not match the record's fingerprint")
     if "fingerprint" in payload and payload["fingerprint"] != record.fingerprint:
         raise ValueError("payload fingerprint does not match the record's")
 
@@ -196,6 +201,7 @@ def _verify_payload(record: ResultRecord) -> None:
                 if not verify_certificate(cert):
                     raise ValueError("embedded certificate fails verification")
         elif kind == "construction":
+            _check_fingerprint(record, payload, preset_family("xyxy"), "{x, x+y, xy} family")
             w = payload.get("witness")
             if payload.get("failure_reason") is None and w is None:
                 raise ValueError("trace claims success but has no witness")
@@ -215,9 +221,17 @@ def _verify_payload(record: ResultRecord) -> None:
                 raise ValueError("u does not clear the quadratic form")
             if b != 2 * sum(cl * ul for cl, ul in zip(c, u)) or b <= 0:
                 raise ValueError("b is not twice the positive cross sum")
-            reason = _check_solution(c, [int(v) for v in payload["a"]])
+            a = [int(v) for v in payload["a"]]
+            reason = _check_solution(c, a)
             if reason is not None:
                 raise ValueError(reason)
+            _check_fingerprint(record, payload, reduction_family(u), "family of u")
+            # what solve_quadratic reports: a from (x, y) = (bX, bY)
+            x, y = (int(v) for v in payload["source_witness"])
+            if x < 1 or y < 1 or x % b or y % b:
+                raise ValueError(f"source witness ({x}, {y}) is not two positive multiples of b")
+            if a != [x * y // b] + [(x + ul * y) // b for ul in u]:
+                raise ValueError(f"a does not decode from the source witness ({x}, {y})")
     except Exception as exc:
         raise StoreVerificationError(f"{kind} record: {exc}") from exc
 

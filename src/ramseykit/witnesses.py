@@ -22,10 +22,10 @@ The ragged ranges are expanded with repeat/cumsum, so the cost grows with the
 admissible prefixes and instances (about N log N for {x, x+y, xy}), not with
 the [1..N]^s box.
 
-Chunks: at each depth the children are cut into windows of at most 2^20 rows,
-and each window is finished depth-first before the next, which keeps the
-lexicographic order and bounds memory.  Streams that may stop early start at
-2^10 rows and double, so find_witness builds little beyond its answer.
+Chunks: at each depth the children are cut into windows, and each window is
+finished depth-first before the next, which keeps the lexicographic order and
+bounds memory.  The windows start at 2^10 rows and double up to 2^20, so
+find_witness builds little beyond its answer.
 
 Overflow: when max_abs_on_box proves every term stays below 2^62 in absolute
 value over the box the columns are int64; otherwise the same code runs on
@@ -61,7 +61,7 @@ __all__ = [
 
 Box = tuple[tuple[int, int], ...]
 
-# a lazy stream's chunks start at this many rows and double up to the cap
+# the enumerator's windows start at this many rows and double up to the cap
 _FIRST_CHUNK = 1 << 10
 _MAX_CHUNK = 1 << 20
 # int64 is safe while |term| stays below this (headroom under 2^63)
@@ -175,13 +175,13 @@ def _largest_v(coefs: dict, n: int, lo: int, hi: int, rows: int, dtype):
     v = lo already exceeds n.
 
     The coefficients are nonnegative (the term's coefficients are positive),
-    so the sum is nondecreasing in v.  Linear sums are solved directly and
-    may exceed hi; higher powers bisect in [lo-1 .. hi].
+    so the sum is nondecreasing in v.  Linear sums are solved directly (one
+    int for every row when no coefficient depends on the prefix) and may
+    exceed hi; higher powers bisect in [lo-1 .. hi].
     """
     deg = max(coefs)
     if deg == 1:
-        v = (n - coefs.get(0, 0)) // coefs[1]
-        return np.full(rows, v, dtype=dtype) if isinstance(v, int) else v
+        return (n - coefs.get(0, 0)) // coefs[1]
     below = np.full(rows, lo - 1, dtype=dtype)
     above = np.full(rows, hi, dtype=dtype)
     while (below < above).any():
@@ -222,14 +222,13 @@ def _depth_plan(terms: tuple[IntPoly, ...]):
 
 
 def _instance_chunks(
-    family: PatternFamily, n: int, box: Sequence | None = None, lazy: bool = False
+    family: PatternFamily, n: int, box: Sequence | None = None
 ) -> Iterator[tuple[list[np.ndarray], list[np.ndarray]]]:
     """The admissible instances over the box, as column chunks in lex order.
 
     Each chunk is (assignment columns, term-value columns in term order); the
     value columns are int64, the assignment columns int64 or, when int64 is
     not provably safe, object arrays of Python ints.  No chunk is empty.
-    A lazy stream starts with small chunks, for consumers that may stop early.
     """
     if n < 1:
         raise ValueError("N must be >= 1")
@@ -245,12 +244,10 @@ def _instance_chunks(
     slot = {i: pos for pos, i in enumerate(carried)}
 
     def child_counts(d: int, cols: list[np.ndarray], rows: int) -> np.ndarray:
-        # children of each row: v in [lo .. vmax], where vmax keeps every
-        # positive term that is still open at depth d within n
+        # children of each row: v in [lo .. vmax], where vmax is hi lowered to
+        # keep every positive term that is still open at depth d within n
         lo, hi = nb[d]
-        if not bounds[d]:  # no positive term is open: the box is the range
-            return np.full(rows, max(0, hi - lo + 1), dtype=np.int64)
-        vmax = hi
+        vmax = np.full(rows, hi, dtype=dtype)
         for coefs in bounds[d]:
             evaluated = {
                 e: c if isinstance(c, int) else _eval_term_on_columns(c, cols)
@@ -259,7 +256,7 @@ def _instance_chunks(
             vmax = np.minimum(vmax, _largest_v(evaluated, n, lo, hi, rows, dtype))
         return np.maximum(vmax - lo + 1, 0).astype(np.int64, copy=False)
 
-    size = _FIRST_CHUNK if lazy else _MAX_CHUNK
+    size = _FIRST_CHUNK
 
     def descend(d, cols, vals, counts):
         # cols/vals: rows at depth d (prefixes x_0..x_{d-1}); counts: their children
@@ -323,7 +320,7 @@ def enumerate_instances(
     Whether this stream provably contains *all* admissible instances is
     reported by enumeration_complete(family, n, box).
     """
-    for cols, vals in _instance_chunks(family, n, box, lazy=True):
+    for cols, vals in _instance_chunks(family, n, box):
         rows = zip(zip(*(c.tolist() for c in cols)), zip(*(x.tolist() for x in vals)))
         for assignment, values in rows:
             yield Instance(assignment, values)
@@ -352,7 +349,7 @@ def iter_witnesses(
     """Witnesses in lexicographic assignment order (streaming)."""
     if distinct is None:
         distinct = family.distinct_required
-    for cols, vals in _instance_chunks(family, coloring.n, box, lazy=True):
+    for cols, vals in _instance_chunks(family, coloring.n, box):
         ok, c0 = _witness_mask(vals, coloring.colors, distinct)
         (hits,) = np.nonzero(ok)
         if not len(hits):

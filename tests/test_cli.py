@@ -12,8 +12,8 @@ from ramseykit import cli
 from ramseykit.cli import main, parse_box_arg, parse_coeffs
 from ramseykit.coloring import Coloring
 from ramseykit.families import PatternFamily, preset_family
-from ramseykit.search import AvoidCertificate, verify_certificate
-from ramseykit.storage import ResultStore
+from ramseykit.search import AvoidCertificate, threshold, verify_certificate
+from ramseykit.storage import ResultRecord, ResultStore
 
 
 def run(capsys, *argv):
@@ -547,6 +547,24 @@ class TestCache:
         code, out, _ = run(capsys, "threshold", "--family", "schur", "--colors", "3",
                            "--max-n", "20", "--cache", str(cache))
         assert code == 0 and out == "T = 14\n"
+
+    def test_lower_bound_served_on_its_value_not_its_max_n(self, capsys, tmp_path):
+        # a genuine T >= 6 for {x, x+1}, r=2, claiming max_n 1000: the store
+        # verifies the value and the avoider at N=5, but nothing checks max_n
+        cache = tmp_path / "store.jsonl"
+        res = threshold(preset_family("x_xp1"), 2, 5)
+        payload = dict(res.to_json(), max_n=1000)
+        record = ResultRecord("threshold", res.fingerprint, {"r": 2}, payload, {})
+        ResultStore(cache).append(record)
+        code, out, _ = run(capsys, "cache", "verify", "--cache", str(cache))
+        assert code == 0 and out == "all 1 record(s) verified\n"
+        argv = ("threshold", "--family", "x_xp1", "--colors", "2", "--max-n", "20")
+        fresh = run(capsys, *argv)
+        assert fresh == (1, "T >= 21\n", "")
+        assert run(capsys, *argv, "--cache", str(cache)) == fresh
+        # the bound it proved is served from then on
+        assert run(capsys, *argv, "--cache", str(cache)) == fresh
+        assert len(ResultStore(cache).records()[0]) == 2
 
     def test_requires_cache_path(self, capsys):
         code, _, err = run(capsys, "cache", "list")

@@ -6,11 +6,16 @@ containment/divisibility assertions -- across random colorings, not just the
 handpicked ones.
 """
 
+import itertools
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from ramseykit.coloring import Coloring
 from ramseykit.construction import (
+    ConstructionInvariantError,
     ConstructiveTrace,
     _max_gap_array,
     _select_y_bits,
@@ -187,3 +192,78 @@ class TestRunConstruction:
             assert verify_witness(preset_family("xyxy"), chi, trace.witness).ok
         else:
             assert "y <= 3" in trace.failure_reason
+
+
+# ---- pinned traces ----
+
+GOLDEN_TRACES = Path(__file__).resolve().parent / "golden" / "construction_traces.jsonl"
+
+TRACE_OPTIONS = [
+    {},
+    {"y_max": 3},
+    {"size_floor": 4},
+    {"max_rounds": 1},
+    {"y_max": 6, "size_floor": 2, "max_rounds": 5},
+]
+
+
+def _two_adic(v):
+    """The exponent of 2 in each entry of v (all positive)."""
+    return np.log2(v & -v).astype(np.int32)
+
+
+def golden_colorings():
+    """The seeded colourings whose traces tests/golden/construction_traces.jsonl pins."""
+    for n in (1, 7, 60, 250, 500):
+        for b in (1, 2, 3, 4):
+            yield Coloring.modular(n, b)
+        yield Coloring.solid(n)
+    # colour min(v_2(v), r - 1) + 1: each round dilates by a power of 2 into the
+    # next class, so r = 3 and 4 reach a third round at N = 2000 and 5000
+    for r in (2, 3, 4):
+        for n in (500, 2000, 5000):
+            v = np.arange(1, n + 1)
+            yield Coloring(n, r, np.minimum(_two_adic(v), r - 1) + 1)
+    rng = np.random.default_rng(20261019)
+    for r in (1, 2, 3, 4):
+        for n in (5, 40, 150, 500):
+            for _ in range(3):
+                yield Coloring.random_uniform(n, r, rng)
+
+
+def golden_trace_lines():
+    for chi in golden_colorings():
+        for options in TRACE_OPTIONS:
+            yield json.dumps(run_construction(chi, **options).to_json(), sort_keys=True)
+
+
+def test_traces_match_golden():
+    want = GOLDEN_TRACES.read_text().splitlines()
+    got = list(golden_trace_lines())
+    assert len(got) == len(want)
+    for k, (line, expected) in enumerate(zip(got, want)):
+        assert line == expected, f"trace {k} differs"
+
+
+def test_divisibility_break_is_caught(monkeypatch):
+    # the parity colouring dilates by y_1 = 2; shifting that dilated set up by
+    # one (the two class bitsets are built first and left alone) puts odd
+    # values in B_1, which must fail the divisibility invariant
+    import ramseykit.construction as construction
+
+    real = construction.bits_from_values
+    calls = itertools.count()
+
+    def shifted(values, n):
+        bits = real(values, n)
+        return bits << 1 if next(calls) >= 2 else bits
+
+    monkeypatch.setattr(construction, "bits_from_values", shifted)
+    with pytest.raises(ConstructionInvariantError, match="not divisible"):
+        run_construction(Coloring.modular(1000, 2))
+
+
+if __name__ == "__main__":
+    # rewrite the golden traces from the package in src/:
+    #   PYTHONPATH=src python tests/test_construction.py
+    GOLDEN_TRACES.write_text("".join(line + "\n" for line in golden_trace_lines()))

@@ -4,6 +4,7 @@ import contextlib
 import gc
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -16,7 +17,7 @@ from hypothesis import strategies as st
 from ramseykit import storage
 from ramseykit.cli import main
 from ramseykit.coloring import Coloring
-from ramseykit.families import PatternFamily, preset_family
+from ramseykit.families import PatternFamily, preset_family, reduction_family
 from ramseykit.reduction import QuadSolution, quadratic_setup, verify_quad_solution
 from ramseykit.search import exists_avoiding, threshold
 from ramseykit.storage import (
@@ -119,8 +120,12 @@ def write_unverified(store, record):
         fh.write(line + "\n")
 
 
+XYXY_FP = preset_family("xyxy").fingerprint()
+REDUCTION_FP = reduction_family([1, -1]).fingerprint()
+
+
 def plain_record(i):
-    return ResultRecord("construction", "fp", {"i": i}, {"failure_reason": "none"}, {})
+    return ResultRecord("construction", XYXY_FP, {"i": i}, {"failure_reason": "none"}, {})
 
 
 def stored_params(store):
@@ -204,13 +209,15 @@ class TestLineIndexMemo:
         go = store.path.with_name("go")
         script = (
             "import os, sys, time\n"
+            "from ramseykit.families import preset_family\n"
             "from ramseykit.storage import ResultRecord, ResultStore\n"
+            "fp = preset_family('xyxy').fingerprint()\n"
             "store = ResultStore(sys.argv[1])\n"
             "print('ready', flush=True)\n"
             "while not os.path.exists(sys.argv[3]):\n"
             "    time.sleep(0.001)\n"
             "for i in range(50):\n"
-            "    rec = ResultRecord('construction', 'fp', {'proc': sys.argv[2], 'i': i},\n"
+            "    rec = ResultRecord('construction', fp, {'proc': sys.argv[2], 'i': i},\n"
             "                       {'failure_reason': 'none'}, {})\n"
             "    store.append(rec)\n"
         )
@@ -290,10 +297,10 @@ class TestVerification:
             "color": 1,
             "source_witness": [8, 4],
         }
-        store.append(ResultRecord("reduction", "fp", {"c": [1, -1]}, good, {}))
+        store.append(ResultRecord("reduction", REDUCTION_FP, {"c": [1, -1]}, good, {}))
         bad = dict(good, a=[9, 3, 1])
         with pytest.raises(StoreVerificationError):
-            store.append(ResultRecord("reduction", "fp", {"c": [1, -1]}, bad, {}))
+            store.append(ResultRecord("reduction", REDUCTION_FP, {"c": [1, -1]}, bad, {}))
 
     def test_certificate_under_another_fingerprint_blocked(self, store):
         rec = avoiding_record()  # a valid schur certificate
@@ -353,7 +360,7 @@ def construction_record():
 def reduction_record():
     payload = {"c": [1, -1], "u": [1, -1], "b": 4, "a": [8, 3, 1], "color": 1,
                "source_witness": [8, 4]}
-    return ResultRecord("reduction", "fp", {"c": [1, -1], "n": 200, "r": 1}, payload, {})
+    return ResultRecord("reduction", REDUCTION_FP, {"c": [1, -1], "n": 200, "r": 1}, payload, {})
 
 
 class TestParamsAgreeWithPayload:
@@ -410,10 +417,13 @@ def witness_of(fam, n, r, assignment, values, color, distinct):
     return ResultRecord("witness", fam.fingerprint(), params, payload, {})
 
 
-def reduction_of(c, u, b, a):
+def reduction_of(c, u, b, a, source=(1, 1)):
+    """A reduction record as cmd_reduce files it.  The default source (1, 1)
+    decodes to no a; the records refused for their a fail before it is read."""
     payload = {"c": list(c), "u": list(u), "b": b, "a": list(a), "color": 1,
-               "source_witness": [1, 1]}
-    return ResultRecord("reduction", "fp", {"c": list(c)}, payload, {})
+               "source_witness": list(source)}
+    fp = reduction_family(u).fingerprint()
+    return ResultRecord("reduction", fp, {"c": list(c)}, payload, {})
 
 
 def accepted(store, record):
@@ -511,7 +521,56 @@ class TestOneCheckPerAnswer:
         sol = QuadSolution(tuple(a), 1, (1, 1))
         expected = verify_quad_solution(c, Coloring.solid(max(a + [1])), sol)
         store = ResultStore(tmp_path_factory.getbasetemp() / "one-check.jsonl")
-        assert accepted(store, reduction_of(c, rd.u, rd.b, a)) == expected.ok, expected.reason
+        record = reduction_of(c, rd.u, rd.b, a, (rd.b * x, rd.b * y))
+        assert accepted(store, record) == expected.ok, expected.reason
+
+
+SCHUR_FP = preset_family("schur").fingerprint()
+
+
+def refiled(record, fingerprint=None, **payload):
+    """The record under another fingerprint, or with payload fields replaced."""
+    return ResultRecord(record.kind, fingerprint or record.fingerprint, record.params,
+                        dict(record.payload, **payload), {})
+
+
+class TestFiledUnderTheirFamily:
+    """A construction is filed under {x, x+y, xy} and a reduction under the
+    family of its u, and a reduction's a must decode from its source witness."""
+
+    @pytest.mark.parametrize("make, reason", [
+        (lambda: refiled(construction_record(), SCHUR_FP),
+         "{x, x+y, xy} family does not match the record's fingerprint"),
+        (lambda: refiled(reduction_record(), SCHUR_FP),
+         "family of u does not match the record's fingerprint"),
+        (lambda: refiled(reduction_record(), source_witness=[1, 1]),
+         "source witness (1, 1) is not two positive multiples of b"),
+        (lambda: refiled(reduction_record(), source_witness=[12, 4]),
+         "a does not decode from the source witness (12, 4)"),
+        (lambda: refiled(reduction_record(), source_witness=[8, 6]),
+         "source witness (8, 6) is not two positive multiples of b"),
+        (lambda: refiled(reduction_record(), source_witness=[-8, 4]),
+         "source witness (-8, 4) is not two positive multiples of b"),
+    ], ids=["construction-under-schur", "reduction-under-schur", "reduction-source-1-1",
+            "reduction-source-other-solution", "reduction-source-not-multiple",
+            "reduction-source-negative"])
+    def test_refused_skipped_and_reported(self, store, capsys, make, reason):
+        bad = make()
+        with pytest.raises(StoreVerificationError, match=re.escape(reason)):
+            store.append(bad)
+        assert not store.path.exists()
+        write_unverified(store, bad)
+        assert store.lookup(bad.kind, bad.fingerprint, bad.params) is None
+        assert main(["cache", "verify", "--cache", str(store.path)]) == 1
+        assert capsys.readouterr().out == (
+            f"  #0 FAIL: {bad.kind} record: {reason}\n1 record(s) failed verification\n"
+        )
+
+    def test_genuine_records_accepted(self, store):
+        for record in (construction_record(), reduction_record()):
+            store.append(record)
+            assert store.lookup(record.kind, record.fingerprint, record.params) == record
+        assert store.verify_all() == []
 
 
 class TestQuarantine:
