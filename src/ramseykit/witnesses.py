@@ -24,8 +24,12 @@ the [1..N]^s box.
 
 Chunks: at each depth the children are cut into windows, and each window is
 finished depth-first before the next, which keeps the lexicographic order and
-bounds memory.  The windows start at 2^10 rows and double up to 2^20, so
-find_witness builds little beyond its answer.
+bounds memory.  The windows start at 2^10 rows, so find_witness builds little
+beyond its answer, and double up to 2^16.  At that cap an int64 column is
+512 KiB, so the columns one numpy operation touches stay in cache, and the
+enumerator holds one window per depth whatever N is.  A window repeats each
+parent's columns over its children (np.repeat) rather than building a parent
+index and gathering through it.
 
 Overflow: when max_abs_on_box proves every term stays below 2^62 in absolute
 value over the box the columns are int64; otherwise the same code runs on
@@ -63,7 +67,7 @@ Box = tuple[tuple[int, int], ...]
 
 # the enumerator's windows start at this many rows and double up to the cap
 _FIRST_CHUNK = 1 << 10
-_MAX_CHUNK = 1 << 20
+_MAX_CHUNK = 1 << 16
 # int64 is safe while |term| stays below this (headroom under 2^63)
 _INT64_SAFE = 1 << 62
 
@@ -153,6 +157,18 @@ def _eval_term_on_columns(term: IntPoly, cols: list[np.ndarray]) -> np.ndarray:
     return total
 
 
+def _map_columns(f, cols: list[np.ndarray], vals: list[np.ndarray]):
+    """(f of each assignment column, f of each value column).
+
+    A value column that is an assignment column itself (a term that is
+    exactly x_i) maps to that column's result, so it is built once and the
+    two stay one array.
+    """
+    mapped = [f(c) for c in cols]
+    shared = {id(c): m for c, m in zip(cols, mapped)}
+    return mapped, [shared[id(x)] if id(x) in shared else f(x) for x in vals]
+
+
 def _bound_coefficients(term: IntPoly, d: int) -> dict[int, int | IntPoly]:
     """The term at (x_0..x_{d-1}, v, 1, ..., 1) as a polynomial in v.
 
@@ -228,7 +244,13 @@ def _instance_chunks(
 
     Each chunk is (assignment columns, term-value columns in term order); the
     value columns are int64, the assignment columns int64 or, when int64 is
-    not provably safe, object arrays of Python ints.  No chunk is empty.
+    not provably safe, object arrays of Python ints.  No chunk is empty, and
+    none has more than _MAX_CHUNK rows.
+
+    On the int64 path the value column of a term that is exactly x_i is the
+    assignment column x_i itself, not a copy.  Consumers only read the
+    columns (build_instance_index's np.stack copies them), so the sharing
+    never shows.
     """
     if n < 1:
         raise ValueError("N must be >= 1")
@@ -276,10 +298,9 @@ def _instance_chunks(
                 p0 = int(np.searchsorted(cum, start, side="right"))
                 p1 = int(np.searchsorted(cum, stop - 1, side="right")) + 1
                 ends = np.minimum(cum[p0:p1], stop) - start
-                par = np.repeat(np.arange(p0, p1), np.concatenate((ends[:1], ends[1:] - ends[:-1])))
-                kids = [c[par] for c in cols]
-                kids.append(np.arange(start, stop, dtype=np.int64) - first[par])
-                kvals = [x[par] for x in vals]
+                reps = np.concatenate((ends[:1], ends[1:] - ends[:-1]))
+                kids, kvals = _map_columns(lambda a: np.repeat(a[p0:p1], reps), cols, vals)
+                kids.append(np.arange(start, stop, dtype=np.int64) - np.repeat(first[p0:p1], reps))
             start = stop
             # the new column holds offsets from lo so far; lo may exceed int64
             kids[-1] = (kids[-1] if dtype is not object else kids[-1].astype(object)) + lo
@@ -293,8 +314,7 @@ def _instance_chunks(
             if keep is not None and not keep.all():
                 if not keep.any():
                     continue
-                kids = [c[keep] for c in kids]
-                kvals = [x[keep] for x in kvals]
+                kids, kvals = _map_columns(lambda a: a[keep], kids, kvals)
             fresh = len(finishing[d])
             if dtype is object and fresh:  # the values are in [1..n] now
                 kvals[-fresh:] = [x.astype(np.int64) for x in kvals[-fresh:]]
@@ -326,12 +346,20 @@ def enumerate_instances(
             yield Instance(assignment, values)
 
 
-def _witness_mask(vals: list[np.ndarray], colors: np.ndarray, distinct: bool):
-    """(rows whose values share one color and, if asked, are distinct; that color)."""
-    c0 = colors[vals[0] - 1]
-    ok = np.ones(len(c0), dtype=bool)
-    for v in vals[1:]:
-        ok &= colors[v - 1] == c0
+def _color_table(coloring: Coloring) -> np.ndarray:
+    """The colors indexed by value: table[v] is the color of v, table[0] unused."""
+    return np.concatenate((np.zeros(1, dtype=coloring.colors.dtype), coloring.colors))
+
+
+def _witness_mask(vals: list[np.ndarray], table: np.ndarray, distinct: bool):
+    """(rows whose values share one color and, if asked, are distinct; that color).
+
+    table is _color_table of the coloring.
+    """
+    c0 = table[vals[0]]
+    ok = table[vals[1]] == c0 if len(vals) > 1 else np.ones(len(c0), dtype=bool)
+    for v in vals[2:]:
+        ok &= table[v] == c0
     if distinct:
         for i in range(len(vals)):
             for j in range(i + 1, len(vals)):
@@ -349,8 +377,9 @@ def iter_witnesses(
     """Witnesses in lexicographic assignment order (streaming)."""
     if distinct is None:
         distinct = family.distinct_required
+    table = _color_table(coloring)
     for cols, vals in _instance_chunks(family, coloring.n, box):
-        ok, c0 = _witness_mask(vals, coloring.colors, distinct)
+        ok, c0 = _witness_mask(vals, table, distinct)
         (hits,) = np.nonzero(ok)
         if not len(hits):
             continue
@@ -381,9 +410,10 @@ def count_witnesses(
     """Exact witness count."""
     if distinct is None:
         distinct = family.distinct_required
+    table = _color_table(coloring)
     total = 0
     for _, vals in _instance_chunks(family, coloring.n, box):
-        total += int(np.count_nonzero(_witness_mask(vals, coloring.colors, distinct)[0]))
+        total += int(np.count_nonzero(_witness_mask(vals, table, distinct)[0]))
     return total
 
 

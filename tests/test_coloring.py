@@ -7,6 +7,10 @@ from hypothesis import strategies as st
 
 from ramseykit import coloring as coloring_module
 from ramseykit.coloring import Coloring
+from ramseykit.construction import run_construction
+from ramseykit.families import preset_family
+from ramseykit.reduction import solve_quadratic
+from ramseykit.witnesses import count_witnesses, find_witness, iter_witnesses
 
 colorings = st.integers(1, 5).flatmap(
     lambda r: st.lists(st.integers(1, r), min_size=1, max_size=60).map(
@@ -267,3 +271,31 @@ class TestRoundTrips:
         path = tmp_path / "c.txt"
         path.write_text("2 12\n" + "0" * 16 + "12 0007\n")
         assert Coloring.load(path).colors.tolist() == [12, 7]
+
+
+def read_only(chi):
+    chi.colors.flags.writeable = False
+    return chi
+
+
+class TestReadOnlyDownstream:
+    """Nothing downstream writes into a coloring's array: each call below
+    raises if it tries, since the array is marked read-only."""
+
+    @pytest.mark.parametrize("name", ["schur", "xyxy", "x_y_3xmy"])
+    def test_witness_search(self, name):
+        family, chi = preset_family(name), read_only(Coloring.random_uniform(400, 2, 5))
+        before = chi.colors.copy()
+        ws = list(iter_witnesses(family, chi))
+        assert count_witnesses(family, chi) == len(ws)
+        assert find_witness(family, chi) == (ws[0] if ws else None)
+        assert np.array_equal(chi.colors, before)
+
+    def test_reduction_and_construction(self):
+        assert solve_quadratic((1, -1), read_only(Coloring.random_uniform(400, 2, 5))) is not None
+        assert run_construction(read_only(Coloring.modular(10**5, 3))).ok
+
+    def test_rle_and_permutation(self):
+        chi = read_only(Coloring.random_uniform(400, 3, 5))
+        assert Coloring.from_rle(chi.n, chi.r, chi.to_rle()) == chi
+        assert chi.permuted([2, 3, 1]).permuted([3, 1, 2]) == chi

@@ -340,3 +340,57 @@ class TestChunkedEnumerator:
         monkeypatch.setattr(witnesses, "_instance_chunks", spy)
         assert find_witness(family, chi).assignment == (1, 1)
         assert sizes and sum(sizes) <= 2 * witnesses._FIRST_CHUNK
+
+
+def numpy_count(kind, colors):
+    """Monochromatic admissible (x, y) over [1..N]^2, straight from the outer
+    sum and product: schur is {x, y, x+y}, xyxy is {x, x+y, xy}."""
+    n = len(colors)
+    a = np.arange(1, n + 1)
+    lookup = np.concatenate(([0], colors))
+    total = 0
+    for lo in range(0, n, 500):  # row blocks keep the outer tables small
+        x = a[lo : lo + 500]
+        s = np.add.outer(x, a)
+        if kind == "schur":
+            terms = [np.broadcast_to(x[:, None], s.shape), np.broadcast_to(a, s.shape), s]
+        else:
+            terms = [np.broadcast_to(x[:, None], s.shape), s, np.multiply.outer(x, a)]
+        ok = np.logical_and.reduce([t <= n for t in terms])
+        c = [lookup[np.where(ok, t, 0)] for t in terms]
+        total += int(np.count_nonzero(ok & (c[0] == c[1]) & (c[1] == c[2])))
+    return total
+
+
+class TestDefaultWindows:
+    """The enumerator at its real window sizes: the windows grow to
+    _MAX_CHUNK rows, and a large level is cut more than once."""
+
+    @pytest.fixture
+    def windows(self, monkeypatch):
+        sizes = []
+        chunks = witnesses._instance_chunks
+
+        def spy(*args, **kwargs):
+            for cols, vals in chunks(*args, **kwargs):
+                sizes.append(len(cols[0]))
+                yield cols, vals
+
+        monkeypatch.setattr(witnesses, "_instance_chunks", spy)
+        return sizes
+
+    @pytest.mark.parametrize("kind, n", [("schur", 1000), ("xyxy", 3000)])
+    @pytest.mark.parametrize("r", [2, 3])
+    def test_count_matches_outer_tables(self, kind, n, r, windows):
+        colors = np.random.default_rng([n, r]).integers(1, r + 1, size=n)
+        got = count_witnesses(preset_family(kind), Coloring(n, r, colors))
+        assert got == numpy_count(kind, colors)
+        assert max(windows) <= witnesses._MAX_CHUNK
+        if kind == "schur":  # about N^2/2 instances: a window boundary is crossed
+            assert len(windows) >= 2
+
+    def test_stream_matches_oracle(self, windows):
+        family, chi = preset_family("schur"), Coloring.random_uniform(1000, 2, 7)
+        got = [(w.assignment, w.term_values, w.color) for w in iter_witnesses(family, chi, box=300)]
+        assert got == oracle_witnesses(family, chi, None, 300)
+        assert len(windows) >= 2 and max(windows) <= witnesses._MAX_CHUNK
