@@ -68,6 +68,8 @@ class Coloring:
     @classmethod
     def modular(cls, n: int, b: int) -> "Coloring":
         """Residue coloring with b colors; b=2 is the parity coloring (odd->1, even->2)."""
+        if b < 1:  # before the % b below, which would warn on 0
+            raise ValueError("r must be >= 1")
         v = np.arange(1, n + 1, dtype=np.int32)
         return cls(n, b, (v - 1) % b + 1)
 
@@ -81,6 +83,8 @@ class Coloring:
     def from_sequence(cls, colors: Sequence[int], r: int | None = None) -> "Coloring":
         # no int32 here: the constructor checks the range in the input's own type
         arr = np.asarray(list(colors))
+        if not arr.size:  # before arr.max(), which has no value here
+            raise ValueError("N must be >= 1")
         return cls(len(arr), int(arr.max()) if r is None else r, arr)
 
     # ---- queries ----

@@ -18,7 +18,9 @@ an expected outcome reported in the trace.
 
 Sets over [1..N] are Python-int bitsets (bit v = membership of v); shifting
 B - c is a single >> and the intersections are ANDs, so a round costs almost
-nothing even at N = 10^6.
+nothing even at N = 10^6.  The class bitsets are packed straight from the
+color array (one packbits of colors == t each), and a y = 1 round takes D
+itself as 1*D; only a y > 1 round decodes D to values to scale it.
 """
 
 from __future__ import annotations
@@ -73,8 +75,20 @@ def _max_gap_array(values: np.ndarray, lo: int, hi: int) -> int:
     the full window length, {50} in [1..100] scores 50."""
     if values.size == 0:
         return hi - lo + 1
-    padded = np.concatenate(([lo - 1], values, [hi]))
-    return int(np.diff(padded).max())
+    return int(max(values[0] - (lo - 1), hi - values[-1], np.diff(values).max(initial=0)))
+
+
+def _class_sets(coloring: Coloring) -> tuple[list[int], list[int]]:
+    """Each color class's bitset and max gap over [1..N], indexed by color
+    (entry 0 unused).  Position p of colors holds the value p + 1, so the
+    packed mask colors == t shifted up one bit is the bitset, and the gap
+    is taken on the positions over [0..N-1]: a gap does not move with a shift."""
+    bits, gaps = [0] * (coloring.r + 1), [0] * (coloring.r + 1)
+    for t in range(1, coloring.r + 1):
+        mask = coloring.colors == t
+        bits[t] = int.from_bytes(np.packbits(mask, bitorder="little").tobytes(), "little") << 1
+        gaps[t] = _max_gap_array(np.flatnonzero(mask), 0, coloring.n - 1)
+    return bits, gaps
 
 
 # ---- shift-intersection search ----
@@ -172,12 +186,7 @@ def run_construction(
         n, r, {"y_max": y_max, "size_floor": size_floor, "max_rounds": max_rounds}
     )
 
-    class_bits = [0] * (r + 1)
-    gaps = [0] * (r + 1)
-    for t in range(1, r + 1):
-        vals = coloring.class_values(t)
-        class_bits[t] = bits_from_values(vals, n)
-        gaps[t] = _max_gap_array(vals, 1, n)
+    class_bits, gaps = _class_sets(coloring)
     t0 = min(range(1, r + 1), key=lambda t: (gaps[t], t))
     trace.t.append(t0)
     b_bits = class_bits[t0]
@@ -187,11 +196,12 @@ def run_construction(
     # the last being the empty product 1, and prods[k] = y_1 ... y_k for k < i
     mults, prods = [1], [1]
     for i in range(1, max_rounds + 1):
-        y_i, d_bits, best_y, best_size = _select_y_bits(b_bits, mults, y_max, size_floor)
+        # d_size is |D|, or on failure the best |D| seen
+        y_i, d_bits, best_y, d_size = _select_y_bits(b_bits, mults, y_max, size_floor)
         if y_i is None:
             trace.failure_reason = (
                 f"round {i}: no y <= {y_max} reaches |D| >= {size_floor} "
-                f"(best: y={best_y} gives |D|={best_size})"
+                f"(best: y={best_y} gives |D|={d_size})"
             )
             return trace
         trace.y.append(y_i)
@@ -202,16 +212,17 @@ def run_construction(
                 f"round {i}: D escapes B - {m}*{y_i}",
             )
 
-        d_vals = values_from_bits(d_bits, n)
-        scaled = d_vals * y_i
-        kept = scaled[scaled <= n]
-        truncated = bool(kept.size < scaled.size)
-        d_size = int(d_vals.size)
-        if kept.size == 0:
+        if y_i == 1:  # 1*D is D, inside [1..n] already
+            dil_bits, truncated = d_bits, False
+        else:
+            scaled = values_from_bits(d_bits, n) * y_i
+            kept = scaled[scaled <= n]
+            truncated = bool(kept.size < scaled.size)
+            dil_bits = bits_from_values(kept, n)
+        if not dil_bits:
             trace.set_sizes.append({"D": d_size, "B": 0, "truncated": truncated})
             trace.failure_reason = f"round {i}: dilated set {y_i}*D is empty within [1..{n}]"
             return trace
-        dil_bits = bits_from_values(kept, n)
 
         t_i = max(
             range(1, r + 1),

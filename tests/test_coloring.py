@@ -1,5 +1,7 @@
 """Coloring construction, queries, permutations, and file/RLE round-trips."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -77,6 +79,17 @@ class TestConstruction:
             Coloring(1, 2**40, [2**32])
         chi = Coloring(2, 2, np.array([1, 2], dtype=np.int64))
         assert chi.colors.dtype == np.int32 and chi.colors.tolist() == [1, 2]
+
+    @pytest.mark.parametrize("r", [None, 2])
+    def test_from_sequence_rejects_empty(self, r):
+        with pytest.raises(ValueError, match="N must be >= 1"):
+            Coloring.from_sequence([], r=r)
+
+    def test_modular_rejects_no_colors_without_a_numpy_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="r must be >= 1"):
+                Coloring.modular(5, 0)
 
     def test_from_sequence_infers_r(self):
         chi = Coloring.from_sequence([1, 3, 2])

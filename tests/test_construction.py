@@ -6,7 +6,6 @@ containment/divisibility assertions -- across random colorings, not just the
 handpicked ones.
 """
 
-import itertools
 import json
 from pathlib import Path
 
@@ -17,6 +16,7 @@ from ramseykit.coloring import Coloring
 from ramseykit.construction import (
     ConstructionInvariantError,
     ConstructiveTrace,
+    _class_sets,
     _max_gap_array,
     _select_y_bits,
     bits_from_values,
@@ -25,6 +25,25 @@ from ramseykit.construction import (
 )
 from ramseykit.families import preset_family
 from ramseykit.witnesses import verify_witness
+
+
+def block_coloring(n, r, rng):
+    """Runs of uniform length in [1..1999] (mean 1000), each one random colour."""
+    lengths = rng.integers(1, 2000, size=2 * n // 1000 + 10)
+    return Coloring(n, r, np.repeat(rng.integers(1, r + 1, size=lengths.size), lengths)[:n])
+
+
+# colourings whose class bitsets and gaps are checked against the values
+CLASS_COLORINGS = [
+    Coloring.from_sequence([1, 2, 1, 2, 2], r=3),  # colour 3 unused
+    Coloring.from_sequence([1] + [2] * 8, r=2),  # colour 1 only at 1
+    Coloring.from_sequence([2] * 8 + [1], r=2),  # colour 1 only at N
+    Coloring.from_sequence([1], r=1),
+    Coloring.from_sequence([2], r=2),  # N = 1 with an empty class
+    Coloring.random_uniform(10**6, 3, 7),
+    block_coloring(10**6, 3, np.random.default_rng(7)),
+]
+CLASS_IDS = ["empty3", "only1", "onlyN", "n1", "n1empty", "uniform1e6", "block1e6"]
 
 
 class TestBitsets:
@@ -47,6 +66,18 @@ class TestBitsets:
         bits = bits_from_values([1, 10**6], 10**6)
         assert bits.bit_count() == 2
         assert values_from_bits(bits, 10**6).tolist() == [1, 10**6]
+
+    @pytest.mark.parametrize("chi", CLASS_COLORINGS, ids=CLASS_IDS)
+    def test_class_bitsets_packed_from_colors(self, chi):
+        bits, _ = _class_sets(chi)
+        assert bits[0] == 0 and len(bits) == chi.r + 1
+        for t in range(1, chi.r + 1):
+            assert bits[t] == bits_from_values(chi.class_values(t), chi.n)
+
+
+def padded_max_gap(values, lo, hi):
+    """The gap as the window-padded diff: the reference _max_gap_array must match."""
+    return int(np.diff(np.concatenate(([lo - 1], values, [hi]))).max())
 
 
 def max_gap(elements, lo, hi):
@@ -77,6 +108,14 @@ class TestMaxGap:
 
     def test_singleton_window(self):
         assert max_gap((1,), 1, 1) == 1
+
+    @pytest.mark.parametrize("chi", CLASS_COLORINGS, ids=CLASS_IDS)
+    def test_class_gaps_match_padded_diff(self, chi):
+        _, gaps = _class_sets(chi)
+        for t in range(1, chi.r + 1):
+            values = chi.class_values(t)
+            want = padded_max_gap(values, 1, chi.n)
+            assert gaps[t] == want == max_gap(values, 1, chi.n)
 
 
 class TestSelectY:
@@ -229,6 +268,10 @@ def golden_colorings():
         for n in (5, 40, 150, 500):
             for _ in range(3):
                 yield Coloring.random_uniform(n, r, rng)
+    # the benchmark's scale: a uniform and a block 3-colouring of [1..10^6]
+    rng = np.random.default_rng(20261020)
+    yield Coloring.random_uniform(10**6, 3, rng)
+    yield block_coloring(10**6, 3, rng)
 
 
 def golden_trace_lines():
@@ -246,19 +289,14 @@ def test_traces_match_golden():
 
 
 def test_divisibility_break_is_caught(monkeypatch):
-    # the parity colouring dilates by y_1 = 2; shifting that dilated set up by
-    # one (the two class bitsets are built first and left alone) puts odd
-    # values in B_1, which must fail the divisibility invariant
+    # the parity colouring dilates by y_1 = 2, the first set built from values
+    # (the class bitsets are packed from the colour array); shifting every such
+    # set up by one puts odd values in B_1, which must fail the divisibility
+    # invariant
     import ramseykit.construction as construction
 
     real = construction.bits_from_values
-    calls = itertools.count()
-
-    def shifted(values, n):
-        bits = real(values, n)
-        return bits << 1 if next(calls) >= 2 else bits
-
-    monkeypatch.setattr(construction, "bits_from_values", shifted)
+    monkeypatch.setattr(construction, "bits_from_values", lambda values, n: real(values, n) << 1)
     with pytest.raises(ConstructionInvariantError, match="not divisible"):
         run_construction(Coloring.modular(1000, 2))
 
