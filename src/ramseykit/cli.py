@@ -356,21 +356,22 @@ def cmd_cache(args) -> int:
     if not args.cache:
         raise ValueError("cache subcommand needs --cache PATH")
     store = ResultStore(args.cache)
+    # the keys alone: listing and counting parse no record
+    read = store.index()
     if args.action == "list":
-        good, bad = store.records()
+        good, bad = read
         counts: dict[str, int] = {}
-        for _, rec in good:
-            counts[rec.kind] = counts.get(rec.kind, 0) + 1
+        for _, _, key in good:
+            counts[key.kind] = counts.get(key.kind, 0) + 1
         print(f"{len(good)} record(s), {len(bad)} quarantined")
         for kind in sorted(counts):
             print(f"  {kind}: {counts[kind]}")
-        for i, rec in good:
-            print(f"  #{i} {rec.kind} fp={rec.fingerprint[:12]} params={json.dumps(rec.params, sort_keys=True)}")
+        for i, _, key in good:
+            print(f"  #{i} {key.kind} fp={key.fingerprint[:12]} params={key.params}")
         for i, reason in bad:
             print(f"  #{i} QUARANTINED: {reason}", file=sys.stderr)
         return 0
     # verify
-    read = store.records()
     failures = store.verify_all(read)
     if failures:
         for i, reason in failures:

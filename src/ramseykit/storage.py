@@ -22,12 +22,31 @@ stay unchecked.
 records() validates structure only, quarantining lines that fail instead of
 raising, so one corrupt line cannot poison the rest of the cache.
 
+The store is read as UTF-8 whatever the locale; a line that is not UTF-8,
+not a JSON object, or whose kind or fingerprint is not a string is
+quarantined like any other malformed line.
+
 Verification is a pure function of a line's text, so each distinct line is
 verified at most once per process: a module-level set holds the 16-byte
 blake2b digests of the lines (whitespace-stripped, as read back) that passed,
 and is cleared when it reaches 2**14 entries.  Any edit on disk changes a
 line's digest, so the edited line is checked again; a line that failed is
 never remembered.
+
+What a line says is a pure function of its text too, so each line is parsed
+at most once per process for the readers' sake: per store path, a memo maps
+the text of each line of the latest read to its key, a RecordKey (kind,
+fingerprint, canonical params) or the reason it is quarantined.  A read
+keeps only its own lines, so an edited line is a new key and a truncated,
+replaced or regrown store starts over; at most _INDEXED_PATHS_MAX paths are
+remembered, the least recently read dropped first.  lookup() walks the keys
+from the end and parses only a match, verify_all() only lines whose digest
+is not remembered, and `cache list` reads the keys alone; no parsed record
+is kept, so what they return is fresh.  The instance enumeration behind the
+certificate checks memoizes small complete enumerations (see witnesses),
+which a fresh run reproduces exactly; the check was never independent of the
+enumerator, and ROADMAP item 4's separate checker remains the way to make it
+so.
 """
 
 from __future__ import annotations
@@ -35,9 +54,12 @@ from __future__ import annotations
 import fcntl
 import hashlib
 import json
+import os
+import sys
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
+from typing import NamedTuple
 
 from .families import preset_family, reduction_family
 from .reduction import _check_solution
@@ -45,6 +67,7 @@ from .search import AvoidCertificate, verify_certificate
 from .witnesses import _check_instance, witness_from_json
 
 __all__ = [
+    "RecordKey",
     "ResultRecord",
     "ResultStore",
     "StoreVerificationError",
@@ -94,41 +117,88 @@ def make_provenance() -> dict:
     return {"tool": f"ramseykit {__version__}", "created": datetime.now(timezone.utc).isoformat()}
 
 
+class RecordKey(NamedTuple):
+    """What lookup matches a stored record on; params is _canon(params)."""
+
+    kind: str
+    fingerprint: str
+    params: str
+
+
 def _canon(params: dict) -> str:
-    return json.dumps(params, sort_keys=True, separators=(",", ":"))
+    # the form `cache list` prints; equal texts iff equal JSON values
+    return json.dumps(params, sort_keys=True)
+
+
+def _parse(line: str) -> ResultRecord:
+    """The record of a well-formed store line, freshly built."""
+    return ResultRecord.from_json(json.loads(line))
 
 
 # digests of store lines that passed _verify_payload in this process
 _VERIFIED: set[bytes] = set()
 _VERIFIED_MAX = 1 << 14
 
+# per store path: the key (RecordKey, or quarantine reason) of each line of
+# its latest read, by line text; the least recently read path goes first
+_LINE_KEYS: dict[str, dict[str, RecordKey | str]] = {}
+_INDEXED_PATHS_MAX = 4
+
 
 def _line_digest(line: str) -> bytes:
-    return hashlib.blake2b(line.encode(), digest_size=16).digest()
+    # surrogateescape: a line that is not UTF-8 hashes as its own bytes
+    return hashlib.blake2b(line.encode("utf-8", "surrogateescape"), digest_size=16).digest()
 
 
-def _verify_line(line: str, record: ResultRecord) -> None:
+def _verify_line(line: str) -> None:
     """_verify_payload for the record that this store line decodes to, skipped
     when the line's exact text has already passed in this process."""
     digest = _line_digest(line)
     if digest in _VERIFIED:
         return
-    _verify_payload(record)
+    _verify_payload(_parse(line))
     if len(_VERIFIED) >= _VERIFIED_MAX:
         _VERIFIED.clear()
     _VERIFIED.add(digest)
 
 
-def _check_structure(obj: dict) -> str | None:
+def _check_structure(obj) -> str | None:
     """Cheap load-time validation; returns a reason string on failure."""
+    if not isinstance(obj, dict):
+        return "not a JSON object"
     for key in ("kind", "fingerprint", "params", "payload"):
         if key not in obj:
             return f"missing field {key!r}"
     if obj["kind"] not in RECORD_KINDS:
         return f"unknown kind {obj['kind']!r}"
+    if not isinstance(obj["fingerprint"], str):
+        return f"fingerprint {obj['fingerprint']!r} is not a string"
     if not isinstance(obj["params"], dict) or not isinstance(obj["payload"], dict):
         return "params and payload must be objects"
     return None
+
+
+def _line_key(line: str) -> RecordKey | str:
+    """What one stripped store line says: its record's key, or why it is
+    quarantined."""
+    try:
+        line.encode("utf-8")
+    except UnicodeEncodeError:  # undecodable bytes, escaped as lone surrogates
+        try:
+            line.encode("utf-8", "surrogateescape").decode("utf-8")
+        except UnicodeDecodeError as exc:
+            return f"not UTF-8: {exc}"
+    try:
+        obj = json.loads(line)
+    except (ValueError, RecursionError) as exc:  # ValueError: also an int too long to read
+        return f"unparseable JSON: {exc}"
+    reason = _check_structure(obj)
+    if reason is not None:
+        return reason
+    # interned: kinds, fingerprints and params repeat from line to line
+    return RecordKey(
+        sys.intern(obj["kind"]), sys.intern(obj["fingerprint"]), sys.intern(_canon(obj["params"]))
+    )
 
 
 def _check_fingerprint(
@@ -249,64 +319,76 @@ class ResultStore:
             raise ValueError(f"unknown record kind {record.kind!r}")
         line = json.dumps(record.to_json(), sort_keys=True, separators=(",", ":"))
         # the record as the store reads it back, which is what the digest names
-        _verify_line(line, ResultRecord.from_json(json.loads(line)))
+        _verify_line(line)
         self.path.parent.mkdir(parents=True, exist_ok=True)
         with open(self.lock_path, "ab") as lock:
             fcntl.flock(lock, fcntl.LOCK_EX)  # released when the lock file closes
             with open(self.path, "ab") as fh:
                 fh.write(line.encode() + b"\n")
 
+    def index(self) -> tuple[list[tuple[int, str, RecordKey]], list[tuple[int, str]]]:
+        """(line, text, key) of each well-formed record, and the quarantine
+        list of (line, reason): records() without building the records.
+
+        One read of the file; a line this path's previous read held is not
+        parsed again.
+        """
+        good: list[tuple[int, str, RecordKey]] = []
+        bad: list[tuple[int, str]] = []
+        path = os.fspath(self.path)
+        previous = _LINE_KEYS.pop(path, {})
+        keys: dict[str, RecordKey | str] = {}
+        try:
+            # a byte that is not UTF-8 becomes a lone surrogate, on its line only
+            fh = open(self.path, encoding="utf-8", errors="surrogateescape")
+        except FileNotFoundError:
+            return good, bad
+        with fh:
+            for i, line in enumerate(fh):
+                line = line.strip()
+                if not line:
+                    continue
+                key = keys.get(line) or previous.get(line) or _line_key(line)
+                keys[line] = key
+                if isinstance(key, str):
+                    bad.append((i, key))
+                else:
+                    good.append((i, line, key))
+        if len(_LINE_KEYS) >= _INDEXED_PATHS_MAX:
+            del _LINE_KEYS[next(iter(_LINE_KEYS))]
+        _LINE_KEYS[path] = keys
+        return good, bad
+
     def records(self) -> tuple[list[tuple[int, ResultRecord]], list[tuple[int, str]]]:
         """All readable records plus a quarantine list of (line, reason).
 
         Structure only: the payloads are not verified (see lookup, verify_all).
         """
-        good: list[tuple[int, ResultRecord]] = []
-        bad: list[tuple[int, str]] = []
-        if not self.path.exists():
-            return good, bad
-        with open(self.path) as fh:
-            for i, line in enumerate(fh):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    obj = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    bad.append((i, f"unparseable JSON: {exc}"))
-                    continue
-                reason = _check_structure(obj)
-                if reason is not None:
-                    bad.append((i, reason))
-                    continue
-                rec = ResultRecord.from_json(obj)
-                # beside the fields, for lookup and verify_all to key the memo on
-                object.__setattr__(rec, "_line", line)
-                good.append((i, rec))
-        return good, bad
+        good, bad = self.index()
+        return [(i, _parse(line)) for i, line, _ in good], bad
 
     def lookup(self, kind: str, fingerprint: str, params: dict) -> ResultRecord | None:
         """Latest stored record matching (kind, fingerprint, params) exactly
         that passes verification; a match that fails is skipped."""
-        want = _canon(params)
-        for _, rec in reversed(self.records()[0]):
-            if rec.kind == kind and rec.fingerprint == fingerprint and _canon(rec.params) == want:
+        want = RecordKey(kind, fingerprint, _canon(params))
+        for _, line, key in reversed(self.index()[0]):
+            if key == want:
                 try:
-                    _verify_line(rec._line, rec)
+                    _verify_line(line)
                 except StoreVerificationError:
                     continue
-                return rec
+                return _parse(line)
         return None
 
     def verify_all(self, read=None) -> list[tuple[int, str]]:
         """Full verification of every line; returns failures, quarantined lines
         first, then verification failures in line order.  ``read`` is this
-        store's records() result, for a caller that already holds one."""
-        good, bad = self.records() if read is None else read
+        store's index() result, for a caller that already holds one."""
+        good, bad = self.index() if read is None else read
         failures = list(bad)
-        for i, rec in good:
+        for i, line, _ in good:
             try:
-                _verify_line(rec._line, rec)
+                _verify_line(line)
             except StoreVerificationError as exc:
                 failures.append((i, str(exc)))
         return failures

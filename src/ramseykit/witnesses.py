@@ -31,6 +31,15 @@ enumerator holds one window per depth whatever N is.  A window repeats each
 parent's columns over its children (np.repeat) rather than building a parent
 index and gathering through it.
 
+Small enumerations are remembered: a stream that ends within its first
+window (at most _FIRST_CHUNK rows in all) keeps its chunks under (num_vars,
+terms, N, box), and the next request for the same key is served from them.
+The enumerator is deterministic, so they equal a fresh run; every column is
+read-only.  The memo holds at most _SMALL_ROWS_MAX rows in all (an empty
+stream counts as one), about 3 MB for six columns, and is cleared when the
+next stream would not fit.  A larger stream, or one whose consumer stops
+early (find_witness), keeps nothing.
+
 Overflow: when max_abs_on_box proves every term stays below 2^62 in absolute
 value over the box the columns are int64; otherwise the same code runs on
 object arrays of Python ints, exactly.  Value columns are int64 either way,
@@ -70,6 +79,12 @@ _FIRST_CHUNK = 1 << 10
 _MAX_CHUNK = 1 << 16
 # int64 is safe while |term| stays below this (headroom under 2^63)
 _INT64_SAFE = 1 << 62
+
+Chunk = tuple[list[np.ndarray], list[np.ndarray]]
+# complete small enumerations by (num_vars, terms, N, box), and their rows
+_SMALL: dict[tuple, list[Chunk]] = {}
+_small_rows = 0
+_SMALL_ROWS_MAX = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -237,24 +252,65 @@ def _depth_plan(terms: tuple[IntPoly, ...]):
     return constants, positive, finishing, bounds
 
 
+def _forget() -> None:
+    """Empty the small-enumeration memo."""
+    global _small_rows
+    _SMALL.clear()
+    _small_rows = 0
+
+
+def _remember(key: tuple, chunks: list[Chunk], rows: int) -> None:
+    global _small_rows
+    rows = max(rows, 1)  # an empty stream still takes an entry
+    if rows > _SMALL_ROWS_MAX:
+        return
+    if _small_rows + rows > _SMALL_ROWS_MAX:
+        _forget()
+    _SMALL[key] = chunks
+    _small_rows += rows
+
+
 def _instance_chunks(
     family: PatternFamily, n: int, box: Sequence | None = None
-) -> Iterator[tuple[list[np.ndarray], list[np.ndarray]]]:
+) -> Iterator[Chunk]:
     """The admissible instances over the box, as column chunks in lex order.
 
     Each chunk is (assignment columns, term-value columns in term order); the
     value columns are int64, the assignment columns int64 or, when int64 is
     not provably safe, object arrays of Python ints.  No chunk is empty, and
-    none has more than _MAX_CHUNK rows.
+    none has more than _MAX_CHUNK rows.  The columns are read-only: a small
+    stream's are served again from the memo.
 
     On the int64 path the value column of a term that is exactly x_i is the
-    assignment column x_i itself, not a copy.  Consumers only read the
-    columns (build_instance_index's np.stack copies them), so the sharing
-    never shows.
+    assignment column x_i itself, not a copy.
     """
     if n < 1:
         raise ValueError("N must be >= 1")
     nb = _normalize_box(family, n, box)
+    key = (family.num_vars, family.terms, n, nb)
+    hit = _SMALL.get(key)
+    if hit is not None:
+        for cols, vals in hit:  # fresh lists, shared read-only columns
+            yield list(cols), list(vals)
+        return
+    kept: list[Chunk] | None = []
+    rows = 0
+    for cols, vals in _enumerate_chunks(family, n, nb):
+        for a in (*cols, *vals):
+            a.flags.writeable = False
+        if kept is not None:
+            rows += len(cols[0])
+            if rows <= _FIRST_CHUNK:
+                kept.append((list(cols), list(vals)))
+            else:
+                kept = None
+        yield cols, vals
+    if kept is not None:
+        _remember(key, kept, rows)
+
+
+def _enumerate_chunks(family: PatternFamily, n: int, nb: Box) -> Iterator[Chunk]:
+    """_instance_chunks without the memo, over the normalized box nb."""
     terms = family.terms
     nv = family.num_vars
     constants, positive, finishing, bounds = _depth_plan(terms)

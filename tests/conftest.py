@@ -1,8 +1,20 @@
-"""Shared pytest plumbing: acceptance criteria print one summary line each."""
+"""Shared pytest plumbing: cold memos per test, and acceptance criteria that
+print one summary line each."""
 
 import pytest
 
+from ramseykit import storage, witnesses
+
 _acceptance_lines: list[str] = []
+
+
+@pytest.fixture(autouse=True)
+def cold_memos():
+    """Each test starts with the process memos empty, so that none passes
+    only because an earlier test warmed them."""
+    storage._LINE_KEYS.clear()
+    storage._VERIFIED.clear()
+    witnesses._forget()
 
 
 @pytest.fixture

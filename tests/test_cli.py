@@ -766,3 +766,92 @@ class TestParserReuse:
         assert "assignment=(1, 1) values=(1, 2, 1) color=1" in reused[1][1]
         assert "found 4 witness(es)" in reused[2][1]
         assert "found 15 witness(es)" in reused[3][1]
+
+
+class TestStoreSessionMemos:
+    """One store session, in-process with one main() per command, then with a
+    process per command: the memos change speed only."""
+
+    def session(self):
+        """Commands, and edits of the store between them, as the session runs."""
+        cache = ["--cache", "store.jsonl"]
+        th = ["threshold", "--family", "schur", "--colors", "2", "--max-n", "6", *cache]
+        return [
+            ["avoid", "--family", "schur", "--colors", "2", "--n", "4", *cache],
+            ["avoid", "--family", "vdw:3", "--colors", "2", "--n", "8", *cache],
+            ["avoid", "--family", "schur", "--colors", "2", "--n", "4", *cache],
+            ["avoid", "--family", "xyxy", "--colors", "2", "--n", "3", *cache],
+            ["witness", "--family", "schur", "--coloring", "c120.txt", *cache],
+            ["witness", "--family", "vdw:3", "--coloring", "c120.txt", *cache],
+            th,  # a miss, which searches and stores
+            th,  # a hit
+            ["reduce", "--coeffs", "1,-1", "--coloring", "c120.txt", *cache],
+            ["cache", "list", *cache],
+            ["cache", "verify", *cache],
+            "tamper",
+            ["cache", "verify", *cache],
+            ["avoid", "--family", "schur", "--colors", "2", "--n", "4", *cache],
+            "quarantine",
+            ["cache", "list", *cache],
+            ["cache", "verify", *cache],
+            th,
+            ["threshold", "--family", "schur", "--colors", "2", "--max-n", "4", *cache],
+        ]
+
+    @staticmethod
+    def edit(step):
+        store = Path("store.jsonl")
+        if step == "tamper":  # the first avoider becomes all one colour
+            lines = store.read_text().splitlines()
+            obj = json.loads(lines[0])
+            obj["payload"]["coloring_rle"] = [[1, obj["payload"]["n"]]]
+            lines[0] = json.dumps(obj, sort_keys=True, separators=(",", ":"))
+            store.write_text("\n".join(lines) + "\n")
+        else:
+            with open(store, "ab") as fh:
+                fh.write(b"3\n\xff garbage\nnot json\n")
+
+    @staticmethod
+    def stored_lines():
+        out = []
+        for line in Path("store.jsonl").read_bytes().splitlines():
+            try:
+                obj = json.loads(line)
+                obj.pop("provenance")
+            except (ValueError, TypeError, AttributeError, KeyError):
+                out.append(line)  # not a record: compared as it is
+            else:
+                out.append(json.dumps(obj, sort_keys=True))
+        return out
+
+    def test_in_process_matches_a_process_per_command(self, capsys, tmp_path, monkeypatch):
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+        results = {}
+        for mode in ("processes", "in-process"):
+            monkeypatch.chdir(tmp_path)
+            work = tmp_path / mode
+            work.mkdir()
+            monkeypatch.chdir(work)
+            Coloring.random_uniform(120, 2, 5).save("c120.txt")
+            outcomes = []
+            for step in self.session():
+                if isinstance(step, str):
+                    self.edit(step)
+                elif mode == "processes":
+                    proc = subprocess.run([sys.executable, "-m", "ramseykit.cli", *step],
+                                          env=env, capture_output=True, text=True, timeout=120)
+                    outcomes.append((proc.returncode, proc.stdout, proc.stderr))
+                else:
+                    outcomes.append(run(capsys, *step))
+            results[mode] = (outcomes, self.stored_lines())
+        assert results["in-process"] == results["processes"]
+        outcomes, lines = results["in-process"]
+        assert [code for code, _, _ in outcomes] == [0] * 11 + [1, 0, 0, 1, 0, 0]
+        assert outcomes[7][1] == outcomes[6][1] == "T = 5\n"  # the hit stored nothing
+        assert outcomes[9][1].startswith("8 record(s), 0 quarantined\n")
+        assert outcomes[11][1].startswith("  #0 FAIL: avoiding record: certificate fails")
+        assert outcomes[13][1].startswith("9 record(s), 3 quarantined\n")
+        assert outcomes[13][2].startswith("  #9 QUARANTINED: not a JSON object\n"
+                                          "  #10 QUARANTINED: not UTF-8: ")
+        assert outcomes[14][1].endswith("4 record(s) failed verification\n")
+        assert len(lines) == 12

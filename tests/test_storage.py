@@ -573,6 +573,27 @@ class TestFiledUnderTheirFamily:
         assert store.verify_all() == []
 
 
+def malformed_lines():
+    """(line, the start of its quarantine reason) for lines that are JSON but
+    not a record, or not readable JSON at all."""
+    rec = dict(witness_record().to_json(), provenance={})
+    cases = [
+        ("int", "3", "not a JSON object"),
+        ("null", "null", "not a JSON object"),
+        ("bool", "true", "not a JSON object"),
+        ("array", "[1, 2]", "not a JSON object"),
+        ("string", '"kind fingerprint params payload"', "not a JSON object"),
+        ("int-fingerprint", json.dumps(dict(rec, fingerprint=7)), "fingerprint 7 is not a string"),
+        ("null-fingerprint", json.dumps(dict(rec, fingerprint=None)),
+         "fingerprint None is not a string"),
+        ("int-kind", json.dumps(dict(rec, kind=7)), "unknown kind 7"),
+        ("deep", "[" * 100_000, "unparseable JSON"),  # deeper than the parser recurses
+    ]
+    if hasattr(sys, "get_int_max_str_digits"):
+        cases.append(("long-int", '{"kind": ' + "9" * 5000 + "}", "unparseable JSON"))
+    return [pytest.param(line, reason, id=name) for name, line, reason in cases]
+
+
 class TestQuarantine:
     def test_corrupt_line_quarantined(self, store):
         store.append(witness_record())
@@ -605,6 +626,71 @@ class TestQuarantine:
         with open(store.path, "a") as fh:
             fh.write("garbage\n")
         assert store.lookup("witness", rec.fingerprint, rec.params) is not None
+
+    @pytest.mark.parametrize("line, reason", malformed_lines())
+    def test_malformed_line_quarantined(self, store, capsys, line, reason):
+        rec = threshold_record(2)
+        store.append(rec)
+        with open(store.path, "a") as fh:
+            fh.write(line + "\n")
+        store.append(rec)
+        good, bad = store.records()
+        assert [i for i, _ in good] == [0, 2]
+        assert len(bad) == 1 and bad[0][0] == 1 and bad[0][1].startswith(reason)
+        assert store.verify_all() == bad
+        cache = ["--cache", str(store.path)]
+        assert main(["cache", "list", *cache]) == 0
+        out, err = capsys.readouterr()
+        assert out.startswith("2 record(s), 1 quarantined\n")
+        assert err.startswith(f"  #1 QUARANTINED: {reason}")
+        assert main(["cache", "verify", *cache]) == 1
+        out, _ = capsys.readouterr()
+        assert out.startswith(f"  #1 FAIL: {reason}")
+        assert out.endswith("1 record(s) failed verification\n")
+        assert main(["threshold", "--family", "schur", "--colors", "2", "--max-n", "4", *cache]) == 0
+        assert capsys.readouterr().out == "T = 5\n"
+
+    def test_line_that_is_not_utf8_quarantined_alone(self, store, capsys):
+        """One undecodable line is quarantined; the lines around it, and their
+        numbers, stay as they were, CRLF line ends included."""
+        rec = threshold_record(2)
+        store.append(rec)
+        line = store.path.read_bytes().rstrip(b"\n")
+        store.path.write_bytes(line + b"\r\n\xff\xfe garbage\r\n\r\n" + line + b"\r\n")
+        good, bad = store.records()
+        assert [i for i, _ in good] == [0, 3] and [r for _, r in good] == [rec, rec]
+        assert [i for i, _ in bad] == [1]
+        assert bad[0][1] == ("not UTF-8: 'utf-8' codec can't decode byte 0xff in position 0: "
+                             "invalid start byte")
+        assert storage._line_digest("\udcff\udcfe garbage") == storage._line_digest(
+            b"\xff\xfe garbage".decode("utf-8", "surrogateescape"))
+        assert store.lookup(rec.kind, rec.fingerprint, rec.params) == rec
+        assert store.verify_all() == bad
+        cache = ["--cache", str(store.path)]
+        assert main(["cache", "list", *cache]) == 0
+        out, err = capsys.readouterr()
+        assert out.startswith("2 record(s), 1 quarantined\n")
+        assert err == f"  #1 QUARANTINED: {bad[0][1]}\n"
+        assert main(["cache", "verify", *cache]) == 1
+        assert capsys.readouterr().out == f"  #1 FAIL: {bad[0][1]}\n1 record(s) failed verification\n"
+        assert main(["threshold", "--family", "schur", "--colors", "2", "--max-n", "4", *cache]) == 0
+        assert capsys.readouterr().out == "T = 5\n"
+
+    def test_read_as_utf8_whatever_the_locale(self, store):
+        """A record holding UTF-8 text reads the same under an ASCII locale."""
+        rec = ResultRecord("construction", XYXY_FP, {"note": "caf\u00e9 \u2013 \u00fc"},
+                           {"failure_reason": "none"}, {})
+        store.append(rec)
+        raw = json.dumps(rec.to_json(), sort_keys=True, separators=(",", ":"), ensure_ascii=False)
+        store.path.write_bytes(raw.encode("utf-8") + b"\n")
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ, PYTHONPATH=str(src), LC_ALL="C", LANG="C",
+                   PYTHONUTF8="0", PYTHONCOERCECLOCALE="0")
+        proc = subprocess.run(
+            [sys.executable, "-m", "ramseykit.cli", "cache", "verify", "--cache", str(store.path)],
+            env=env, capture_output=True, timeout=120)
+        assert (proc.returncode, proc.stdout) == (0, b"all 1 record(s) verified\n")
+        assert store.lookup(rec.kind, rec.fingerprint, rec.params) == rec
 
 
 def tamper_line(store, index):
@@ -703,3 +789,113 @@ class TestVerifiedMemo:
         assert proc.returncode == 1
         assert proc.stdout.startswith("  #0 FAIL: avoiding record: certificate fails verification\n")
         assert proc.stdout.endswith("1 record(s) failed verification\n")
+
+
+class TestLineKeyMemo:
+    """Each store line is parsed once per process; the memo changes speed only."""
+
+    @pytest.fixture
+    def parses(self, monkeypatch):
+        """The lines _line_key parses, in order."""
+        calls = []
+        real = storage._line_key
+
+        def counted(line):
+            calls.append(line)
+            return real(line)
+
+        monkeypatch.setattr(storage, "_line_key", counted)
+        return calls
+
+    def keys(self, store):
+        good, bad = store.index()
+        return [(i, key) for i, _, key in good], bad
+
+    def test_each_line_parsed_once(self, store, parses):
+        for i in range(3):
+            store.append(plain_record(i))
+        with open(store.path, "a") as fh:
+            fh.write("garbage\n")
+        first = self.keys(store)
+        assert len(parses) == 4
+        store.append(plain_record(3))
+        assert store.lookup("construction", XYXY_FP, {"i": 0}) == plain_record(0)
+        assert store.verify_all() == [(3, first[1][0][1])]
+        assert self.keys(store)[0][:3] == first[0] and len(parses) == 5
+
+    def test_keys_name_what_records_hold(self, store):
+        store.append(avoiding_record())
+        store.append(plain_record(0))
+        good, _ = store.records()
+        assert self.keys(store)[0] == [
+            (i, storage.RecordKey(rec.kind, rec.fingerprint, json.dumps(rec.params, sort_keys=True)))
+            for i, rec in good
+        ]
+
+    def test_edited_line_is_a_new_key(self, store, parses):
+        for i in range(3):
+            store.append(plain_record(i))
+        self.keys(store)
+        lines = store.path.read_text().splitlines()
+        lines[1] = lines[1].replace('"i":1', '"i":7')
+        store.path.write_text("\n".join(lines) + "\n")
+        assert [key.params for _, key in self.keys(store)[0]] == ['{"i": 0}', '{"i": 7}', '{"i": 2}']
+        assert len(parses) == 4
+        assert store.lookup("construction", XYXY_FP, {"i": 1}) is None
+        assert store.lookup("construction", XYXY_FP, {"i": 7}) == plain_record(7)
+
+    def test_truncated_replaced_and_regrown(self, store, tmp_path):
+        for i in range(3):
+            store.append(plain_record(i))
+        assert len(self.keys(store)[0]) == 3
+        store.path.write_text("")
+        assert self.keys(store) == ([], [])
+        assert storage._LINE_KEYS[os.fspath(store.path)] == {}  # only the latest read's lines
+        assert store.lookup("construction", XYXY_FP, {"i": 0}) is None
+        fresh = tmp_path / "fresh.jsonl"
+        ResultStore(fresh).append(plain_record(5))
+        os.replace(fresh, store.path)
+        assert [key.params for _, key in self.keys(store)[0]] == ['{"i": 5}']
+        store.path.unlink()
+        assert self.keys(store) == ([], []) and store.verify_all() == []
+        assert store.lookup("construction", XYXY_FP, {"i": 5}) is None
+        store.append(plain_record(6))
+        assert [key.params for _, key in self.keys(store)[0]] == ['{"i": 6}']
+        assert len(storage._LINE_KEYS[os.fspath(store.path)]) == 1
+        assert store.lookup("construction", XYXY_FP, {"i": 5}) is None
+
+    def test_two_stores_in_one_process(self, tmp_path):
+        a, b = ResultStore(tmp_path / "a.jsonl"), ResultStore(tmp_path / "b.jsonl")
+        for i in range(4):
+            (a if i % 2 else b).append(plain_record(i))
+            assert [key.params for _, key in self.keys(a)[0]] == [
+                f'{{"i": {j}}}' for j in range(1, i + 1, 2)]
+            assert [key.params for _, key in self.keys(b)[0]] == [
+                f'{{"i": {j}}}' for j in range(0, i + 1, 2)]
+        assert a.lookup("construction", XYXY_FP, {"i": 0}) is None
+        assert b.lookup("construction", XYXY_FP, {"i": 0}) == plain_record(0)
+
+    def test_served_records_are_fresh(self, store):
+        rec = avoiding_record()
+        store.append(rec)
+        served = store.lookup(rec.kind, rec.fingerprint, rec.params)
+        served.payload["coloring_rle"] = [[1, 4]]
+        served.params["n"] = 99
+        assert store.lookup(rec.kind, rec.fingerprint, rec.params) == rec
+        assert store.verify_all() == []
+        good, _ = store.records()
+        good[0][1].payload.clear()
+        assert store.records()[0] == [(0, rec)]
+        assert store.lookup(rec.kind, rec.fingerprint, rec.params) is not good[0][1]
+
+    def test_paths_remembered_within_the_bound(self, tmp_path, monkeypatch):
+        assert storage._INDEXED_PATHS_MAX == 4
+        monkeypatch.setattr(storage, "_INDEXED_PATHS_MAX", 2)
+        stores = [ResultStore(tmp_path / f"{i}.jsonl") for i in range(4)]
+        for i, store in enumerate(stores):
+            store.append(plain_record(i))
+            store.index()
+            assert len(storage._LINE_KEYS) <= 2
+        assert list(storage._LINE_KEYS) == [os.fspath(s.path) for s in stores[2:]]
+        for i, store in enumerate(stores):  # a forgotten path is read afresh
+            assert [key.params for _, key in self.keys(store)[0]] == [f'{{"i": {i}}}']

@@ -394,3 +394,87 @@ class TestDefaultWindows:
         got = [(w.assignment, w.term_values, w.color) for w in iter_witnesses(family, chi, box=300)]
         assert got == oracle_witnesses(family, chi, None, 300)
         assert len(windows) >= 2 and max(windows) <= witnesses._MAX_CHUNK
+
+
+def stream_rows(family, n, box=None):
+    return sum(len(cols[0]) for cols, _ in witnesses._instance_chunks(family, n, box))
+
+
+def memo_rows():
+    return sum(max(sum(len(cols[0]) for cols, _ in chunks), 1)
+               for chunks in witnesses._SMALL.values())
+
+
+class TestSmallEnumerationMemo:
+    """A complete stream of at most _FIRST_CHUNK rows is kept and served
+    again; the memo changes speed only."""
+
+    @pytest.mark.parametrize(
+        "family", ALL_PRESETS + [preset_family("vdw", 4), preset_family("geometric", 3),
+                                 fam(2, "x0", "x1", "x0^30 - x1^30 + x1")],
+        ids=lambda f: f.name or "object-path")
+    def test_served_chunks_equal_a_cold_run(self, family):
+        for n in range(1, 13):
+            for box in (None, 5, [(2, n + 3)] * family.num_vars):
+                key = (family.num_vars, family.terms, n,
+                       witnesses._normalize_box(family, n, box))
+                list(witnesses._instance_chunks(family, n, box))
+                assert key in witnesses._SMALL
+                served = list(witnesses._instance_chunks(family, n, box))
+                witnesses._forget()
+                cold = list(witnesses._instance_chunks(family, n, box))
+                assert len(served) == len(cold)
+                for (sc, sv), (cc, cv) in zip(served, cold):
+                    assert len(sc) == len(cc) and len(sv) == len(cv)
+                    for s, c in zip(sc + sv, cc + cv):
+                        assert s is not c and s.dtype == c.dtype
+                        assert s.tolist() == c.tolist()
+
+    def test_columns_are_read_only(self):
+        family = preset_family("xyxy")
+        for _ in range(2):  # the first run and the run served from the memo
+            chunks = list(witnesses._instance_chunks(family, 12))
+            for cols, vals in chunks:
+                for a in cols + vals:
+                    assert not a.flags.writeable
+                    with pytest.raises(ValueError):
+                        a[0] = 99
+        assert list(witnesses._SMALL) == [(2, family.terms, 12, ((1, 12), (1, 12)))]
+        # the lists served are the caller's own
+        cols, vals = chunks[0]
+        cols.clear()
+        vals.append(None)
+        assert [len(c) for c, _ in witnesses._instance_chunks(family, 12)] == [2]
+
+    def test_early_stop_stores_nothing(self):
+        family, chi = preset_family("schur"), Coloring.solid(8)
+        assert find_witness(family, chi).assignment == (1, 1)
+        assert witnesses._SMALL == {}
+        stream = witnesses._instance_chunks(family, 8)
+        next(stream)
+        stream.close()
+        assert witnesses._SMALL == {}
+        assert count_witnesses(family, chi) == 28
+        assert len(witnesses._SMALL) == 1
+        assert find_witness(family, chi).assignment == (1, 1)  # served from the memo
+
+    def test_only_streams_within_the_first_window_are_kept(self):
+        family = preset_family("schur")  # (N - 1) N / 2 instances
+        assert witnesses._FIRST_CHUNK == 1024
+        assert stream_rows(family, 46) == 1035
+        assert witnesses._SMALL == {}
+        assert stream_rows(family, 45) == 990
+        assert memo_rows() == 990 == witnesses._small_rows
+
+    def test_rows_stay_within_the_bound(self, monkeypatch):
+        assert witnesses._SMALL_ROWS_MAX == 1 << 16
+        monkeypatch.setattr(witnesses, "_SMALL_ROWS_MAX", 50)
+        family = preset_family("schur")
+        for n in list(range(1, 13)) * 2:
+            stream_rows(family, n)
+            assert memo_rows() == witnesses._small_rows <= 50
+        assert stream_rows(family, 11) == 55
+        assert (2, family.terms, 11, ((1, 11), (1, 11))) not in witnesses._SMALL
+        stream_rows(family, 1)  # no instances: kept, and counted as one row
+        assert witnesses._SMALL[(2, family.terms, 1, ((1, 1), (1, 1)))] == []
+        assert memo_rows() == witnesses._small_rows <= 50
