@@ -129,26 +129,21 @@ def _print_witness(w) -> None:
 def cmd_family(args) -> int:
     if args.action == "show":
         fam = load_family_arg(args.preset if args.preset else args.file)
-        _print_family(fam)
-        if args.out:
-            fam.save(args.out)
-            print(f"family written to {args.out}")
-        return 0
-    # prefix-product generation from a function-set file
-    spec = json.loads(Path(args.functions).read_text())
-    fsets = spec.get("function_sets") if isinstance(spec, dict) else spec
-    if not isinstance(fsets, list) or not all(
-        isinstance(fs, list) and all(isinstance(f, str) for f in fs) for fs in fsets
-    ):
-        raise ValueError(
-            "--functions must hold a list of lists of function texts, or an object "
-            f'with such a list under "function_sets"; got {spec!r}'
-        )
-    if isinstance(spec, dict):
-        s = spec.get("s", len(fsets))
-        if type(s) is not int or s != len(fsets):
-            raise ValueError(f'"s": {s!r} is not the number of function sets, {len(fsets)}')
-    fam = prefix_product_family(fsets, name=args.name)
+    else:  # prefix-product generation from a function-set file
+        spec = json.loads(Path(args.functions).read_text())
+        fsets = spec.get("function_sets") if isinstance(spec, dict) else spec
+        if not isinstance(fsets, list) or not all(
+            isinstance(fs, list) and all(isinstance(f, str) for f in fs) for fs in fsets
+        ):
+            raise ValueError(
+                "--functions must hold a list of lists of function texts, or an object "
+                f'with such a list under "function_sets"; got {spec!r}'
+            )
+        if isinstance(spec, dict):
+            s = spec.get("s", len(fsets))
+            if type(s) is not int or s != len(fsets):
+                raise ValueError(f'"s": {s!r} is not the number of function sets, {len(fsets)}')
+        fam = prefix_product_family(fsets, name=args.name)
     _print_family(fam)
     if args.out:
         fam.save(args.out)

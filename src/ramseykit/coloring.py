@@ -146,9 +146,9 @@ class Coloring:
         # a block at a time: converting one long nested list makes numpy keep
         # per-row bookkeeping about as large as the table itself
         for lo in range(0, len(runs), _RLE_BLOCK):
-            block = np.asarray(runs[lo : lo + _RLE_BLOCK], dtype=np.int64)
-            if block.shape[1:] != (2,):
-                raise ValueError("runs must be [color, length] pairs")
+            block = np.asarray(runs[lo : lo + _RLE_BLOCK])
+            if block.shape[1:] != (2,) or block.dtype.kind not in "iu":
+                raise ValueError("runs must be [color, length] pairs of integers")
             # checked in int64, before the int32 column could wrap them
             if ((block[:, 0] < 1) | (block[:, 0] > top)).any():
                 raise ValueError(f"run colors must lie in 1..{top}")

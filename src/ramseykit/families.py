@@ -35,6 +35,28 @@ __all__ = [
 PRESET_NAMES = ("schur", "vdw", "geometric", "x_xp1", "x_y_3xmy", "xyxy")
 
 
+# JSON read as written: a count is an integer, not a bool (an int subclass)
+# or a float, and a flag is true or false, not any truthy value
+
+
+def _json_int(value, what: str) -> int:
+    if type(value) is not int:
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
+def _json_ints(values, what: str) -> list[int]:
+    if not isinstance(values, list) or any(type(v) is not int for v in values):
+        raise ValueError(f"{what} must be a list of integers, got {values!r}")
+    return list(values)
+
+
+def _json_bool(value, what: str) -> bool:
+    if not isinstance(value, bool):
+        raise ValueError(f"{what} must be true or false, got {value!r}")
+    return value
+
+
 @functools.lru_cache(maxsize=256)
 def _parse_terms(num_vars: int, texts: tuple[str, ...]) -> tuple[IntPoly, ...]:
     # IntPoly is immutable, so every family built from these texts can share them
@@ -76,11 +98,10 @@ class PatternFamily:
         distinct_required: bool = False,
     ) -> "PatternFamily":
         texts = tuple(terms)
-        parse = _parse_terms
-        if not all(isinstance(t, str) for t in texts):
-            # maybe unhashable; parse_poly raises on the bad term as it always has
-            parse = _parse_terms.__wrapped__
-        return cls(num_vars, parse(num_vars, texts), name, distinct_required)
+        for t in texts:
+            if not isinstance(t, str):
+                raise TypeError(f"family terms must be texts, got {type(t).__name__}")
+        return cls(num_vars, _parse_terms(num_vars, texts), name, distinct_required)
 
     def with_terms(self, *extra: IntPoly | str, name: str | None = None) -> "PatternFamily":
         """Extended family over the same variables (for antitonicity checks)."""
@@ -150,12 +171,10 @@ class PatternFamily:
                 raise ValueError(f"family is missing the key {key!r}")
         num_vars, terms = data["num_vars"], data["terms"]
         distinct, name = data.get("distinct_required", False), data.get("name")
-        if type(num_vars) is not int:  # bool is an int subclass, and not a count
-            raise ValueError(f"family 'num_vars' must be an integer, got {num_vars!r}")
+        _json_int(num_vars, "family 'num_vars'")
         if not isinstance(terms, list) or not all(isinstance(t, str) for t in terms):
             raise ValueError(f"family 'terms' must be a list of strings, got {terms!r}")
-        if not isinstance(distinct, bool):
-            raise ValueError(f"family 'distinct_required' must be true or false, got {distinct!r}")
+        _json_bool(distinct, "family 'distinct_required'")
         if name is not None and not isinstance(name, str):
             raise ValueError(f"family 'name' must be a string or null, got {name!r}")
         return cls.from_texts(num_vars, terms, name, distinct)

@@ -44,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coloring import Coloring
-from .families import PatternFamily
+from .families import PatternFamily, _json_bool, _json_int, _json_ints
 from .witnesses import _instance_chunks, count_witnesses
 
 __all__ = [
@@ -116,11 +116,11 @@ class AvoidCertificate:
     def from_json(cls, data: dict) -> "AvoidCertificate":
         return cls(
             PatternFamily.from_json(data["family"]),
-            int(data["n"]),
-            int(data["r"]),
-            [list(run) for run in data["coloring_rle"]],
-            bool(data.get("verified", False)),
-            bool(data.get("box_relative", False)),
+            _json_int(data["n"], "certificate 'n'"),
+            _json_int(data["r"], "certificate 'r'"),
+            [_json_ints(run, "an RLE run") for run in data["coloring_rle"]],
+            _json_bool(data.get("verified", False), "certificate 'verified'"),
+            _json_bool(data.get("box_relative", False), "certificate 'box_relative'"),
         )
 
 
@@ -341,7 +341,10 @@ def _require_single_job(jobs: int) -> None:
 def _certify(
     family: PatternFamily, solution: list[int], r: int, box_relative: bool = False
 ) -> AvoidCertificate:
-    """The certificate of a search answer, after one independent count_witnesses check."""
+    """The certificate of a search answer, after one count_witnesses check.
+
+    That check runs the search's own instance enumerator, and for a small
+    question its memoized chunks, so it is not independent of the search."""
     coloring = Coloring.from_sequence(solution, r)
     if count_witnesses(family, coloring) != 0:
         raise RuntimeError("internal error: search returned a non-avoiding coloring")
@@ -483,7 +486,11 @@ def greedy_avoider(
 
 
 def verify_certificate(cert: AvoidCertificate) -> bool:
-    """Recompute the zero-witness claim from the stored coloring, independently."""
+    """Recompute the zero-witness claim from the stored coloring.
+
+    The recount runs the search's own instance enumerator, and for a small
+    (family, N) the enumeration it memoized; a checker that shares nothing
+    with the search is ROADMAP item 4."""
     try:
         coloring = cert.to_coloring()
     except (ValueError, TypeError):

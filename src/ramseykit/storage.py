@@ -26,42 +26,33 @@ The store is read as UTF-8 whatever the locale; a line that is not UTF-8,
 not a JSON object, or whose kind or fingerprint is not a string is
 quarantined like any other malformed line.
 
-Verification is a pure function of a line's text, so each distinct line is
-verified at most once per process: a module-level set holds the 16-byte
-blake2b digests of the lines (whitespace-stripped, as read back) that passed,
-and is cleared when it reaches 2**14 entries.  Any edit on disk changes a
-line's digest, so the edited line is checked again; a line that failed is
-never remembered.
-
-What a line says is a pure function of its text too, so each line is parsed
-at most once per process for the readers' sake: per store path, a memo maps
-the text of each line of the latest read to its key, a RecordKey (kind,
-fingerprint, canonical params) or the reason it is quarantined.  A read
-keeps only its own lines, so an edited line is a new key and a truncated,
-replaced or regrown store starts over; at most _INDEXED_PATHS_MAX paths are
-remembered, the least recently read dropped first.  lookup() walks the keys
-from the end and parses only a match, verify_all() only lines whose digest
-is not remembered, and `cache list` reads the keys alone; no parsed record
-is kept, so what they return is fresh.  The instance enumeration behind the
-certificate checks memoizes small complete enumerations (see witnesses),
-which a fresh run reproduces exactly; the check was never independent of the
-enumerator, and ROADMAP item 4's separate checker remains the way to make it
-so.
+What a line says, and whether it passes, are pure functions of its text, so
+one module-level memo maps each (whitespace-stripped) line text to its key,
+a RecordKey (kind, fingerprint, canonical params) or the reason it is
+quarantined, and to whether its record has passed verification.  A read
+rebuilds the memo from its own lines, carrying over the entries it already
+holds; a line that passes after a read (an append, another store's line)
+joins it, and when 2**14 have joined the memo is dropped.  An edited line is
+a new text, parsed and checked again; a line that failed is never
+remembered as passed.  lookup() walks the keys from the end and parses only
+a match, verify_all() only lines that have not passed, and `cache list`
+reads the keys alone; no parsed record is kept, so what they return is
+fresh.  The certificate checks run the search's own instance enumerator,
+which memoizes small complete enumerations (see witnesses); ROADMAP item
+4's separate checker remains the way to make them independent of it.
 """
 
 from __future__ import annotations
 
 import fcntl
-import hashlib
 import json
-import os
 import sys
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import NamedTuple
 
-from .families import preset_family, reduction_family
+from .families import _json_bool, _json_int, _json_ints, preset_family, reduction_family
 from .reduction import _check_solution
 from .search import AvoidCertificate, verify_certificate
 from .witnesses import _check_instance, witness_from_json
@@ -135,31 +126,34 @@ def _parse(line: str) -> ResultRecord:
     return ResultRecord.from_json(json.loads(line))
 
 
-# digests of store lines that passed _verify_payload in this process
-_VERIFIED: set[bytes] = set()
-_VERIFIED_MAX = 1 << 14
-
-# per store path: the key (RecordKey, or quarantine reason) of each line of
-# its latest read, by line text; the least recently read path goes first
-_LINE_KEYS: dict[str, dict[str, RecordKey | str]] = {}
-_INDEXED_PATHS_MAX = 4
+# what each store line says, by its stripped text: its key (RecordKey, or
+# the reason it is quarantined) and whether its record passed _verify_payload;
+# the lines of the latest read, plus at most _ADDED_MAX lines added since
+_LINES: dict[str, tuple[RecordKey | str, bool]] = {}
+_ADDED_MAX = 1 << 14
+_added = 0
 
 
-def _line_digest(line: str) -> bytes:
-    # surrogateescape: a line that is not UTF-8 hashes as its own bytes
-    return hashlib.blake2b(line.encode("utf-8", "surrogateescape"), digest_size=16).digest()
+def _forget() -> None:
+    """Empty the line memo."""
+    global _LINES, _added
+    _LINES, _added = {}, 0
 
 
 def _verify_line(line: str) -> None:
-    """_verify_payload for the record that this store line decodes to, skipped
-    when the line's exact text has already passed in this process."""
-    digest = _line_digest(line)
-    if digest in _VERIFIED:
+    """_verify_payload for the record that this stripped store line decodes
+    to, skipped when the line has already passed in this process."""
+    global _added
+    key, passed = _LINES.get(line, (None, False))
+    if passed:
         return
     _verify_payload(_parse(line))
-    if len(_VERIFIED) >= _VERIFIED_MAX:
-        _VERIFIED.clear()
-    _VERIFIED.add(digest)
+    if key is None:  # a line added since the latest read
+        if _added >= _ADDED_MAX:
+            _forget()
+        _added += 1
+        key = _line_key(line)
+    _LINES[line] = (key, True)
 
 
 def _check_structure(obj) -> str | None:
@@ -231,7 +225,7 @@ def _verify_payload(record: ResultRecord) -> None:
             if fam is None:
                 raise ValueError("witness record must embed its family")
             _check_fingerprint(record, payload, fam)
-            n, r = int(payload["n"]), int(payload["r"])
+            n, r = _json_int(payload["n"], "'n'"), _json_int(payload["r"], "'r'")
             _check_params(record, n=n, r=r)
             # what cmd_witness asked find_witness for
             reason = _check_instance(fam, n, w, True if record.params.get("distinct") else None)
@@ -246,10 +240,11 @@ def _verify_payload(record: ResultRecord) -> None:
             if not verify_certificate(cert):
                 raise ValueError("certificate fails verification")
         elif kind == "threshold":
-            value, exact = int(payload["value"]), bool(payload["exact"])
+            value = _json_int(payload["value"], "'value'")
+            exact = _json_bool(payload["exact"], "'exact'")
             if value < 1:
                 raise ValueError("threshold value must be positive")
-            r = int(payload["r"])
+            r = _json_int(payload["r"], "'r'")
             if r < 1:
                 raise ValueError("threshold needs r >= 1 colors")
             _check_fingerprint(record, payload)
@@ -277,27 +272,28 @@ def _verify_payload(record: ResultRecord) -> None:
                 raise ValueError("trace claims success but has no witness")
             _check_params(record, n=payload.get("n"), r=payload.get("r"))
             if w is not None:
-                x, y, n = int(w["x"]), int(w["y"]), int(payload["n"])
+                x, y = _json_int(w["x"], "witness 'x'"), _json_int(w["y"], "witness 'y'")
+                n = _json_int(payload["n"], "'n'")
                 if x < 1 or y < 1 or x + y > n or x * y > n:
                     raise ValueError("witness values do not fit in [1..n]")
         elif kind == "reduction":
-            c = [int(v) for v in payload["c"]]
+            c = _json_ints(payload["c"], "'c'")
             _check_params(record, c=c)
-            u = [int(v) for v in payload["u"]]
-            b = int(payload["b"])
+            u = _json_ints(payload["u"], "'u'")
+            b = _json_int(payload["b"], "'b'")
             if len(u) != len(c):
                 raise ValueError(f"u has {len(u)} entries for {len(c)} coefficients")
             if sum(cl * ul * ul for cl, ul in zip(c, u)) != 0:
                 raise ValueError("u does not clear the quadratic form")
             if b != 2 * sum(cl * ul for cl, ul in zip(c, u)) or b <= 0:
                 raise ValueError("b is not twice the positive cross sum")
-            a = [int(v) for v in payload["a"]]
+            a = _json_ints(payload["a"], "'a'")
             reason = _check_solution(c, a)
             if reason is not None:
                 raise ValueError(reason)
             _check_fingerprint(record, payload, reduction_family(u), "family of u")
             # what solve_quadratic reports: a from (x, y) = (bX, bY)
-            x, y = (int(v) for v in payload["source_witness"])
+            x, y = _json_ints(payload["source_witness"], "'source_witness'")
             if x < 1 or y < 1 or x % b or y % b:
                 raise ValueError(f"source witness ({x}, {y}) is not two positive multiples of b")
             if a != [x * y // b] + [(x + ul * y) // b for ul in u]:
@@ -318,7 +314,7 @@ class ResultStore:
         if record.kind not in RECORD_KINDS:
             raise ValueError(f"unknown record kind {record.kind!r}")
         line = json.dumps(record.to_json(), sort_keys=True, separators=(",", ":"))
-        # the record as the store reads it back, which is what the digest names
+        # the record as the store reads it back, which is what the memo names
         _verify_line(line)
         self.path.parent.mkdir(parents=True, exist_ok=True)
         with open(self.lock_path, "ab") as lock:
@@ -330,14 +326,13 @@ class ResultStore:
         """(line, text, key) of each well-formed record, and the quarantine
         list of (line, reason): records() without building the records.
 
-        One read of the file; a line this path's previous read held is not
-        parsed again.
+        One read of the file, which the memo then holds; a line it already
+        held is not parsed again.
         """
+        global _LINES, _added
         good: list[tuple[int, str, RecordKey]] = []
         bad: list[tuple[int, str]] = []
-        path = os.fspath(self.path)
-        previous = _LINE_KEYS.pop(path, {})
-        keys: dict[str, RecordKey | str] = {}
+        lines: dict[str, tuple[RecordKey | str, bool]] = {}
         try:
             # a byte that is not UTF-8 becomes a lone surrogate, on its line only
             fh = open(self.path, encoding="utf-8", errors="surrogateescape")
@@ -348,15 +343,14 @@ class ResultStore:
                 line = line.strip()
                 if not line:
                     continue
-                key = keys.get(line) or previous.get(line) or _line_key(line)
-                keys[line] = key
+                entry = lines.get(line) or _LINES.get(line) or (_line_key(line), False)
+                lines[line] = entry
+                key = entry[0]
                 if isinstance(key, str):
                     bad.append((i, key))
                 else:
                     good.append((i, line, key))
-        if len(_LINE_KEYS) >= _INDEXED_PATHS_MAX:
-            del _LINE_KEYS[next(iter(_LINE_KEYS))]
-        _LINE_KEYS[path] = keys
+        _LINES, _added = lines, 0
         return good, bad
 
     def records(self) -> tuple[list[tuple[int, ResultRecord]], list[tuple[int, str]]]:

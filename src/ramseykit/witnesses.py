@@ -55,7 +55,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .coloring import Coloring
-from .families import PatternFamily
+from .families import PatternFamily, _json_int, _json_ints
 from .polynomials import IntPoly
 
 __all__ = [
@@ -531,6 +531,10 @@ def witness_to_json(family: PatternFamily, coloring: Coloring, witness: Witness)
 
 def witness_from_json(data: dict) -> tuple[Witness, PatternFamily | None]:
     """Rebuild a witness (and the embedded family, when present)."""
-    w = Witness(tuple(data["assignment"]), tuple(data["term_values"]), int(data["color"]))
+    w = Witness(
+        tuple(_json_ints(data["assignment"], "witness 'assignment'")),
+        tuple(_json_ints(data["term_values"], "witness 'term_values'")),
+        _json_int(data["color"], "witness 'color'"),
+    )
     fam = PatternFamily.from_json(data["family"]) if "family" in data else None
     return w, fam

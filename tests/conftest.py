@@ -8,13 +8,20 @@ from ramseykit import storage, witnesses
 _acceptance_lines: list[str] = []
 
 
+# each process memo in ramseykit, as (module, name), and what empties it
+MEMOS = {
+    (storage, "_LINES"): storage._forget,
+    (witnesses, "_SMALL"): witnesses._forget,
+}
+
+
 @pytest.fixture(autouse=True)
 def cold_memos():
     """Each test starts with the process memos empty, so that none passes
-    only because an earlier test warmed them."""
-    storage._LINE_KEYS.clear()
-    storage._VERIFIED.clear()
-    witnesses._forget()
+    only because an earlier test warmed them.  Returns MEMOS."""
+    for forget in MEMOS.values():
+        forget()
+    return MEMOS
 
 
 @pytest.fixture

@@ -190,6 +190,11 @@ class TestRoundTrips:
         with pytest.raises(ValueError):
             Coloring.from_rle(3, 2, runs)
 
+    @pytest.mark.parametrize("runs", [[[1.5, 1], [2.5, 2]], [[1, 1.0], [2, 2]], [["1", 3]]])
+    def test_from_rle_rejects_runs_that_are_not_integers(self, runs):
+        with pytest.raises(ValueError, match="pairs of integers"):
+            Coloring.from_rle(3, 2, runs)
+
     def test_from_rle_rejects_negative_length(self):
         # [2, -1] would cancel one color of the first run in the sum
         with pytest.raises(ValueError, match="run lengths"):

@@ -84,9 +84,9 @@ class TestPatternFamily:
     @pytest.mark.parametrize("terms, exc, message", [
         (5, TypeError, "'int' object is not iterable"),
         (None, TypeError, "'NoneType' object is not iterable"),
-        ([5], AttributeError, "'int' object has no attribute 'replace'"),
-        ([["x0"]], AttributeError, "'list' object has no attribute 'replace'"),
-        (["x0", None], AttributeError, "'NoneType' object has no attribute 'replace'"),
+        ([5], TypeError, "family terms must be texts, got int"),
+        ([["x0"]], TypeError, "family terms must be texts, got list"),
+        (["x0", None], TypeError, "family terms must be texts, got NoneType"),
         ("x0", ValueError, "bad polynomial syntax near 'x'"),
         ([], ValueError, "a family needs at least one term"),
         (["x9"], ValueError, "variable x9 out of range for 2 variables"),

@@ -525,6 +525,19 @@ class TestOneCheckPerAnswer:
         assert accepted(store, record) == expected.ok, expected.reason
 
 
+def refused_skipped_and_reported(store, capsys, bad, reason):
+    """append refuses the record, lookup skips it and cache verify reports it."""
+    with pytest.raises(StoreVerificationError, match=re.escape(reason)):
+        store.append(bad)
+    assert not store.path.exists()
+    write_unverified(store, bad)
+    assert store.lookup(bad.kind, bad.fingerprint, bad.params) is None
+    assert main(["cache", "verify", "--cache", str(store.path)]) == 1
+    assert capsys.readouterr().out == (
+        f"  #0 FAIL: {bad.kind} record: {reason}\n1 record(s) failed verification\n"
+    )
+
+
 SCHUR_FP = preset_family("schur").fingerprint()
 
 
@@ -555,22 +568,62 @@ class TestFiledUnderTheirFamily:
             "reduction-source-other-solution", "reduction-source-not-multiple",
             "reduction-source-negative"])
     def test_refused_skipped_and_reported(self, store, capsys, make, reason):
-        bad = make()
-        with pytest.raises(StoreVerificationError, match=re.escape(reason)):
-            store.append(bad)
-        assert not store.path.exists()
-        write_unverified(store, bad)
-        assert store.lookup(bad.kind, bad.fingerprint, bad.params) is None
-        assert main(["cache", "verify", "--cache", str(store.path)]) == 1
-        assert capsys.readouterr().out == (
-            f"  #0 FAIL: {bad.kind} record: {reason}\n1 record(s) failed verification\n"
-        )
+        refused_skipped_and_reported(store, capsys, make(), reason)
 
     def test_genuine_records_accepted(self, store):
         for record in (construction_record(), reduction_record()):
             store.append(record)
             assert store.lookup(record.kind, record.fingerprint, record.params) == record
         assert store.verify_all() == []
+
+
+def lower_bound_record(**payload):
+    """The genuine schur r=2 record T >= 4, its avoider at N=3 (the true T is 5)."""
+    res = threshold(preset_family("schur"), 2, 3)
+    assert (res.value, res.exact) == (4, False)
+    return ResultRecord("threshold", res.fingerprint, {"r": 2},
+                        dict(res.to_json(), max_n=3, **payload), {})
+
+
+def recertified(record, params=None, **cert):
+    """An avoiding record with certificate fields replaced, under its params
+    or others."""
+    return ResultRecord(record.kind, record.fingerprint, params or record.params,
+                        dict(record.payload, **cert), {})
+
+
+class TestJsonTypes:
+    """A count must be a JSON integer, a flag true or false, and an RLE run a
+    pair of integers; a record that holds another type is not coerced."""
+
+    @pytest.mark.parametrize("make, reason", [
+        (lambda: lower_bound_record(exact="false"), "'exact' must be true or false, got 'false'"),
+        (lambda: recertified(avoiding_record(), n=4.5),
+         "certificate 'n' must be an integer, got 4.5"),
+        (lambda: recertified(avoiding_record(), r=2.9),
+         "certificate 'r' must be an integer, got 2.9"),
+        (lambda: recertified(avoiding_record(), coloring_rle=[[1.5, 1], [2.5, 2], [1.5, 1]]),
+         "an RLE run must be a list of integers, got [1.5, 1]"),
+        (lambda: recertified(avoiding_record(), dict(avoiding_record().params, box_relative=True),
+                             box_relative="no"),
+         "certificate 'box_relative' must be true or false, got 'no'"),
+        (lambda: refiled(witness_record(), assignment=[1.0, 1.0]),
+         "witness 'assignment' must be a list of integers, got [1.0, 1.0]"),
+    ], ids=["threshold-exact-string", "avoiding-float-n", "avoiding-float-r",
+            "avoiding-float-rle-colors", "avoiding-box_relative-string",
+            "witness-float-assignment"])
+    def test_refused_skipped_and_reported(self, store, capsys, make, reason):
+        refused_skipped_and_reported(store, capsys, make(), reason)
+
+    def test_lower_bound_not_served_as_exact(self, store, capsys):
+        write_unverified(store, lower_bound_record(exact="false"))
+        cache = ["--cache", str(store.path)]
+        assert main(["threshold", "--family", "schur", "--colors", "2", "--max-n", "10",
+                     *cache]) == 0
+        assert capsys.readouterr().out == "T = 5\n"
+        good = lower_bound_record()
+        store.append(good)
+        assert store.lookup(good.kind, good.fingerprint, good.params) == good
 
 
 def malformed_lines():
@@ -662,8 +715,9 @@ class TestQuarantine:
         assert [i for i, _ in bad] == [1]
         assert bad[0][1] == ("not UTF-8: 'utf-8' codec can't decode byte 0xff in position 0: "
                              "invalid start byte")
-        assert storage._line_digest("\udcff\udcfe garbage") == storage._line_digest(
-            b"\xff\xfe garbage".decode("utf-8", "surrogateescape"))
+        # the memo keys the line by its text, undecodable bytes escaped
+        assert storage._LINES[b"\xff\xfe garbage".decode("utf-8", "surrogateescape")] == (
+            bad[0][1], False)
         assert store.lookup(rec.kind, rec.fingerprint, rec.params) == rec
         assert store.verify_all() == bad
         cache = ["--cache", str(store.path)]
@@ -768,14 +822,42 @@ class TestVerifiedMemo:
         assert "unparseable" in failures[0][1] and "certificate" in failures[1][1]
 
     def test_memo_stays_within_its_bound(self, store, monkeypatch):
-        assert storage._VERIFIED_MAX == 2**14
-        monkeypatch.setattr(storage, "_VERIFIED", set())  # no lines from other tests
-        monkeypatch.setattr(storage, "_VERIFIED_MAX", 4)
+        """At most _ADDED_MAX lines join the memo after a read; the next one
+        drops it, and the next read holds exactly its own lines."""
+        assert storage._ADDED_MAX == 2**14
+        monkeypatch.setattr(storage, "_ADDED_MAX", 4)
         for i in range(10):
             store.append(plain_record(i))
-            assert 1 <= len(storage._VERIFIED) <= 4
+            assert len(storage._LINES) == i % 4 + 1
         assert store.verify_all() == []
-        assert len(storage._VERIFIED) <= 4
+        assert set(storage._LINES) == set(store.path.read_text().split())
+
+    def test_store_larger_than_the_bound_keeps_its_keys(self, store, monkeypatch, checks):
+        monkeypatch.setattr(storage, "_ADDED_MAX", 4)
+        for i in range(10):
+            write_unverified(store, plain_record(i))
+        assert store.verify_all() == [] and len(checks) == 10
+        before = dict(storage._LINES)
+        store.append(plain_record(10))  # the read's 10 lines are no tail
+        assert len(storage._LINES) == 11 and storage._LINES.items() >= before.items()
+        assert store.verify_all() == [] and len(checks) == 11
+
+    def test_edited_line_checked_again(self, store, checks):
+        store.append(plain_record(0))
+        assert store.verify_all() == [] and len(checks) == 1
+        store.path.write_text(store.path.read_text().replace('"i":0', '"i":1'))
+        assert store.verify_all() == [] and len(checks) == 2
+        assert store.lookup("construction", XYXY_FP, {"i": 1}) == plain_record(1)
+        assert len(checks) == 2
+
+    def test_one_line_in_two_stores_verified_once(self, store, checks, tmp_path):
+        rec = avoiding_record()
+        store.append(rec)
+        other = ResultStore(tmp_path / "other.jsonl")
+        other.path.write_bytes(store.path.read_bytes())
+        assert other.verify_all() == [] and store.verify_all() == []
+        assert other.lookup(rec.kind, rec.fingerprint, rec.params) == rec
+        assert len(checks) == 1  # the append's
 
     def test_fresh_process_sees_a_tampered_line(self, store):
         store.append(avoiding_record())
@@ -850,7 +932,7 @@ class TestLineKeyMemo:
         assert len(self.keys(store)[0]) == 3
         store.path.write_text("")
         assert self.keys(store) == ([], [])
-        assert storage._LINE_KEYS[os.fspath(store.path)] == {}  # only the latest read's lines
+        assert storage._LINES == {}  # only the latest read's lines
         assert store.lookup("construction", XYXY_FP, {"i": 0}) is None
         fresh = tmp_path / "fresh.jsonl"
         ResultStore(fresh).append(plain_record(5))
@@ -861,7 +943,7 @@ class TestLineKeyMemo:
         assert store.lookup("construction", XYXY_FP, {"i": 5}) is None
         store.append(plain_record(6))
         assert [key.params for _, key in self.keys(store)[0]] == ['{"i": 6}']
-        assert len(storage._LINE_KEYS[os.fspath(store.path)]) == 1
+        assert len(storage._LINES) == 1
         assert store.lookup("construction", XYXY_FP, {"i": 5}) is None
 
     def test_two_stores_in_one_process(self, tmp_path):
@@ -888,14 +970,17 @@ class TestLineKeyMemo:
         assert store.records()[0] == [(0, rec)]
         assert store.lookup(rec.kind, rec.fingerprint, rec.params) is not good[0][1]
 
-    def test_paths_remembered_within_the_bound(self, tmp_path, monkeypatch):
-        assert storage._INDEXED_PATHS_MAX == 4
-        monkeypatch.setattr(storage, "_INDEXED_PATHS_MAX", 2)
+    def test_paths_remembered_within_the_bound(self, tmp_path, monkeypatch, parses):
+        """Lines appended to several stores share the memo and its bound; a
+        read keeps its own lines, and a forgotten line is parsed afresh."""
+        monkeypatch.setattr(storage, "_ADDED_MAX", 2)
         stores = [ResultStore(tmp_path / f"{i}.jsonl") for i in range(4)]
         for i, store in enumerate(stores):
             store.append(plain_record(i))
-            store.index()
-            assert len(storage._LINE_KEYS) <= 2
-        assert list(storage._LINE_KEYS) == [os.fspath(s.path) for s in stores[2:]]
-        for i, store in enumerate(stores):  # a forgotten path is read afresh
+            assert len(storage._LINES) == i % 2 + 1
+        assert len(parses) == 4
+        assert set(storage._LINES) == {s.path.read_text().strip() for s in stores[2:]}
+        for i, store in reversed(list(enumerate(stores))):
             assert [key.params for _, key in self.keys(store)[0]] == [f'{{"i": {i}}}']
+            assert len(storage._LINES) == 1
+        assert len(parses) == 7  # store 3's line was still held, the others not
