@@ -63,6 +63,13 @@ def _parse_terms(num_vars: int, texts: tuple[str, ...]) -> tuple[IntPoly, ...]:
     return tuple(parse_poly(t, num_vars) for t in texts)
 
 
+@functools.lru_cache(maxsize=256)
+def _fingerprint(num_vars: int, terms: tuple[IntPoly, ...], distinct_required: bool) -> str:
+    ident = {"num_vars": num_vars, "terms": sorted(map(str, terms)),
+             "distinct_required": distinct_required}
+    return hashlib.sha256(json.dumps(ident, sort_keys=True).encode()).hexdigest()
+
+
 @dataclass(frozen=True)
 class PatternFamily:
     """Immutable ordered term list with set semantics (duplicates dropped)."""
@@ -142,17 +149,7 @@ class PatternFamily:
 
     def fingerprint(self) -> str:
         """Canonical-form hash: term order and display name do not matter."""
-        fp = self.__dict__.get("_fingerprint")
-        if fp is None:
-            ident = {
-                "num_vars": self.num_vars,
-                "terms": sorted(self.canonical_texts()),
-                "distinct_required": self.distinct_required,
-            }
-            fp = hashlib.sha256(json.dumps(ident, sort_keys=True).encode()).hexdigest()
-            # beside the fields, not one of them: eq, hash and repr ignore it
-            object.__setattr__(self, "_fingerprint", fp)
-        return fp
+        return _fingerprint(self.num_vars, self.terms, self.distinct_required)
 
     def to_json(self) -> dict:
         return {

@@ -338,18 +338,18 @@ def _require_single_job(jobs: int) -> None:
         raise ValueError(f"jobs={jobs}: the search runs in one process, so jobs must be 1")
 
 
-def _certify(
-    family: PatternFamily, solution: list[int], r: int, box_relative: bool = False
-) -> AvoidCertificate:
-    """The certificate of a search answer, after one count_witnesses check.
+def _certify(family: PatternFamily, solution: list[int], r: int) -> AvoidCertificate:
+    """The certificate of a search answer, after one count_witnesses check;
+    box_relative when the family is not box-complete.
 
     That check runs the search's own instance enumerator, and for a small
-    question its memoized chunks, so it is not independent of the search."""
+    question the chunks it cached (witnesses._small_stream), so it is not
+    independent of the search."""
     coloring = Coloring.from_sequence(solution, r)
     if count_witnesses(family, coloring) != 0:
         raise RuntimeError("internal error: search returned a non-avoiding coloring")
     return AvoidCertificate(
-        family, coloring.n, coloring.r, coloring.to_rle(), True, box_relative
+        family, coloring.n, coloring.r, coloring.to_rle(), True, not family.box_complete()
     )
 
 
@@ -373,8 +373,7 @@ def exists_avoiding(
     _require_single_job(jobs)
     if r < 1 or n < 1:
         raise ValueError("need r >= 1 and n >= 1")
-    box_relative = not family.box_complete()
-    if box_relative and not allow_box_relative:
+    if not family.box_complete() and not allow_box_relative:
         missing = sorted(set(range(family.num_vars)) - set(family.bounded_vars()))
         raise IncompleteBoxError(
             f"variables {missing} are not bounded by any all-positive term; "
@@ -387,7 +386,7 @@ def exists_avoiding(
         stats.nodes += search.nodes
     if not found:
         return None
-    return _certify(family, found[0], r, box_relative)
+    return _certify(family, found[0], r)
 
 
 def find_all_avoiding(family: PatternFamily, r: int, n: int) -> list[tuple[int, ...]]:
@@ -481,7 +480,7 @@ def greedy_avoider(
     for _ in range(restarts if strategy == "random" else 1):
         result = one_pass(pick)
         if result is not None:
-            return _certify(family, result, r, not family.box_complete())
+            return _certify(family, result, r)
     return None
 
 
@@ -489,8 +488,8 @@ def verify_certificate(cert: AvoidCertificate) -> bool:
     """Recompute the zero-witness claim from the stored coloring.
 
     The recount runs the search's own instance enumerator, and for a small
-    (family, N) the enumeration it memoized; a checker that shares nothing
-    with the search is ROADMAP item 4."""
+    (family, N) the chunks it cached (witnesses._small_stream); a checker
+    that shares nothing with the search is ROADMAP item 4."""
     try:
         coloring = cert.to_coloring()
     except (ValueError, TypeError):

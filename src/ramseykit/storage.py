@@ -12,7 +12,8 @@ verify_all() over every stored line, and by lookup() on what it serves (the
 latest match that passes; failing ones are skipped).  Its fingerprint must be
 its family's (the embedded one; {x, x+y, xy} for a construction; the family
 of u for a reduction) and its params (r, n, box_relative, c) must agree with
-its payload.  Then a witness runs _check_instance (verify_witness without
+its payload; a certificate is box_relative exactly when its family is not
+box-complete.  Then a witness runs _check_instance (verify_witness without
 colors, under the distinct flag it is filed with) and a color range check,
 certificates verify_certificate, a reduction its u/b checks, _check_solution
 (verify_quad_solution without domain and colors) and the decoding of its a
@@ -24,7 +25,8 @@ raising, so one corrupt line cannot poison the rest of the cache.
 
 The store is read as UTF-8 whatever the locale; a line that is not UTF-8,
 not a JSON object, or whose kind or fingerprint is not a string is
-quarantined like any other malformed line.
+quarantined like any other malformed line.  append() refuses a record whose
+line the reader would quarantine, with the same reason.
 
 What a line says, and whether it passes, are pure functions of its text, so
 one module-level memo maps each (whitespace-stripped) line text to its key,
@@ -38,8 +40,8 @@ remembered as passed.  lookup() walks the keys from the end and parses only
 a match, verify_all() only lines that have not passed, and `cache list`
 reads the keys alone; no parsed record is kept, so what they return is
 fresh.  The certificate checks run the search's own instance enumerator,
-which memoizes small complete enumerations (see witnesses); ROADMAP item
-4's separate checker remains the way to make them independent of it.
+and its cache of small enumerations (witnesses._small_stream); ROADMAP
+item 4's separate checker remains the way to make them independent of it.
 """
 
 from __future__ import annotations
@@ -142,17 +144,20 @@ def _forget() -> None:
 
 def _verify_line(line: str) -> None:
     """_verify_payload for the record that this stripped store line decodes
-    to, skipped when the line has already passed in this process."""
+    to, skipped when the line has already passed in this process.  A line
+    that the store's reader would quarantine fails with the reason."""
     global _added
-    key, passed = _LINES.get(line, (None, False))
+    # passed is None for a line added since the latest read
+    key, passed = _LINES.get(line) or (_line_key(line), None)
     if passed:
         return
+    if isinstance(key, str):
+        raise StoreVerificationError(f"the store would quarantine this line: {key}")
     _verify_payload(_parse(line))
-    if key is None:  # a line added since the latest read
+    if passed is None:
         if _added >= _ADDED_MAX:
             _forget()
         _added += 1
-        key = _line_key(line)
     _LINES[line] = (key, True)
 
 
@@ -216,6 +221,16 @@ def _check_params(record: ResultRecord, **payload_values) -> None:
             )
 
 
+def _check_certificate(cert: AvoidCertificate, what: str) -> None:
+    """box_relative exactly when the family is not box-complete, and
+    verify_certificate passes the certificate."""
+    if cert.box_relative == cert.family.box_complete():
+        raise ValueError(f"{what} has box_relative={json.dumps(cert.box_relative)} for a "
+                         f"family that is {'' if cert.box_relative else 'not '}box-complete")
+    if not verify_certificate(cert):
+        raise ValueError(f"{what} fails verification")
+
+
 def _verify_payload(record: ResultRecord) -> None:
     """Full recomputation check; raises StoreVerificationError on failure."""
     kind, payload = record.kind, record.payload
@@ -237,8 +252,7 @@ def _verify_payload(record: ResultRecord) -> None:
             cert = AvoidCertificate.from_json(payload)
             _check_fingerprint(record, payload, cert.family)
             _check_params(record, n=cert.n, r=cert.r, box_relative=cert.box_relative)
-            if not verify_certificate(cert):
-                raise ValueError("certificate fails verification")
+            _check_certificate(cert, "certificate")
         elif kind == "threshold":
             value = _json_int(payload["value"], "'value'")
             exact = _json_bool(payload["exact"], "'exact'")
@@ -263,8 +277,7 @@ def _verify_payload(record: ResultRecord) -> None:
                     raise ValueError(
                         f"certificate colors [1..{cert.n}], expected [1..{expected_n}]"
                     )
-                if not verify_certificate(cert):
-                    raise ValueError("embedded certificate fails verification")
+                _check_certificate(cert, "embedded certificate")
         elif kind == "construction":
             _check_fingerprint(record, payload, preset_family("xyxy"), "{x, x+y, xy} family")
             w = payload.get("witness")
@@ -310,9 +323,9 @@ class ResultStore:
         self.lock_path = self.path.with_suffix(self.path.suffix + ".lock")
 
     def append(self, record: ResultRecord) -> None:
-        """Verify one record and write it as one line at the end of the store."""
-        if record.kind not in RECORD_KINDS:
-            raise ValueError(f"unknown record kind {record.kind!r}")
+        """Verify one record and write it as one line at the end of the store;
+        a record that fails, or that the store's reader would quarantine, is
+        refused with StoreVerificationError and nothing is written."""
         line = json.dumps(record.to_json(), sort_keys=True, separators=(",", ":"))
         # the record as the store reads it back, which is what the memo names
         _verify_line(line)

@@ -31,14 +31,14 @@ enumerator holds one window per depth whatever N is.  A window repeats each
 parent's columns over its children (np.repeat) rather than building a parent
 index and gathering through it.
 
-Small enumerations are remembered: a stream that ends within its first
-window (at most _FIRST_CHUNK rows in all) keeps its chunks under (num_vars,
-terms, N, box), and the next request for the same key is served from them.
-The enumerator is deterministic, so they equal a fresh run; every column is
-read-only.  The memo holds at most _SMALL_ROWS_MAX rows in all (an empty
-stream counts as one), about 3 MB for six columns, and is cleared when the
-next stream would not fit.  A larger stream, or one whose consumer stops
-early (find_witness), keeps nothing.
+Small enumerations are cached: _small_stream, an lru_cache of 64 entries
+keyed by (terms, N, box), holds the read-only chunks of each stream of at
+most _FIRST_CHUNK rows, or None for a stream that passes that bound, so at
+most 64 * 2^10 = 2^16 rows in all (about 3 MB for six columns).  The
+enumerator is deterministic, so a served stream equals a fresh run.  A
+stream cached as None is enumerated afresh, lazily, on every request; the
+first request for its key has already enumerated it past _FIRST_CHUNK rows
+to learn that.
 
 Overflow: when max_abs_on_box proves every term stays below 2^62 in absolute
 value over the box the columns are int64; otherwise the same code runs on
@@ -81,10 +81,6 @@ _MAX_CHUNK = 1 << 16
 _INT64_SAFE = 1 << 62
 
 Chunk = tuple[list[np.ndarray], list[np.ndarray]]
-# complete small enumerations by (num_vars, terms, N, box), and their rows
-_SMALL: dict[tuple, list[Chunk]] = {}
-_small_rows = 0
-_SMALL_ROWS_MAX = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -143,10 +139,10 @@ def _last_var(term: IntPoly) -> int:
     return max(used) if used else -1
 
 
-def _int64_safe(family: PatternFamily, nb: Box) -> bool:
+def _int64_safe(terms: tuple[IntPoly, ...], nb: Box) -> bool:
     bounds = [hi for _, hi in nb]
     return max(bounds) < _INT64_SAFE and all(
-        t.max_abs_on_box(bounds) < _INT64_SAFE for t in family.terms
+        t.max_abs_on_box(bounds) < _INT64_SAFE for t in terms
     )
 
 
@@ -252,22 +248,17 @@ def _depth_plan(terms: tuple[IntPoly, ...]):
     return constants, positive, finishing, bounds
 
 
-def _forget() -> None:
-    """Empty the small-enumeration memo."""
-    global _small_rows
-    _SMALL.clear()
-    _small_rows = 0
-
-
-def _remember(key: tuple, chunks: list[Chunk], rows: int) -> None:
-    global _small_rows
-    rows = max(rows, 1)  # an empty stream still takes an entry
-    if rows > _SMALL_ROWS_MAX:
-        return
-    if _small_rows + rows > _SMALL_ROWS_MAX:
-        _forget()
-    _SMALL[key] = chunks
-    _small_rows += rows
+@functools.lru_cache(maxsize=64)
+def _small_stream(terms: tuple[IntPoly, ...], n: int, nb: Box) -> tuple[Chunk, ...] | None:
+    """Every chunk of the stream over nb, read-only, when it has at most
+    _FIRST_CHUNK rows in all; None once it passes that bound."""
+    chunks, rows = [], 0
+    for cols, vals in _enumerate_chunks(terms, n, nb):
+        rows += len(cols[0])
+        if rows > _FIRST_CHUNK:
+            return None
+        chunks.append((cols, vals))
+    return tuple(chunks)
 
 
 def _instance_chunks(
@@ -278,8 +269,9 @@ def _instance_chunks(
     Each chunk is (assignment columns, term-value columns in term order); the
     value columns are int64, the assignment columns int64 or, when int64 is
     not provably safe, object arrays of Python ints.  No chunk is empty, and
-    none has more than _MAX_CHUNK rows.  The columns are read-only: a small
-    stream's are served again from the memo.
+    none has more than _MAX_CHUNK rows.  The columns are read-only, since a
+    small stream's are served from the _small_stream cache; the two lists of
+    each chunk are the caller's own.
 
     On the int64 path the value column of a term that is exactly x_i is the
     assignment column x_i itself, not a copy.
@@ -287,37 +279,23 @@ def _instance_chunks(
     if n < 1:
         raise ValueError("N must be >= 1")
     nb = _normalize_box(family, n, box)
-    key = (family.num_vars, family.terms, n, nb)
-    hit = _SMALL.get(key)
-    if hit is not None:
-        for cols, vals in hit:  # fresh lists, shared read-only columns
+    small = _small_stream(family.terms, n, nb)
+    if small is None:
+        yield from _enumerate_chunks(family.terms, n, nb)
+    else:
+        for cols, vals in small:
             yield list(cols), list(vals)
-        return
-    kept: list[Chunk] | None = []
-    rows = 0
-    for cols, vals in _enumerate_chunks(family, n, nb):
-        for a in (*cols, *vals):
-            a.flags.writeable = False
-        if kept is not None:
-            rows += len(cols[0])
-            if rows <= _FIRST_CHUNK:
-                kept.append((list(cols), list(vals)))
-            else:
-                kept = None
-        yield cols, vals
-    if kept is not None:
-        _remember(key, kept, rows)
 
 
-def _enumerate_chunks(family: PatternFamily, n: int, nb: Box) -> Iterator[Chunk]:
-    """_instance_chunks without the memo, over the normalized box nb."""
-    terms = family.terms
-    nv = family.num_vars
+def _enumerate_chunks(terms: tuple[IntPoly, ...], n: int, nb: Box) -> Iterator[Chunk]:
+    """_instance_chunks without the cache, over the normalized box nb; the
+    columns it yields are read-only."""
+    nv = len(nb)
     constants, positive, finishing, bounds = _depth_plan(terms)
     # constant terms either kill everything or impose nothing
     if any(not 1 <= c <= n for c in constants.values()):
         return
-    dtype = np.int64 if _int64_safe(family, nb) else object
+    dtype = np.int64 if _int64_safe(terms, nb) else object
     carried = [i for f in finishing for i in f]  # order of the value columns carried down
     slot = {i: pos for pos, i in enumerate(carried)}
 
@@ -378,10 +356,13 @@ def _enumerate_chunks(family: PatternFamily, n: int, nb: Box) -> Iterator[Chunk]
             if d + 1 < nv:
                 yield from descend(d + 1, kids, kvals, child_counts(d + 1, kids, rows))
                 continue
-            yield kids, [
+            kvals = [
                 kvals[slot[i]] if i in slot else np.full(rows, constants[i], dtype=np.int64)
                 for i in range(len(terms))
             ]
+            for a in (*kids, *kvals):
+                a.flags.writeable = False
+            yield kids, kvals
 
     counts0 = int(np.min(child_counts(0, [], 1)))
     if counts0 > 0:

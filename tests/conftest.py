@@ -11,16 +11,17 @@ _acceptance_lines: list[str] = []
 # each process memo in ramseykit, as (module, name), and what empties it
 MEMOS = {
     (storage, "_LINES"): storage._forget,
-    (witnesses, "_SMALL"): witnesses._forget,
 }
 
 
 @pytest.fixture(autouse=True)
 def cold_memos():
-    """Each test starts with the process memos empty, so that none passes
-    only because an earlier test warmed them.  Returns MEMOS."""
+    """Each test starts with the process memos and the small-enumeration
+    cache empty, so that none passes only because an earlier test warmed
+    them.  Returns MEMOS."""
     for forget in MEMOS.values():
         forget()
+    witnesses._small_stream.cache_clear()
     return MEMOS
 
 

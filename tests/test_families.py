@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+from ramseykit import families
 from ramseykit.families import (
     PRESET_NAMES,
     PatternFamily,
@@ -59,7 +60,7 @@ class TestPatternFamily:
                  "terms": sorted(["x0*x1", "x0", "x0 + x1"])}
         want = hashlib.sha256(json.dumps(ident, sort_keys=True).encode()).hexdigest()
         assert fam.fingerprint() == want
-        assert fam.fingerprint() == want  # the stored hash, second time round
+        assert fam.fingerprint() == want  # the cached hash, second time round
 
     def test_fingerprint_stored_beside_the_fields(self):
         fam = preset_family("schur")
@@ -68,6 +69,18 @@ class TestPatternFamily:
         assert fam == fresh and hash(fam) == hash(fresh) and repr(fam) == repr(fresh)
         assert [f.name for f in dataclasses.fields(fam)] == [
             "num_vars", "terms", "name", "distinct_required"]
+        assert list(vars(fam)) == ["num_vars", "terms", "name", "distinct_required"]
+
+    def test_fingerprint_hashed_once_per_content(self):
+        families._fingerprint.cache_clear()
+        texts = ["x0", "x0 + x1", "x0*x1"]
+        a = PatternFamily.from_texts(2, texts, "xyxy")
+        b = PatternFamily.from_json(a.to_json())  # a fresh family from the same texts
+        assert a is not b
+        assert a.fingerprint() == b.fingerprint() == (
+            "02e2fa5971f444c1b154c785353af6c09bdca8bbff47201237772794b0ca30a9")  # README's
+        info = families._fingerprint.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
 
     def test_shared_parse_keeps_each_familys_own_values(self):
         texts = ["x0", "x1", "x0 + x1"]

@@ -3,15 +3,16 @@
 A memo here is a module-level dict, set or list (dunder names aside).  One
 added without an entry in conftest's MEMOS fails this test, and so does an
 entry whose reset leaves the memo warm.  The functools caches of pure
-functions (parsed term texts, depth plans) are not memos of this kind.
+functions (parsed term texts, depth plans, fingerprints, small
+enumerations) are not memos of this kind; the fixture empties the
+small-enumeration cache too, since a warm one changes which code runs.
 """
 
 import importlib
 import pkgutil
 
 import ramseykit
-from ramseykit import (
-    Coloring, ResultRecord, ResultStore, count_witnesses, preset_family, threshold)
+from ramseykit import ResultRecord, ResultStore, preset_family, threshold, witnesses
 
 
 def module_containers():
@@ -31,12 +32,12 @@ def names(pairs):
 
 def test_every_memo_is_reset(cold_memos, tmp_path):
     assert names(module_containers()) == names(cold_memos)
+    assert witnesses._small_stream.cache_info().currsize == 0
     # warm each memo, then empty it the way the fixture does
     res = threshold(preset_family("schur"), 2, 10)
     store = ResultStore(tmp_path / "results.jsonl")
     store.append(ResultRecord("threshold", res.fingerprint, {"r": 2}, res.to_json(), {}))
     store.index()
-    count_witnesses(preset_family("schur"), Coloring.solid(5))
     assert all(getattr(module, name) for module, name in cold_memos), names(
         pair for pair in cold_memos if not getattr(*pair))
     for forget in cold_memos.values():

@@ -110,10 +110,11 @@ class TestExistsAvoiding:
             exists_avoiding(fam, 2, 10)
 
     def test_box_relative_stamps_certificate(self):
-        fam = PatternFamily.from_texts(2, ["x0", "x0 - x1"])
-        cert = exists_avoiding(fam, 2, 3, allow_box_relative=True)
-        if cert is not None:
+        fam = PatternFamily.from_texts(2, ["x0", "x0 - x1"])  # avoided at N=2, not N=3
+        for cert in (exists_avoiding(fam, 2, 2, allow_box_relative=True),
+                     greedy_avoider(fam, 2, 2)):
             assert cert.box_relative
+        assert not exists_avoiding(preset_family("schur"), 2, 4).box_relative
 
     def test_budget_raises(self):
         with pytest.raises(SearchBudgetExceeded):

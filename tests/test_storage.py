@@ -577,6 +577,49 @@ class TestFiledUnderTheirFamily:
         assert store.verify_all() == []
 
 
+# {x, y - x} with distinct values: y is bounded by no all-positive term
+X_YMX = PatternFamily.from_texts(2, ["x0", "x1 - x0"], "x-ymx", distinct_required=True)
+
+
+def box_relative_record(family, flag):
+    """An avoiding record of the family at N=2, r=2, filed under box_relative
+    flag whatever its family is."""
+    cert = exists_avoiding(family, 2, 2, allow_box_relative=True)
+    return ResultRecord("avoiding", family.fingerprint(), {"n": 2, "r": 2, "box_relative": flag},
+                        dict(cert.to_json(), box_relative=flag), {})
+
+
+def box_relative_threshold():
+    """The genuine schur r=2 threshold record, its certificate box-relative."""
+    good = threshold_record(2)
+    cert = dict(good.payload["certificate"], box_relative=True)
+    return ResultRecord(good.kind, good.fingerprint, good.params,
+                        dict(good.payload, certificate=cert), {})
+
+
+class TestBoxRelativeMatchesFamily:
+    """A certificate is box-relative exactly when its family is not
+    box-complete: one that says otherwise is refused, skipped and reported."""
+
+    @pytest.mark.parametrize("make, reason", [
+        (lambda: box_relative_record(X_YMX, False),
+         "certificate has box_relative=false for a family that is not box-complete"),
+        (lambda: box_relative_record(preset_family("schur"), True),
+         "certificate has box_relative=true for a family that is box-complete"),
+        (box_relative_threshold,
+         "embedded certificate has box_relative=true for a family that is box-complete"),
+    ], ids=["incomplete-filed-false", "schur-filed-true", "threshold-schur-true"])
+    def test_refused_skipped_and_reported(self, store, capsys, make, reason):
+        refused_skipped_and_reported(store, capsys, make(), reason)
+
+    def test_genuine_records_accepted(self, store):
+        for record in (box_relative_record(X_YMX, True),
+                       box_relative_record(preset_family("schur"), False)):
+            store.append(record)
+            assert store.lookup(record.kind, record.fingerprint, record.params) == record
+        assert store.verify_all() == []
+
+
 def lower_bound_record(**payload):
     """The genuine schur r=2 record T >= 4, its avoider at N=3 (the true T is 5)."""
     res = threshold(preset_family("schur"), 2, 3)
@@ -679,6 +722,20 @@ class TestQuarantine:
         with open(store.path, "a") as fh:
             fh.write("garbage\n")
         assert store.lookup("witness", rec.fingerprint, rec.params) is not None
+
+    @pytest.mark.parametrize("record, reason", [
+        (ResultRecord("threshold", 7, {"r": 2}, {"value": 1, "exact": True, "r": 2}, {}),
+         "fingerprint 7 is not a string"),
+        (ResultRecord("threshold", SCHUR_FP, [1], {"value": 1, "exact": True, "r": 2}, {}),
+         "params and payload must be objects"),
+        (ResultRecord("mystery", "fp", {}, {}, {}), "unknown kind 'mystery'"),
+    ], ids=["int-fingerprint", "list-params", "unknown-kind"])
+    def test_append_refuses_what_the_reader_quarantines(self, store, record, reason):
+        with pytest.raises(StoreVerificationError, match=re.escape(reason)):
+            store.append(record)
+        assert not store.path.exists()
+        write_unverified(store, record)
+        assert store.records() == ([], [(0, reason)])
 
     @pytest.mark.parametrize("line, reason", malformed_lines())
     def test_malformed_line_quarantined(self, store, capsys, line, reason):

@@ -321,7 +321,7 @@ class TestChunkedEnumerator:
 
     def test_object_path_is_exercised(self):
         family = fam(2, "x0", "x1", "x0^30 - x1^30 + x1")
-        assert not witnesses._int64_safe(family, ((1, 25), (1, 25)))
+        assert not witnesses._int64_safe(family.terms, ((1, 25), (1, 25)))
         assert [i.assignment for i in enumerate_instances(family, 25)] == [
             (v, v) for v in range(1, 26)
         ]
@@ -400,14 +400,22 @@ def stream_rows(family, n, box=None):
     return sum(len(cols[0]) for cols, _ in witnesses._instance_chunks(family, n, box))
 
 
-def memo_rows():
-    return sum(max(sum(len(cols[0]) for cols, _ in chunks), 1)
-               for chunks in witnesses._SMALL.values())
+def cached(family, n, box=None):
+    """The _small_stream entry of a stream, which must be in the cache."""
+    nb = witnesses._normalize_box(family, n, box)
+    hits = witnesses._small_stream.cache_info().hits
+    entry = witnesses._small_stream(family.terms, n, nb)
+    assert witnesses._small_stream.cache_info().hits == hits + 1, "not cached"
+    return entry
+
+
+def chunk_rows(chunks):
+    return sum(len(cols[0]) for cols, _ in chunks)
 
 
 class TestSmallEnumerationMemo:
-    """A complete stream of at most _FIRST_CHUNK rows is kept and served
-    again; the memo changes speed only."""
+    """_small_stream caches the chunks of a stream of at most _FIRST_CHUNK
+    rows, and None for a larger one; the cache changes speed only."""
 
     @pytest.mark.parametrize(
         "family", ALL_PRESETS + [preset_family("vdw", 4), preset_family("geometric", 3),
@@ -416,12 +424,10 @@ class TestSmallEnumerationMemo:
     def test_served_chunks_equal_a_cold_run(self, family):
         for n in range(1, 13):
             for box in (None, 5, [(2, n + 3)] * family.num_vars):
-                key = (family.num_vars, family.terms, n,
-                       witnesses._normalize_box(family, n, box))
-                list(witnesses._instance_chunks(family, n, box))
-                assert key in witnesses._SMALL
+                first = list(witnesses._instance_chunks(family, n, box))
+                assert chunk_rows(cached(family, n, box)) == chunk_rows(first)
                 served = list(witnesses._instance_chunks(family, n, box))
-                witnesses._forget()
+                witnesses._small_stream.cache_clear()
                 cold = list(witnesses._instance_chunks(family, n, box))
                 assert len(served) == len(cold)
                 for (sc, sv), (cc, cv) in zip(served, cold):
@@ -431,50 +437,58 @@ class TestSmallEnumerationMemo:
                         assert s.tolist() == c.tolist()
 
     def test_columns_are_read_only(self):
-        family = preset_family("xyxy")
-        for _ in range(2):  # the first run and the run served from the memo
-            chunks = list(witnesses._instance_chunks(family, 12))
-            for cols, vals in chunks:
-                for a in cols + vals:
-                    assert not a.flags.writeable
-                    with pytest.raises(ValueError):
-                        a[0] = 99
-        assert list(witnesses._SMALL) == [(2, family.terms, 12, ((1, 12), (1, 12)))]
-        # the lists served are the caller's own
-        cols, vals = chunks[0]
-        cols.clear()
-        vals.append(None)
-        assert [len(c) for c, _ in witnesses._instance_chunks(family, 12)] == [2]
+        # xyxy N=12 has 33 instances, so it is cached; schur N=60 has 1770
+        for family, n in ((preset_family("xyxy"), 12), (preset_family("schur"), 60)):
+            for _ in range(2):  # the first run and the run served from the cache
+                chunks = list(witnesses._instance_chunks(family, n))
+                for cols, vals in chunks:
+                    for a in cols + vals:
+                        assert not a.flags.writeable
+                        with pytest.raises(ValueError):
+                            a[0] = 99
+            assert (cached(family, n) is None) == (n == 60)
+            # the lists served are the caller's own
+            rows = [len(c) for c, _ in chunks]
+            cols, vals = chunks[0]
+            cols.clear()
+            vals.append(None)
+            assert [len(c) for c, _ in witnesses._instance_chunks(family, n)] == rows
+        assert witnesses._small_stream.cache_info().currsize == 2
 
-    def test_early_stop_stores_nothing(self):
+    def test_early_stop_caches_the_small_stream(self):
+        # _small_stream enumerates a small stream whole before its first
+        # chunk is served, so a consumer that stops early still caches it
         family, chi = preset_family("schur"), Coloring.solid(8)
         assert find_witness(family, chi).assignment == (1, 1)
-        assert witnesses._SMALL == {}
-        stream = witnesses._instance_chunks(family, 8)
+        assert chunk_rows(cached(family, 8)) == 28
+        stream = witnesses._instance_chunks(family, 9)
         next(stream)
         stream.close()
-        assert witnesses._SMALL == {}
+        assert chunk_rows(cached(family, 9)) == 36
         assert count_witnesses(family, chi) == 28
-        assert len(witnesses._SMALL) == 1
-        assert find_witness(family, chi).assignment == (1, 1)  # served from the memo
+        assert find_witness(family, chi).assignment == (1, 1)  # served from the cache
+        assert witnesses._small_stream.cache_info().currsize == 2
 
     def test_only_streams_within_the_first_window_are_kept(self):
         family = preset_family("schur")  # (N - 1) N / 2 instances
         assert witnesses._FIRST_CHUNK == 1024
-        assert stream_rows(family, 46) == 1035
-        assert witnesses._SMALL == {}
+        for _ in range(2):  # computed, then cached as None: streamed in full both times
+            assert stream_rows(family, 46) == 1035
+            assert cached(family, 46) is None
         assert stream_rows(family, 45) == 990
-        assert memo_rows() == 990 == witnesses._small_rows
+        assert chunk_rows(cached(family, 45)) == 990
 
-    def test_rows_stay_within_the_bound(self, monkeypatch):
-        assert witnesses._SMALL_ROWS_MAX == 1 << 16
-        monkeypatch.setattr(witnesses, "_SMALL_ROWS_MAX", 50)
+    def test_rows_stay_within_the_bound(self):
+        maxsize = witnesses._small_stream.cache_info().maxsize
+        assert maxsize * witnesses._FIRST_CHUNK == 1 << 16
         family = preset_family("schur")
-        for n in list(range(1, 13)) * 2:
-            stream_rows(family, n)
-            assert memo_rows() == witnesses._small_rows <= 50
-        assert stream_rows(family, 11) == 55
-        assert (2, family.terms, 11, ((1, 11), (1, 11))) not in witnesses._SMALL
-        stream_rows(family, 1)  # no instances: kept, and counted as one row
-        assert witnesses._SMALL[(2, family.terms, 1, ((1, 1), (1, 1)))] == []
-        assert memo_rows() == witnesses._small_rows <= 50
+        assert stream_rows(family, 1) == 0
+        assert cached(family, 1) == ()  # no instances: kept, as no chunks
+        for n in list(range(1, 100)) * 2:  # more keys than the cache holds
+            rows = stream_rows(family, n)
+            entry = cached(family, n)
+            if rows > witnesses._FIRST_CHUNK:
+                assert entry is None
+            else:
+                assert chunk_rows(entry) == rows
+            assert witnesses._small_stream.cache_info().currsize <= maxsize
