@@ -11,6 +11,7 @@ the header on its own line and then 20 colors per line, one space apart.
 
 from __future__ import annotations
 
+import gc
 import re
 from dataclasses import dataclass
 from pathlib import Path
@@ -123,22 +124,40 @@ class Coloring:
     # ---- run-length and file forms ----
 
     def to_rle(self) -> list[list[int]]:
+        """The runs of equal colors as ``[color, length]`` lists of two Python
+        ints, in position order: consecutive runs differ in color and the
+        lengths sum to N."""
         # run boundaries a block at a time, so no intermediate grows with N
         arr, n = self.colors, self.n
         runs: list[list[int]] = []
         start = 0  # first position of the run still open
-        for lo in range(1, n, _RLE_BLOCK):
-            block = arr[lo - 1 : lo + _RLE_BLOCK]
-            changes = np.flatnonzero(block[1:] != block[:-1]) + lo
-            if len(changes):
-                starts = np.concatenate(([start], changes))
-                runs += map(list, zip(arr[starts[:-1]].tolist(), np.diff(starts).tolist()))
-                start = int(changes[-1])
-        runs.append([int(arr[start]), n - start])
+        # lists of two ints can form no cycle, so the cyclic collector has
+        # nothing to find in them; paused, it does not rescan the heap as they pile up
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            for lo in range(1, n, _RLE_BLOCK):
+                block = arr[lo - 1 : lo + _RLE_BLOCK]
+                changes = np.flatnonzero(block[1:] != block[:-1]) + lo
+                if len(changes):
+                    starts = np.concatenate(([start], changes))
+                    runs += np.stack((arr[starts[:-1]], np.diff(starts)), axis=1).tolist()
+                    start = int(changes[-1])
+            runs.append([int(arr[start]), n - start])
+        finally:
+            if was_enabled:
+                gc.enable()
         return runs
 
     @classmethod
     def from_rle(cls, n: int, r: int, runs: Iterable[Sequence[int]]) -> "Coloring":
+        """The coloring of [1..n] with colors 1..r that the runs spell out, each
+        run a ``[color, length]`` pair of integers, from any iterable of them.
+
+        Raises ValueError for a run that is not a pair of integers (floats and
+        numeric strings included), a color outside 1..r, a length outside
+        0..n, or lengths that do not sum to n.
+        """
         runs = list(runs)
         colors = np.empty(len(runs), dtype=np.int32)
         lengths = np.empty(len(runs), dtype=np.int64)

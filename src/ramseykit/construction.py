@@ -214,11 +214,10 @@ def run_construction(
 
         if y_i == 1:  # 1*D is D, inside [1..n] already
             dil_bits, truncated = d_bits, False
-        else:
-            scaled = values_from_bits(d_bits, n) * y_i
-            kept = scaled[scaled <= n]
-            truncated = bool(kept.size < scaled.size)
-            dil_bits = bits_from_values(kept, n)
+        else:  # y*D keeps the elements of D up to n // y, so only those are decoded
+            low = d_bits & ((1 << (n // y_i + 1)) - 1)
+            truncated = low != d_bits
+            dil_bits = bits_from_values(values_from_bits(low, n // y_i) * y_i, n)
         if not dil_bits:
             trace.set_sizes.append({"D": d_size, "B": 0, "truncated": truncated})
             trace.failure_reason = f"round {i}: dilated set {y_i}*D is empty within [1..{n}]"

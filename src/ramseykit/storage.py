@@ -36,10 +36,11 @@ rebuilds the memo from its own lines, carrying over the entries it already
 holds; a line that passes after a read (an append, another store's line)
 joins it, and when 2**14 have joined the memo is dropped.  An edited line is
 a new text, parsed and checked again; a line that failed is never
-remembered as passed.  lookup() walks the keys from the end and parses only
-a match, verify_all() only lines that have not passed, and `cache list`
-reads the keys alone; no parsed record is kept, so what they return is
-fresh.  The certificate checks run the search's own instance enumerator,
+remembered as passed.  A line new to the memo is decoded once, for its key
+and its check together.  lookup() walks the keys from the end and parses
+only a match, serving the record its check built when it ran one,
+verify_all() parses only lines that have not passed, and `cache list` reads
+the keys alone; no parsed record is kept, so what they return is fresh.  The certificate checks run the search's own instance enumerator,
 and its cache of small enumerations (witnesses._small_stream); ROADMAP
 item 4's separate checker remains the way to make them independent of it.
 """
@@ -142,23 +143,32 @@ def _forget() -> None:
     _LINES, _added = {}, 0
 
 
-def _verify_line(line: str) -> None:
+def _verify_line(line: str) -> ResultRecord | None:
     """_verify_payload for the record that this stripped store line decodes
     to, skipped when the line has already passed in this process.  A line
-    that the store's reader would quarantine fails with the reason."""
+    that the store's reader would quarantine fails with the reason.
+
+    Returns the record it checked, freshly built from one decode of the
+    line, or None when the check was skipped.
+    """
     global _added
-    # passed is None for a line added since the latest read
-    key, passed = _LINES.get(line) or (_line_key(line), None)
-    if passed:
-        return
+    entry = _LINES.get(line)
+    if entry is None:  # added since the latest read: its key and record share one decode
+        key, obj = _line_key(line)
+    elif entry[1]:
+        return None
+    else:
+        key, obj = entry[0], None
     if isinstance(key, str):
         raise StoreVerificationError(f"the store would quarantine this line: {key}")
-    _verify_payload(_parse(line))
-    if passed is None:
+    record = _parse(line) if obj is None else ResultRecord.from_json(obj)
+    _verify_payload(record)
+    if entry is None:
         if _added >= _ADDED_MAX:
             _forget()
         _added += 1
     _LINES[line] = (key, True)
+    return record
 
 
 def _check_structure(obj) -> str | None:
@@ -177,27 +187,28 @@ def _check_structure(obj) -> str | None:
     return None
 
 
-def _line_key(line: str) -> RecordKey | str:
+def _line_key(line: str) -> tuple[RecordKey | str, dict | None]:
     """What one stripped store line says: its record's key, or why it is
-    quarantined."""
+    quarantined; and the JSON object it decodes to, None when quarantined."""
     try:
         line.encode("utf-8")
     except UnicodeEncodeError:  # undecodable bytes, escaped as lone surrogates
         try:
             line.encode("utf-8", "surrogateescape").decode("utf-8")
         except UnicodeDecodeError as exc:
-            return f"not UTF-8: {exc}"
+            return f"not UTF-8: {exc}", None
     try:
         obj = json.loads(line)
     except (ValueError, RecursionError) as exc:  # ValueError: also an int too long to read
-        return f"unparseable JSON: {exc}"
+        return f"unparseable JSON: {exc}", None
     reason = _check_structure(obj)
     if reason is not None:
-        return reason
+        return reason, None
     # interned: kinds, fingerprints and params repeat from line to line
-    return RecordKey(
+    key = RecordKey(
         sys.intern(obj["kind"]), sys.intern(obj["fingerprint"]), sys.intern(_canon(obj["params"]))
     )
+    return key, obj
 
 
 def _check_fingerprint(
@@ -356,7 +367,7 @@ class ResultStore:
                 line = line.strip()
                 if not line:
                     continue
-                entry = lines.get(line) or _LINES.get(line) or (_line_key(line), False)
+                entry = lines.get(line) or _LINES.get(line) or (_line_key(line)[0], False)
                 lines[line] = entry
                 key = entry[0]
                 if isinstance(key, str):
@@ -381,10 +392,10 @@ class ResultStore:
         for _, line, key in reversed(self.index()[0]):
             if key == want:
                 try:
-                    _verify_line(line)
+                    record = _verify_line(line)
                 except StoreVerificationError:
                     continue
-                return _parse(line)
+                return record or _parse(line)
         return None
 
     def verify_all(self, read=None) -> list[tuple[int, str]]:

@@ -1,5 +1,9 @@
 """Coloring construction, queries, permutations, and file/RLE round-trips."""
 
+import contextlib
+import gc
+import json
+import sys
 import warnings
 
 import numpy as np
@@ -289,6 +293,81 @@ class TestRoundTrips:
         path = tmp_path / "c.txt"
         path.write_text("2 12\n" + "0" * 16 + "12 0007\n")
         assert Coloring.load(path).colors.tolist() == [12, 7]
+
+
+@pytest.fixture(scope="module")
+def million():
+    """A random 3-coloring of [1..10^6]: about 667,000 runs."""
+    return Coloring.random_uniform(10**6, 3, 22)
+
+
+@contextlib.contextmanager
+def collector(enabled):
+    """The cyclic collector switched on or off for the block, then restored."""
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        yield
+    finally:
+        (gc.enable if was else gc.disable)()
+
+
+class TestToRleCollector:
+    """to_rle builds its runs with the cyclic collector paused, and leaves it
+    as it found it."""
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_collector_left_as_found(self, enabled):
+        chi = Coloring.random_uniform(3 * coloring_module._RLE_BLOCK, 3, 5)
+        with collector(enabled):
+            assert chi.to_rle() == reference_rle(chi)
+            assert gc.isenabled() is enabled
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_collector_restored_after_a_failure(self, enabled, monkeypatch):
+        chi = Coloring.random_uniform(3 * coloring_module._RLE_BLOCK, 3, 6)
+        calls = []
+        real = np.flatnonzero
+
+        def fails_second(*args, **kwargs):
+            calls.append(gc.isenabled())
+            if len(calls) == 2:
+                raise MemoryError("second block")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(np, "flatnonzero", fails_second)
+        with collector(enabled):
+            with pytest.raises(MemoryError, match="second block"):
+                chi.to_rle()
+            assert gc.isenabled() is enabled
+        assert calls == [False, False]  # paused while the runs were built
+
+    def test_large_runs_are_plain_int_pairs(self, million):
+        runs = million.to_rle()
+        assert all(type(run) is list and len(run) == 2 for run in runs)
+        assert all(type(c) is int and type(length) is int for c, length in runs)
+        assert json.loads(json.dumps(runs)) == runs
+        assert runs == reference_rle(million)
+
+    def test_no_collection_while_building(self, million):
+        """No collection starts while to_rle is on the stack; the one that its
+        new runs set off on a later allocation comes after it returns."""
+        starts = []
+
+        def count(phase, info):
+            frame = sys._getframe(1)
+            while frame is not None and frame.f_code is not Coloring.to_rle.__code__:
+                frame = frame.f_back
+            if phase == "start" and frame is not None:
+                starts.append(info["generation"])
+
+        gc.callbacks.append(count)
+        try:
+            with collector(True):
+                runs = million.to_rle()
+        finally:
+            gc.callbacks.remove(count)
+        assert len(runs) > 600_000 and starts == []
 
 
 def read_only(chi):

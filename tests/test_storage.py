@@ -1014,6 +1014,28 @@ class TestLineKeyMemo:
         assert a.lookup("construction", XYXY_FP, {"i": 0}) is None
         assert b.lookup("construction", XYXY_FP, {"i": 0}) == plain_record(0)
 
+    def test_new_line_decoded_once(self, store, monkeypatch):
+        """An appended line is decoded once for its key and its check; a line
+        first met by a read, once for its key and once for the check whose
+        record lookup serves."""
+        decoded = []
+        real = json.loads
+
+        def counted(text, *args, **kwargs):
+            decoded.append(text)
+            return real(text, *args, **kwargs)
+
+        monkeypatch.setattr(json, "loads", counted)
+        store.append(plain_record(0))
+        assert len(decoded) == 1
+        write_unverified(store, plain_record(1))
+        decoded.clear()
+        served = store.lookup("construction", XYXY_FP, {"i": 1})
+        assert served == plain_record(1) and len(decoded) == 2
+        served.payload.clear()
+        assert store.lookup("construction", XYXY_FP, {"i": 1}) == plain_record(1)
+        assert len(decoded) == 3  # a line that has passed is parsed only to be served
+
     def test_served_records_are_fresh(self, store):
         rec = avoiding_record()
         store.append(rec)
