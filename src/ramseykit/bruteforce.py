@@ -28,6 +28,7 @@ __all__ = [
 ]
 
 _FEASIBLE_COLORINGS = 1 << 26
+_CHUNK = 1 << 18  # colorings per numpy block
 
 
 def naive_instances(family: PatternFamily, n: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
@@ -98,16 +99,20 @@ def _alive_mask(chunk: np.ndarray, value_sets: list[tuple[int, ...]]) -> np.ndar
     return alive
 
 
-def naive_exists_avoiding(family: PatternFamily, r: int, n: int, chunk: int = 1 << 18) -> bool:
+def _avoiding_chunks(family: PatternFamily, r: int, n: int):
+    """Every r-coloring of [1..n], _CHUNK at a time: (colorings, mask of those
+    with no monochromatic admissible value set)."""
     total = r**n
     if total > _FEASIBLE_COLORINGS:
         raise ValueError(f"naive oracle infeasible: {r}^{n} colorings")
     sets = naive_value_sets(family, n)
-    for start in range(0, total, chunk):
-        stop = min(total, start + chunk)
-        if _alive_mask(_digit_chunk(start, stop, n, r), sets).any():
-            return True
-    return False
+    for start in range(0, total, _CHUNK):
+        chunk = _digit_chunk(start, min(total, start + _CHUNK), n, r)
+        yield chunk, _alive_mask(chunk, sets)
+
+
+def naive_exists_avoiding(family: PatternFamily, r: int, n: int) -> bool:
+    return any(alive.any() for _, alive in _avoiding_chunks(family, r, n))
 
 
 def naive_avoiding_canonical(family: PatternFamily, r: int, n: int) -> list[tuple[int, ...]]:
@@ -116,21 +121,13 @@ def naive_avoiding_canonical(family: PatternFamily, r: int, n: int) -> list[tupl
     Canonical: value 1 gets color 1 and each new color label appears in
     increasing order along 1..N.
     """
-    total = r**n
-    if total > _FEASIBLE_COLORINGS:
-        raise ValueError(f"naive oracle infeasible: {r}^{n} colorings")
-    sets = naive_value_sets(family, n)
     out = []
-    for start in range(0, total, 1 << 18):
-        stop = min(total, start + (1 << 18))
-        chunk_arr = _digit_chunk(start, stop, n, r)
-        alive = _alive_mask(chunk_arr, sets)
-        canon = chunk_arr[:, 0] == 1
+    for chunk, alive in _avoiding_chunks(family, r, n):
+        canon = chunk[:, 0] == 1
         if n > 1:
-            runmax = np.maximum.accumulate(chunk_arr, axis=1)
-            canon &= (chunk_arr[:, 1:] <= runmax[:, :-1] + 1).all(axis=1)
-        for row in chunk_arr[alive & canon]:
-            out.append(tuple(int(c) for c in row))
+            runmax = np.maximum.accumulate(chunk, axis=1)
+            canon &= (chunk[:, 1:] <= runmax[:, :-1] + 1).all(axis=1)
+        out.extend(map(tuple, chunk[alive & canon].tolist()))
     return sorted(out)
 
 

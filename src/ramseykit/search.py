@@ -114,7 +114,10 @@ class AvoidCertificate:
 
     @classmethod
     def from_json(cls, data: dict) -> "AvoidCertificate":
-        return cls(
+        """The certificate a JSON object holds, its fields type-checked and its
+        box_relative true exactly when its family is not box-complete (else
+        ValueError).  Its coloring is for verify_certificate to check."""
+        cert = cls(
             PatternFamily.from_json(data["family"]),
             _json_int(data["n"], "certificate 'n'"),
             _json_int(data["r"], "certificate 'r'"),
@@ -122,6 +125,10 @@ class AvoidCertificate:
             _json_bool(data.get("verified", False), "certificate 'verified'"),
             _json_bool(data.get("box_relative", False), "certificate 'box_relative'"),
         )
+        if cert.box_relative == cert.family.box_complete():
+            raise ValueError(f"certificate has box_relative={str(cert.box_relative).lower()} for "
+                             f"a family that is {'' if cert.box_relative else 'not '}box-complete")
+        return cert
 
 
 @dataclass
@@ -193,10 +200,19 @@ class _Search:
     open (``dom``), the tops its color struck (``removed``) and the largest
     color below it (``used``).  ``index[p]`` holds the value sets by
     second-largest member p; ``by_top[t]`` holds their (p, others) by top t,
-    in ascending p.  Only the sets with top <= n take part.
+    in ascending p.  Only the sets with top <= n take part.  It refuses
+    r < 1, max_n < 1 and, unless box_relative, a box-incomplete family.
     """
 
-    def __init__(self, family: PatternFamily, r: int, max_n: int, *, n: int, size: int):
+    def __init__(self, family: PatternFamily, r: int, max_n: int, *, n: int, size: int,
+                 box_relative: bool = False):
+        if r < 1 or max_n < 1:
+            raise ValueError("need r >= 1 and n >= 1")
+        if not family.box_complete() and not box_relative:
+            missing = sorted(set(range(family.num_vars)) - set(family.bounded_vars()))
+            raise IncompleteBoxError(f"variables {missing} are not bounded by any all-positive "
+                                     "term; a box-relative search needs allow_box_relative=True "
+                                     "(avoid --box-relative)")
         self.family, self.r, self.max_n, self.n = family, r, max_n, n
         self.last: list[int] | None = None  # the lex-first avoider at n-1
         self.colors, self.dom, self.removed, self.used = [], [], [], []
@@ -371,16 +387,8 @@ def exists_avoiding(
     only rules out instances with assignments inside [1..N]^s).
     """
     _require_single_job(jobs)
-    if r < 1 or n < 1:
-        raise ValueError("need r >= 1 and n >= 1")
-    if not family.box_complete() and not allow_box_relative:
-        missing = sorted(set(range(family.num_vars)) - set(family.bounded_vars()))
-        raise IncompleteBoxError(
-            f"variables {missing} are not bounded by any all-positive term; "
-            "pass allow_box_relative=True for a box-relative search"
-        )
     cap, deadline = _budget(max_nodes, time_limit)
-    search = _Search(family, r, n, n=n, size=n)
+    search = _Search(family, r, n, n=n, size=n, box_relative=allow_box_relative)
     found = search.run(cap, deadline)
     if stats is not None:
         stats.nodes += search.nodes
@@ -391,8 +399,6 @@ def exists_avoiding(
 
 def find_all_avoiding(family: PatternFamily, r: int, n: int) -> list[tuple[int, ...]]:
     """Every canonical avoiding coloring (for naive-equivalence checks)."""
-    if not family.box_complete():
-        raise IncompleteBoxError("find_all_avoiding needs a box-complete family")
     found = _Search(family, r, n, n=n, size=n).run(float("inf"), float("inf"), find_all=True)
     return sorted(tuple(sol) for sol in found)
 
@@ -419,10 +425,6 @@ def threshold(
     replay of the avoider at N: up to the p where N+1 empties, else all N.
     """
     _require_single_job(jobs)
-    if r < 1 or max_n < 1:
-        raise ValueError("need r >= 1 and max_n >= 1")
-    if not family.box_complete():
-        raise IncompleteBoxError("threshold needs a box-complete family (else unsound)")
     cap, deadline = _budget(max_nodes, time_limit)
     search = _Search(family, r, max_n, n=1, size=min(max_n, _FIRST_INDEX_SIZE))
 
@@ -462,7 +464,7 @@ def greedy_avoider(
         raise ValueError("need r >= 1 and restarts >= 1")
     if strategy not in ("first-fit", "random"):
         raise ValueError(f"unknown strategy {strategy!r} (first-fit or random)")
-    search = _Search(family, r, n, n=0, size=n)
+    search = _Search(family, r, n, n=0, size=n, box_relative=True)
 
     def one_pass(pick) -> list[int] | None:
         for pos in range(1, n + 1):
@@ -485,7 +487,10 @@ def greedy_avoider(
 
 
 def verify_certificate(cert: AvoidCertificate) -> bool:
-    """Recompute the zero-witness claim from the stored coloring.
+    """Recompute the zero-witness claim from the stored coloring: False when
+    the runs do not decode to an r-coloring of [1..n] or some admissible
+    instance is monochromatic.  The box_relative flag is checked where a
+    certificate is read, by AvoidCertificate.from_json.
 
     The recount runs the search's own instance enumerator, and for a small
     (family, N) the chunks it cached (witnesses._small_stream); a checker

@@ -12,14 +12,17 @@ verify_all() over every stored line, and by lookup() on what it serves (the
 latest match that passes; failing ones are skipped).  Its fingerprint must be
 its family's (the embedded one; {x, x+y, xy} for a construction; the family
 of u for a reduction) and its params (r, n, box_relative, c) must agree with
-its payload; a certificate is box_relative exactly when its family is not
-box-complete.  Then a witness runs _check_instance (verify_witness without
-colors, under the distinct flag it is filed with) and a color range check,
-certificates verify_certificate, a reduction its u/b checks, _check_solution
-(verify_quad_solution without domain and colors) and the decoding of its a
-from its source witness, and a construction an x/y range check.  No coloring
-is stored, so the colors of witnesses and reductions, and the witness box,
-stay unchecked.
+its payload.  A certificate (an avoider's, a threshold's) is read one way:
+AvoidCertificate.from_json, which refuses a box_relative flag that is not
+"not box-complete", the fingerprint check, verify_certificate.  A threshold
+above 1 needs the certificate of [1..value-1] in its r colors, exact or not,
+as that avoider proves T >= value (that T is not larger stays unchecked); a
+threshold of 1 needs none.  A witness runs _check_instance (verify_witness
+without colors, under the distinct flag it is filed with) and a color range
+check, a reduction its u/b checks, _check_solution (verify_quad_solution
+without domain and colors) and the decoding of its a from its source witness,
+and a construction an x/y range check.  No coloring is stored, so the colors
+of witnesses and reductions, and the witness box, stay unchecked.
 records() validates structure only, quarantining lines that fail instead of
 raising, so one corrupt line cannot poison the rest of the cache.
 
@@ -40,9 +43,11 @@ remembered as passed.  A line new to the memo is decoded once, for its key
 and its check together.  lookup() walks the keys from the end and parses
 only a match, serving the record its check built when it ran one,
 verify_all() parses only lines that have not passed, and `cache list` reads
-the keys alone; no parsed record is kept, so what they return is fresh.  The certificate checks run the search's own instance enumerator,
-and its cache of small enumerations (witnesses._small_stream); ROADMAP
-item 4's separate checker remains the way to make them independent of it.
+the keys alone; no parsed record is kept, so what they return is fresh.
+
+The certificate checks run the search's own instance enumerator, and its
+cache of small enumerations (witnesses._small_stream); ROADMAP item 4's
+separate checker remains the way to make them independent of it.
 """
 
 from __future__ import annotations
@@ -232,14 +237,14 @@ def _check_params(record: ResultRecord, **payload_values) -> None:
             )
 
 
-def _check_certificate(cert: AvoidCertificate, what: str) -> None:
-    """box_relative exactly when the family is not box-complete, and
-    verify_certificate passes the certificate."""
-    if cert.box_relative == cert.family.box_complete():
-        raise ValueError(f"{what} has box_relative={json.dumps(cert.box_relative)} for a "
-                         f"family that is {'' if cert.box_relative else 'not '}box-complete")
+def _read_certificate(record: ResultRecord, obj: dict) -> AvoidCertificate:
+    """The certificate in obj, read by AvoidCertificate.from_json, filed under
+    the record's family and passed by verify_certificate."""
+    cert = AvoidCertificate.from_json(obj)
+    _check_fingerprint(record, obj, cert.family)
     if not verify_certificate(cert):
-        raise ValueError(f"{what} fails verification")
+        raise ValueError("certificate fails verification")
+    return cert
 
 
 def _verify_payload(record: ResultRecord) -> None:
@@ -260,13 +265,11 @@ def _verify_payload(record: ResultRecord) -> None:
             if not 1 <= w.color <= r:
                 raise ValueError("color out of range")
         elif kind == "avoiding":
-            cert = AvoidCertificate.from_json(payload)
-            _check_fingerprint(record, payload, cert.family)
+            cert = _read_certificate(record, payload)
             _check_params(record, n=cert.n, r=cert.r, box_relative=cert.box_relative)
-            _check_certificate(cert, "certificate")
         elif kind == "threshold":
             value = _json_int(payload["value"], "'value'")
-            exact = _json_bool(payload["exact"], "'exact'")
+            _json_bool(payload["exact"], "'exact'")  # threshold --cache reads it
             if value < 1:
                 raise ValueError("threshold value must be positive")
             r = _json_int(payload["r"], "'r'")
@@ -275,20 +278,14 @@ def _verify_payload(record: ResultRecord) -> None:
             _check_fingerprint(record, payload)
             _check_params(record, r=r)
             cert_obj = payload.get("certificate")
-            if exact and value > 1 and cert_obj is None:
-                raise ValueError("exact threshold above 1 requires a certificate")
+            if value > 1 and cert_obj is None:
+                raise ValueError("threshold above 1 requires a certificate")
             if cert_obj is not None:
-                cert = AvoidCertificate.from_json(cert_obj)
-                _check_fingerprint(record, cert_obj, cert.family)
+                cert = _read_certificate(record, cert_obj)
                 if cert.r != r:
                     raise ValueError(f"certificate has r={cert.r}, the payload r={r}")
-                # exact: last avoider lives at T-1; lower bound: value is max_n+1
-                expected_n = value - 1
-                if cert.n != expected_n:
-                    raise ValueError(
-                        f"certificate colors [1..{cert.n}], expected [1..{expected_n}]"
-                    )
-                _check_certificate(cert, "embedded certificate")
+                if cert.n != value - 1:
+                    raise ValueError(f"certificate colors [1..{cert.n}], expected [1..{value - 1}]")
         elif kind == "construction":
             _check_fingerprint(record, payload, preset_family("xyxy"), "{x, x+y, xy} family")
             w = payload.get("witness")

@@ -275,6 +275,17 @@ class TestAvoid:
         )
         assert ResultStore(cache).verify_all() == []
 
+    def test_box_incomplete_family_names_the_flag(self, capsys, tmp_path):
+        fam = tmp_path / "x-ymx.json"
+        fam.write_text(json.dumps({"num_vars": 2, "terms": ["x0", "x1 - x0"],
+                                   "distinct_required": True}))
+        argv = ("avoid", "--family", str(fam), "--colors", "2", "--n", "2")
+        assert run(capsys, *argv) == (
+            2, "", "error: variables [1] are not bounded by any all-positive term; a box-"
+                   "relative search needs allow_box_relative=True (avoid --box-relative)\n")
+        code, out, _ = run(capsys, *argv, "--box-relative")
+        assert code == 0 and "note: box-relative certificate" in out
+
 
 class TestThreshold:
     def test_exact(self, capsys):

@@ -54,3 +54,28 @@ def test_no_unused_imports(path):
     tree = ast.parse(path.read_text())
     unused = set(imported_names(tree)) - used_names(tree) - exported_names(tree)
     assert not unused, [f"{path.name}:{imported_names(tree)[n]} {n}" for n in sorted(unused)]
+
+
+def package_imports(path: Path) -> set[str]:
+    """The package modules a module imports, at any depth of its code."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            found.add(node.module or "__init__")
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("ramseykit"):
+            found.add(node.module.partition(".")[2] or "__init__")
+        elif isinstance(node, ast.Import):
+            found |= {a.name.partition(".")[2] or "__init__" for a in node.names
+                      if a.name.split(".")[0] == "ramseykit"}
+    return found
+
+
+def test_naive_oracle_shares_no_engine_code():
+    """bruteforce.py, the oracle the searches are checked against, reaches
+    only coloring, families and polynomials, directly or through them."""
+    reached, todo = set(), ["bruteforce"]
+    while todo:
+        for module in package_imports(PACKAGE / f"{todo.pop()}.py") - reached:
+            reached.add(module)
+            todo.append(module)
+    assert reached <= {"coloring", "families", "polynomials"}, sorted(reached)

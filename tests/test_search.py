@@ -472,7 +472,48 @@ class TestGreedy:
             greedy_avoider(preset_family("schur"), 2, 5, strategy, restarts=0)
 
 
+# {x, y - x} with distinct values: y is bounded by no all-positive term
+X_YMX = PatternFamily.from_texts(2, ["x0", "x1 - x0"], "x-ymx", distinct_required=True)
+
+SEARCHES = {
+    "exists_avoiding": exists_avoiding,
+    "threshold": threshold,
+    "find_all_avoiding": find_all_avoiding,
+}
+
+
+class TestAdmission:
+    """The exhaustive searches refuse r < 1, N < 1 and box-incomplete
+    families alike (greedy_avoider accepts the last: TestExistsAvoiding)."""
+
+    @pytest.mark.parametrize("name", SEARCHES)
+    @pytest.mark.parametrize("r, n", [(0, 3), (2, 0), (-1, -1)])
+    def test_no_colors_or_positions(self, name, r, n):
+        with pytest.raises(ValueError, match="need r >= 1 and n >= 1"):
+            SEARCHES[name](preset_family("schur"), r, n)
+
+    @pytest.mark.parametrize("name", SEARCHES)
+    def test_box_incomplete(self, name):
+        with pytest.raises(IncompleteBoxError) as info:
+            SEARCHES[name](X_YMX, 2, 2)
+        assert str(info.value) == (
+            "variables [1] are not bounded by any all-positive term; a box-relative "
+            "search needs allow_box_relative=True (avoid --box-relative)")
+
+
 class TestCertificates:
+    def test_box_relative_flag_must_match_family(self):
+        # the {x, y - x} avoider at N=2 is box-relative, the schur one at N=4 is not
+        incomplete = exists_avoiding(X_YMX, 2, 2, allow_box_relative=True)
+        complete = exists_avoiding(preset_family("schur"), 2, 4)
+        for cert, flag, no in [(incomplete, "false", "not "), (complete, "true", "")]:
+            data = cert.to_json()
+            assert verify_certificate(AvoidCertificate.from_json(data))
+            data["box_relative"] = not data["box_relative"]
+            with pytest.raises(ValueError, match=f"certificate has box_relative={flag} for a "
+                                                 f"family that is {no}box-complete"):
+                AvoidCertificate.from_json(data)
+
     def test_tampered_certificate_fails(self):
         cert = exists_avoiding(preset_family("schur"), 2, 4)
         data = cert.to_json()

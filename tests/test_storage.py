@@ -607,7 +607,7 @@ class TestBoxRelativeMatchesFamily:
         (lambda: box_relative_record(preset_family("schur"), True),
          "certificate has box_relative=true for a family that is box-complete"),
         (box_relative_threshold,
-         "embedded certificate has box_relative=true for a family that is box-complete"),
+         "certificate has box_relative=true for a family that is box-complete"),
     ], ids=["incomplete-filed-false", "schur-filed-true", "threshold-schur-true"])
     def test_refused_skipped_and_reported(self, store, capsys, make, reason):
         refused_skipped_and_reported(store, capsys, make(), reason)
@@ -667,6 +667,84 @@ class TestJsonTypes:
         good = lower_bound_record()
         store.append(good)
         assert store.lookup(good.kind, good.fingerprint, good.params) == good
+
+
+def uncertified_threshold(value, exact, max_n):
+    """A schur r=2 threshold record claiming the value with no certificate."""
+    payload = {"family_name": "schur", "fingerprint": SCHUR_FP, "r": 2, "value": value,
+               "exact": exact, "certificate": None, "nodes": 0, "max_n": max_n}
+    return ResultRecord("threshold", SCHUR_FP, {"r": 2}, payload, {})
+
+
+class TestThresholdRestsOnItsCertificate:
+    """A threshold above 1 needs the avoider of [1..value-1] in r colors,
+    exact or not: that avoider is what proves T >= value.  A threshold of 1
+    needs none, and a certificate beside it is refused."""
+
+    @pytest.mark.parametrize("make", [
+        lambda: uncertified_threshold(1000, False, 1000),  # the true T is 5
+        lambda: uncertified_threshold(5, True, 10),
+    ], ids=["lower-bound-1000", "exact-5"])
+    def test_uncertified_refused_and_recomputed(self, store, capsys, make):
+        refused_skipped_and_reported(store, capsys, make(),
+                                     "threshold above 1 requires a certificate")
+        argv = ["threshold", "--family", "schur", "--colors", "2", "--max-n", "50"]
+        assert main([*argv, "--cache", str(store.path)]) == 0
+        assert capsys.readouterr().out == "T = 5\n"
+
+    def test_certificate_beside_one_refused(self, store, capsys):
+        bad = refiled(threshold_record(2), value=1)  # beside the avoider at N=4
+        refused_skipped_and_reported(store, capsys, bad,
+                                     "certificate colors [1..4], expected [1..0]")
+
+    def test_genuine_records_accepted(self, store):
+        single = PatternFamily.from_texts(1, ["x0"], "singleton")  # {1} is monochromatic
+        res = threshold(single, 2, 5)
+        assert (res.value, res.exact, res.certificate) == (1, True, None)
+        one = ResultRecord("threshold", res.fingerprint, {"r": 2}, res.to_json(), {})
+        for record in (one, threshold_record(2), lower_bound_record()):
+            store.append(record)
+            assert store.lookup(record.kind, record.fingerprint, record.params) == record
+        assert store.verify_all() == []
+
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+class TestEarlierStore:
+    """tests/golden/store.jsonl holds one record of each kind (a witness, two
+    avoiders, one of them box-relative, an exact threshold, a lower bound, a
+    reduction and a construction), written by commit f22c7f9 with
+
+        witness --family schur --coloring c12.txt
+        avoid --family schur --colors 2 --n 4
+        avoid --family x-ymx.json --colors 2 --n 2 --box-relative
+        threshold --family schur --colors 2 --max-n 10
+        threshold --family vdw:3 --colors 2 --max-n 5
+        reduce --coeffs 1,-1 --coloring c200.txt
+        construct --coloring solid6.txt
+
+    each with --cache; c12.txt and c200.txt are Coloring.random_uniform(12, 2, 3)
+    and (200, 2, 5), solid6.txt Coloring.solid(6), and x-ymx.json the family
+    {x0, x1 - x0} with distinct values.  tests/golden/store.list is its
+    `cache list` output."""
+
+    PATH = str(GOLDEN / "store.jsonl")
+
+    def test_every_line_verifies(self, capsys):
+        assert main(["cache", "verify", "--cache", self.PATH]) == 0
+        assert capsys.readouterr().out == "all 7 record(s) verified\n"
+
+    def test_list_unchanged(self, capsys):
+        assert main(["cache", "list", "--cache", self.PATH]) == 0
+        assert capsys.readouterr().out == (GOLDEN / "store.list").read_text()
+
+    def test_every_record_served(self):
+        store = ResultStore(self.PATH)
+        good, bad = store.records()
+        assert len(good) == 7 and bad == []
+        for _, record in good:
+            assert store.lookup(record.kind, record.fingerprint, record.params) == record
 
 
 def malformed_lines():
