@@ -482,7 +482,7 @@ def main(argv=None) -> int:
     except SearchBudgetExceeded as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, OSError, json.JSONDecodeError, KeyError) as exc:
+    except (ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

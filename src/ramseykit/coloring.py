@@ -14,6 +14,7 @@ from __future__ import annotations
 import gc
 import re
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -154,20 +155,25 @@ class Coloring:
         """The coloring of [1..n] with colors 1..r that the runs spell out, each
         run a ``[color, length]`` pair of integers, from any iterable of them.
 
-        Raises ValueError for a run that is not a pair of integers (floats and
-        numeric strings included), a color outside 1..r, a length outside
-        0..n, or lengths that do not sum to n.
+        Raises ValueError for a run that is not a pair of integers (floats,
+        bools and numeric strings included), a color outside 1..r, a length
+        outside 0..n, or lengths that do not sum to n.
         """
         runs = list(runs)
         colors = np.empty(len(runs), dtype=np.int32)
         lengths = np.empty(len(runs), dtype=np.int64)
         top = min(r, _INT32_MAX)
-        # a block at a time: converting one long nested list makes numpy keep
-        # per-row bookkeeping about as large as the table itself
+        # a block at a time: the entries of every run in one flat list would
+        # take about as much memory again as the runs themselves
         for lo in range(0, len(runs), _RLE_BLOCK):
-            block = np.asarray(runs[lo : lo + _RLE_BLOCK])
-            if block.shape[1:] != (2,) or block.dtype.kind not in "iu":
-                raise ValueError("runs must be [color, length] pairs of integers")
+            part = runs[lo : lo + _RLE_BLOCK]
+            try:  # exactly int: numpy reads True as 1, and a mix of bools and ints as ints
+                flat = list(chain.from_iterable(part))
+                if set(map(len, part)) != {2} or set(map(type, flat)) != {int}:
+                    raise TypeError
+                block = np.array(flat, np.int64).reshape(-1, 2)
+            except (TypeError, OverflowError):  # also a run with no length, an entry past int64
+                raise ValueError("runs must be [color, length] pairs of integers") from None
             # checked in int64, before the int32 column could wrap them
             if ((block[:, 0] < 1) | (block[:, 0] > top)).any():
                 raise ValueError(f"run colors must lie in 1..{top}")

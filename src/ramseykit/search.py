@@ -18,11 +18,11 @@ order, with forward checking (Haralick & Elliott, AIJ 1980):
     which divides the tree by up to r! and keeps the first avoider
     deterministic (forward checking prunes dead subtrees earlier but never
     reorders them, so the lexicographically first avoider is unchanged);
-  * node and wall-clock budgets surface as SearchBudgetExceeded, a
-    first-class outcome distinct from "no avoider".
+  * a node is one color placed; node and wall-clock budgets surface as
+    SearchBudgetExceeded, a first-class outcome distinct from "no avoider".
 
 threshold runs one search that grows with N (incremental as in Een &
-Sorensson, SAT 2003).  Holding the lex-first avoider at N, it opens N+1 in
+Sorensson, SAT 2003).  It yields the lex-first avoider at N and opens N+1 in
 place: each color that some set with top N+1 has on all lower members is
 struck from N+1.  If that empties N+1, the search undoes N down to the p of
 the emptying strike and tries p's next color, where a fresh search at N+1
@@ -40,6 +40,7 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -202,6 +203,7 @@ class _Search:
     second-largest member p; ``by_top[t]`` holds their (p, others) by top t,
     in ascending p.  Only the sets with top <= n take part.  It refuses
     r < 1, max_n < 1 and, unless box_relative, a box-incomplete family.
+    ``run`` yields the avoiders; ``nodes`` is all that is read back.
     """
 
     def __init__(self, family: PatternFamily, r: int, max_n: int, *, n: int, size: int,
@@ -214,7 +216,6 @@ class _Search:
                                      "term; a box-relative search needs allow_box_relative=True "
                                      "(avoid --box-relative)")
         self.family, self.r, self.max_n, self.n = family, r, max_n, n
-        self.last: list[int] | None = None  # the lex-first avoider at n-1
         self.colors, self.dom, self.removed, self.used = [], [], [], []
         self._grow(size)
 
@@ -284,18 +285,15 @@ class _Search:
                         return p
         return 0
 
-    def run(self, cap: float, deadline: float, find_all: bool = False) -> list[list[int]]:
-        """Canonical DFS from position 1: the first avoider at max_n as a color
-        list, every one with find_all, none when [1..n] has no avoider.
-
-        An avoider at n < max_n is kept as ``last`` and n+1 is opened, which
-        adds the p where n+1 empties (else n) to the nodes: a fresh search at
-        n+1 would have spent them replaying the avoider."""
+    def run(self, cap: float, deadline: float) -> Iterator[list[int]]:
+        """Canonical DFS from position 1, as color lists: the lex-first avoider
+        at each n < max_n it holds, opening n+1 after it, then every avoider at
+        max_n in lex order; it ends when [1..n] has none.  ``nodes``, the
+        colors placed so far, is current at each item and at the end."""
         r, max_n = self.r, self.max_n
         colors, dom, used = self.colors, self.dom, self.used
         place, undo = self.place, self.undo
-        n, nodes, tick = self.n, 0, 2048  # the clock is read at the first node >= tick
-        found: list[list[int]] = []
+        n, nodes, tick = self.n, 0, 2048  # the clock is read every 2048 nodes
         pos = 1
         while pos:
             c = colors[pos] + 1
@@ -323,22 +321,19 @@ class _Search:
             if pos < n:
                 pos += 1
                 colors[pos] = 0
-            elif n == max_n:
-                found.append(colors[1 : n + 1])
-                if not find_all:
-                    break
+                continue
+            self.nodes = nodes
+            yield colors[1 : n + 1]
+            if n == max_n:
                 undo(pos)  # keep scanning siblings
             else:
-                self.last = colors[1 : n + 1]
                 p = self.open()
-                nodes += p or n
                 n += 1
                 colors[n] = 0
                 pos = p or n  # if n emptied, p is where a fresh search would fail
                 for q in range(n - 1, pos - 1, -1):
                     undo(q)
         self.nodes = nodes
-        return found
 
 
 def _budget(max_nodes: int | None, time_limit: float | None) -> tuple[float, float]:
@@ -389,18 +384,15 @@ def exists_avoiding(
     _require_single_job(jobs)
     cap, deadline = _budget(max_nodes, time_limit)
     search = _Search(family, r, n, n=n, size=n, box_relative=allow_box_relative)
-    found = search.run(cap, deadline)
+    first = next(search.run(cap, deadline), None)
     if stats is not None:
         stats.nodes += search.nodes
-    if not found:
-        return None
-    return _certify(family, found[0], r)
+    return None if first is None else _certify(family, first, r)
 
 
 def find_all_avoiding(family: PatternFamily, r: int, n: int) -> list[tuple[int, ...]]:
     """Every canonical avoiding coloring (for naive-equivalence checks)."""
-    found = _Search(family, r, n, n=n, size=n).run(float("inf"), float("inf"), find_all=True)
-    return sorted(tuple(sol) for sol in found)
+    return list(map(tuple, _Search(family, r, n, n=n, size=n).run(float("inf"), float("inf"))))
 
 
 def threshold(
@@ -421,8 +413,7 @@ def threshold(
 
     One search runs from N=1 up and opens N+1 in place once it holds the
     avoider at N.  ``nodes``, which max_nodes bounds, counts the colors it
-    places plus, per N outgrown, the positions a fresh search at N+1 would
-    replay of the avoider at N: up to the p where N+1 empties, else all N.
+    places.
     """
     _require_single_job(jobs)
     cap, deadline = _budget(max_nodes, time_limit)
@@ -432,16 +423,17 @@ def threshold(
         cert = _certify(family, avoider, r) if avoider else None
         return ThresholdResult(family.name, family.fingerprint(), r, value, exact, cert, nodes)
 
+    avoider = None  # the latest yielded: the lex-first at search.n - 1 until one at max_n
     try:
-        found = search.run(cap, deadline)
+        for avoider in search.run(cap, deadline):
+            if len(avoider) == max_n:
+                return result(max_n + 1, False, avoider, search.nodes)
     except SearchBudgetExceeded as e:
-        partial = result(search.n, False, search.last, e.nodes)
+        partial = result(search.n, False, avoider, e.nodes)
         raise SearchBudgetExceeded(
             f"threshold undecided at N={search.n}: {e}", e.nodes, partial
         ) from None
-    if found:
-        return result(max_n + 1, False, found[0], search.nodes)
-    return result(search.n, True, search.last, search.nodes)
+    return result(search.n, True, avoider, search.nodes)
 
 
 def greedy_avoider(

@@ -150,6 +150,7 @@ def _eval_term_on_columns(term: IntPoly, cols: list[np.ndarray]) -> np.ndarray:
     """The term's value on every row of the columns, in the columns' dtype.
 
     The result may be one of the columns itself; callers never write into it.
+    Only terms with a variable come here, so the term has a monomial.
     """
     total = None
     for exps, c in term.monomials:
@@ -163,8 +164,6 @@ def _eval_term_on_columns(term: IntPoly, cols: list[np.ndarray]) -> np.ndarray:
         elif c != 1:
             m = m * c
         total = m if total is None else total + m
-    if total is None:
-        return np.zeros(cols[0].shape, dtype=cols[0].dtype)
     return total
 
 

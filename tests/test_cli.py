@@ -57,6 +57,11 @@ class TestArgHelpers:
         with pytest.raises(ValueError):
             parse_box_arg("ten")
 
+    @pytest.mark.parametrize("text", [",", " , ,", ""])
+    def test_box_rejects_empty(self, text):
+        with pytest.raises(ValueError, match="--box must not be empty"):
+            parse_box_arg(text)
+
     def test_coeffs(self):
         assert parse_coeffs("1,-1") == (1, -1)
         assert parse_coeffs(" 1, 1, -2 ") == (1, 1, -2)
@@ -191,6 +196,20 @@ class TestWitness:
         assert code == 0 and f"witness written to {out_path}" in out
         data = json.loads(out_path.read_text())
         assert data["assignment"] == [1, 1] and data["color"] == 1
+
+    def test_all_out_file(self, capsys, tmp_path):
+        path, out_path = tmp_path / "solid3.txt", tmp_path / "w.json"
+        Coloring.solid(3).save(path)
+        code, out, _ = run(
+            capsys, "witness", "--family", "schur", "--coloring", str(path), "--all",
+            "--out", str(out_path),
+        )
+        assert code == 0 and out.endswith(
+            f"found 3 witness(es)\nwitnesses written to {out_path}\n")
+        data = json.loads(out_path.read_text())
+        assert list(data) == ["witnesses"]
+        assert [w["assignment"] for w in data["witnesses"]] == [[1, 1], [1, 2], [2, 1]]
+        assert all(w["color"] == 1 and w["family_name"] == "schur" for w in data["witnesses"])
 
     def test_cache_persists(self, capsys, solid6, tmp_path):
         cache = tmp_path / "store.jsonl"
@@ -606,6 +625,14 @@ class TestExitCodes:
             "--max-n", "10", "--max-nodes", "1",
         )
         assert code == 3 and err.startswith("resource limit:")
+
+    def test_budget_exceeded_outside_threshold_is_three(self, capsys):
+        # avoid has no partial answer: main reports the budget and exits 3
+        code, out, err = run(
+            capsys, "avoid", "--family", "schur", "--colors", "4", "--n", "44",
+            "--max-nodes", "100",
+        )
+        assert (code, out, err) == (3, "", "resource limit: node budget exceeded\n")
 
     def test_budget_threshold_prints_proven_bound(self, capsys, tmp_path):
         # the nodes of a run to max_n=13 leave 5 for the N=14 refutation

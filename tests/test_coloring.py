@@ -194,7 +194,12 @@ class TestRoundTrips:
         with pytest.raises(ValueError):
             Coloring.from_rle(3, 2, runs)
 
-    @pytest.mark.parametrize("runs", [[[1.5, 1], [2.5, 2]], [[1, 1.0], [2, 2]], [["1", 3]]])
+    @pytest.mark.parametrize("runs", [
+        [[1.5, 1], [2.5, 2]], [[1, 1.0], [2, 2]], [["1", 3]],
+        # numpy would read these as 1 1 1 and 2 2 2
+        [[True, 3]], [[1, False], [2, 3]],
+        [[np.int64(1), 3]], [[2**64 + 1, 3]],
+    ])
     def test_from_rle_rejects_runs_that_are_not_integers(self, runs):
         with pytest.raises(ValueError, match="pairs of integers"):
             Coloring.from_rle(3, 2, runs)

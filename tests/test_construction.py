@@ -176,6 +176,13 @@ class TestRunConstruction:
         assert trace.failure_reason.startswith("round 1:")
         assert trace.witness is None
 
+    def test_empty_dilation_reports_round(self):
+        # round 1 picks y = 3 for D = {2}, and 3*D = {6} leaves [1..5]
+        trace = run_construction(Coloring.from_sequence([1, 2, 3, 3, 2], 3))
+        assert not trace.ok and trace.witness is None
+        assert trace.failure_reason == "round 1: dilated set 3*D is empty within [1..5]"
+        assert trace.y[-1] == 3 and trace.set_sizes[-1] == {"D": 1, "B": 0, "truncated": True}
+
     def test_trace_fields_populated(self):
         trace = run_construction(Coloring.modular(100, 2))
         assert trace.n == 100 and trace.r == 2

@@ -282,24 +282,40 @@ class TestThreshold:
         else:
             assert res.value == 41 and cert.n == 40
 
-    def test_no_replay_when_nothing_backtracks(self, monkeypatch):
-        # {x, x+1} at r=3: every avoider extends, so each N places one color;
-        # the node count still adds the N positions a fresh search would replay
-        placed = []
+    @pytest.fixture
+    def placed(self, monkeypatch):
+        """The positions _Search.place is called at, in call order."""
+        made = []
         real = search._Search.place
 
         def counting(self, p, c):
-            placed.append(p)
+            made.append(p)
             return real(self, p, c)
 
         monkeypatch.setattr(search._Search, "place", counting)
-        res = threshold(preset_family("x_xp1"), 3, 3000, max_nodes=4501500)
-        assert res.describe() == "T >= 3001" and res.nodes == 4501500
-        assert len(placed) <= 3000
+        return made
+
+    @pytest.mark.parametrize("name, r, max_n, answer, nodes", [
+        ("schur", 2, 20, "T = 5", 5),
+        ("schur", 3, 20, "T = 14", 205),
+        ("xyxy", 3, 72, "T >= 73", 150),
+        ("x_xp1", 3, 3000, "T >= 3001", 3000),
+    ], ids=["schur-r2", "schur-r3", "xyxy-r3", "x_xp1-r3"])
+    def test_nodes_are_the_colors_placed(self, placed, name, r, max_n, answer, nodes):
+        res = threshold(preset_family(name), r, max_n)
+        assert res.describe() == answer and res.nodes == len(placed) == nodes
+
+    def test_no_replay_when_nothing_backtracks(self, placed):
+        # {x, x+1} at r=3: every avoider extends, so each N places one color
+        # and opening N+1 replays nothing
+        res = threshold(preset_family("x_xp1"), 3, 3000, max_nodes=3000)
+        assert res.describe() == "T >= 3001" and placed == list(range(1, 3001))
+        with pytest.raises(SearchBudgetExceeded):
+            threshold(preset_family("x_xp1"), 3, 3000, max_nodes=2999)
 
     def test_time_limit_read_across_opened_positions(self):
-        # each opened position adds N nodes at once, jumping past multiples of
-        # 2048; the clock is still read once 2048 more nodes have been counted
+        # one node per opened position: the clock is read at node 2048, before
+        # the search reaches N = 3000
         with pytest.raises(SearchBudgetExceeded, match="time limit exceeded") as info:
             threshold(preset_family("x_xp1"), 3, 3000, time_limit=0)
         assert info.value.partial.value < 3001
@@ -307,10 +323,28 @@ class TestThreshold:
     def test_open_undoes_to_the_emptying_position(self):
         # xyxy at r=3: opening 36 empties its mask at p=20 (and 72 at p=27);
         # an open that only backtracks from N thrashes through 21..35
-        res = threshold(preset_family("xyxy"), 3, 72, max_nodes=2647)
-        assert res.describe() == "T >= 73" and res.nodes == 2647
-        with pytest.raises(SearchBudgetExceeded):
-            threshold(preset_family("xyxy"), 3, 72, max_nodes=2646)
+        fam = preset_family("xyxy")
+        res = threshold(fam, 3, 72, max_nodes=150)
+        assert res.describe() == "T >= 73" and res.nodes == 150
+        with pytest.raises(SearchBudgetExceeded) as info:
+            threshold(fam, 3, 72, max_nodes=149)
+        partial = info.value.partial
+        assert partial.describe() == "T >= 72" and partial.nodes == 150
+        assert partial.certificate.rle == exists_avoiding(fam, 3, 71).rle
+
+    def test_node_budget_partials_are_deterministic(self):
+        # whatever the budget, the partial T >= N carries the lex-first avoider at N-1
+        fam = preset_family("schur")
+        for budget in range(0, 205, 12):
+            partials = []
+            for _ in range(2):
+                with pytest.raises(SearchBudgetExceeded) as info:
+                    threshold(fam, 3, 20, max_nodes=budget)
+                partials.append(info.value.partial)
+            partial = partials[0]
+            assert partial == partials[1] and partial.nodes == budget + 1
+            if partial.value > 1:
+                assert partial.certificate.rle == exists_avoiding(fam, 3, partial.value - 1).rle
 
     def test_matches_fresh_search_vdw3_r3(self):
         # T = 27: the index is built at 16 and again at 30 before the refutation
@@ -384,11 +418,10 @@ class TestOneCheckPerAnswer:
         real = search._Search.run
 
         def corrupting(self, *args, **kwargs):
-            found = real(self, *args, **kwargs)
-            for avoider in [*found, self.last]:
-                if avoider:
+            for avoider in real(self, *args, **kwargs):
+                if len(avoider) > 1:
                     avoider[1] = avoider[0]
-            return found
+                yield avoider
 
         monkeypatch.setattr(search._Search, "run", corrupting)
         with pytest.raises(RuntimeError, match="search returned a non-avoiding coloring"):
@@ -518,6 +551,18 @@ class TestCertificates:
         cert = exists_avoiding(preset_family("schur"), 2, 4)
         data = cert.to_json()
         data["coloring_rle"] = [[1, 4]]  # all-one is not avoiding at n=4
+        assert not verify_certificate(AvoidCertificate.from_json(data))
+
+    @pytest.mark.parametrize("rle", [
+        [[1, 1], [2, 2]],  # lengths sum to 3, not 4
+        [[1, 1], [2, 2], [1, 2]],  # lengths sum to 5
+        [[1, 1], [3, 2], [1, 1]],  # color 3 in a 2-coloring
+        [[1, 1], [0, 2], [1, 1]],
+        [[1, 4], [2, -1], [2, 1]],
+    ])
+    def test_runs_that_do_not_decode_fail(self, rle):
+        data = exists_avoiding(preset_family("schur"), 2, 4).to_json()
+        data["coloring_rle"] = rle
         assert not verify_certificate(AvoidCertificate.from_json(data))
 
     def test_json_round_trip(self):

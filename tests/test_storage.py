@@ -577,6 +577,38 @@ class TestFiledUnderTheirFamily:
         assert store.verify_all() == []
 
 
+def without_family(record):
+    """The witness record with its embedded family left out."""
+    payload = {k: v for k, v in record.payload.items() if k != "family"}
+    return ResultRecord(record.kind, record.fingerprint, record.params, payload, {})
+
+
+class TestPayloadChecks:
+    """Each payload check of the store refuses, skips and reports the record
+    it is there for."""
+
+    @pytest.mark.parametrize("make, reason", [
+        (lambda: without_family(witness_record()), "witness record must embed its family"),
+        (lambda: refiled(threshold_record(2), value=0), "threshold value must be positive"),
+        (lambda: refiled(threshold_record(2), value=-5), "threshold value must be positive"),
+        (lambda: refiled(construction_record(), witness=None),
+         "trace claims success but has no witness"),
+        (lambda: refiled(construction_record(), witness={"x": 3, "y": 3, "color": 1}),
+         "witness values do not fit in [1..n]"),  # 3 * 3 > 6
+        (lambda: refiled(construction_record(), witness={"x": 0, "y": 2, "color": 1}),
+         "witness values do not fit in [1..n]"),
+        (lambda: refiled(reduction_record(), u=[1, 2]), "u does not clear the quadratic form"),
+        (lambda: refiled(reduction_record(), b=6), "b is not twice the positive cross sum"),
+        (lambda: refiled(reduction_record(), u=[-1, 1], b=-4),
+         "b is not twice the positive cross sum"),  # twice the cross sum, but negative
+    ], ids=["witness-no-family", "threshold-zero", "threshold-negative",
+            "construction-success-no-witness", "construction-witness-product-past-n",
+            "construction-witness-zero", "reduction-u-not-clearing", "reduction-b-not-twice",
+            "reduction-b-negative"])
+    def test_refused_skipped_and_reported(self, store, capsys, make, reason):
+        refused_skipped_and_reported(store, capsys, make(), reason)
+
+
 # {x, y - x} with distinct values: y is bounded by no all-positive term
 X_YMX = PatternFamily.from_texts(2, ["x0", "x1 - x0"], "x-ymx", distinct_required=True)
 

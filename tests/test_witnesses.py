@@ -72,6 +72,15 @@ class TestEnumerateInstances:
         assert list(enumerate_instances(fam, 7)) == []
         assert len(list(enumerate_instances(fam, 8))) == 1
 
+    @pytest.mark.parametrize("terms", [["x0", "0"], ["x0", "x1 - x1", "x0 + x1"]])
+    def test_zero_term_admits_nothing(self, terms):
+        # 0 lies outside every [1..n], whatever the variables are
+        fam = PatternFamily.from_texts(2, terms)
+        chi = Coloring.solid(10)
+        assert list(enumerate_instances(fam, 10)) == []
+        assert count_witnesses(fam, chi) == 0 and find_witness(fam, chi) is None
+        assert list(iter_witnesses(fam, chi)) == []
+
     def test_enumeration_complete(self):
         assert enumeration_complete(preset_family("schur"), 10)
         # a shrunken box can miss admissible assignments
@@ -179,6 +188,11 @@ class TestVerifyWitness:
     def test_arity_mismatch(self):
         w = Witness((2,), (2, 3, 5), 1)
         assert not verify_witness(self.fam, self.chi, w).ok
+
+    @pytest.mark.parametrize("values", [(2, 3), (2, 3, 5, 5)])
+    def test_term_value_count_mismatch(self, values):
+        res = verify_witness(self.fam, self.chi, Witness((2, 3), values, 1))
+        assert not res.ok and res.reason == "term value count mismatch"
 
     def test_distinct_enforced_when_required(self):
         fam = PatternFamily.from_texts(2, ["x0", "x0*x1"], distinct_required=True)
