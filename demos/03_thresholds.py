@@ -15,7 +15,7 @@ schur = preset_family("schur")
 
 # At N = 4 two colors still suffice to dodge every sum triple.
 cert = exists_avoiding(schur, 2, 4)
-print("avoiding 2-coloring of 1..4:", cert.to_coloring())
+print("avoiding 2-coloring of 1..4:", cert.coloring)
 print("certificate verifies:", verify_certificate(cert))
 
 # One more integer and the dodge becomes impossible.

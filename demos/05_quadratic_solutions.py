@@ -36,7 +36,7 @@ print("\nall-one coloring:   a =", a, " check:", a[1] ** 2 - a[2] ** 2, "=", a[0
 # avoid the unrelated pattern {x, x+7}.  The solver neither knows nor
 # cares how the coloring was made.
 cert = greedy_avoider(preset_family("x_xp1"), 2, 200, "first-fit")
-chi = cert.to_coloring()
+chi = cert.coloring
 sol = solve_quadratic(c, chi)
 a = sol.a
 print("greedy 2-coloring:  a =", a, " all color", sol.color)

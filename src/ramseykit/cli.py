@@ -214,18 +214,18 @@ def cmd_avoid(args) -> int:
             )
             return 1
 
-    coloring = cert.to_coloring()
-    sizes = coloring.class_sizes()
+    sizes = cert.coloring.class_sizes()
     print(f"avoiding coloring found: N={cert.n} r={cert.r}")
     print("class sizes: " + " ".join(f"{t}:{s}" for t, s in enumerate(sizes, 1)))
     if cert.box_relative:
         print("note: box-relative certificate (instances with assignments beyond "
               f"[1..{cert.n}] are not ruled out)")
+    payload = cert.to_json()
     if args.certificate:
-        Path(args.certificate).write_text(json.dumps(cert.to_json(), indent=2))
+        Path(args.certificate).write_text(json.dumps(payload, indent=2))
         print(f"certificate written to {args.certificate}")
     params = {"n": cert.n, "r": cert.r, "box_relative": cert.box_relative}
-    _persist(args, "avoiding", fam.fingerprint(), params, cert.to_json())
+    _persist(args, "avoiding", fam.fingerprint(), params, payload)
     return 0
 
 

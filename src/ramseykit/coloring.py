@@ -153,11 +153,11 @@ class Coloring:
     @classmethod
     def from_rle(cls, n: int, r: int, runs: Iterable[Sequence[int]]) -> "Coloring":
         """The coloring of [1..n] with colors 1..r that the runs spell out, each
-        run a ``[color, length]`` pair of integers, from any iterable of them.
+        run a ``[color, length]`` list or tuple of two ints, from any iterable.
 
-        Raises ValueError for a run that is not a pair of integers (floats,
-        bools and numeric strings included), a color outside 1..r, a length
-        outside 0..n, or lengths that do not sum to n.
+        Raises ValueError for a run that is not such a pair (a mapping, a set,
+        floats, bools and numeric strings included), a color outside 1..r, a
+        length outside 0..n, or lengths that do not sum to n.
         """
         runs = list(runs)
         colors = np.empty(len(runs), dtype=np.int32)
@@ -167,12 +167,15 @@ class Coloring:
         # take about as much memory again as the runs themselves
         for lo in range(0, len(runs), _RLE_BLOCK):
             part = runs[lo : lo + _RLE_BLOCK]
-            try:  # exactly int: numpy reads True as 1, and a mix of bools and ints as ints
+            try:
+                if set(map(type, part)) - {list, tuple}:  # a dict or a set would yield its keys
+                    raise TypeError
                 flat = list(chain.from_iterable(part))
+                # exactly int: numpy reads True as 1, and a mix of bools and ints as ints
                 if set(map(len, part)) != {2} or set(map(type, flat)) != {int}:
                     raise TypeError
                 block = np.array(flat, np.int64).reshape(-1, 2)
-            except (TypeError, OverflowError):  # also a run with no length, an entry past int64
+            except (TypeError, OverflowError):  # also an entry past int64, a run not iterable
                 raise ValueError("runs must be [color, length] pairs of integers") from None
             # checked in int64, before the int32 column could wrap them
             if ((block[:, 0] < 1) | (block[:, 0] > top)).any():

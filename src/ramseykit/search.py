@@ -45,7 +45,7 @@ from typing import Iterator
 import numpy as np
 
 from .coloring import Coloring
-from .families import PatternFamily, _json_bool, _json_int, _json_ints
+from .families import PatternFamily, _json_bool, _json_int
 from .witnesses import _instance_chunks, count_witnesses
 
 __all__ = [
@@ -89,17 +89,27 @@ class SearchStats:
 
 @dataclass
 class AvoidCertificate:
-    """A checked avoiding coloring, self-contained for later re-verification."""
+    """An avoiding coloring of a family, self-contained for re-verification.
+    box_relative: the family is not box-complete, so only [1..n]^s is covered."""
 
     family: PatternFamily
-    n: int
-    r: int
-    rle: list[list[int]]
-    verified: bool = False
-    box_relative: bool = False
+    coloring: Coloring
 
-    def to_coloring(self) -> Coloring:
-        return Coloring.from_rle(self.n, self.r, self.rle)
+    @property
+    def n(self) -> int:
+        return self.coloring.n
+
+    @property
+    def r(self) -> int:
+        return self.coloring.r
+
+    @property
+    def rle(self) -> list[list[int]]:
+        return self.coloring.to_rle()
+
+    @property
+    def box_relative(self) -> bool:
+        return not self.family.box_complete()
 
     def to_json(self) -> dict:
         return {
@@ -108,28 +118,25 @@ class AvoidCertificate:
             "fingerprint": self.family.fingerprint(),
             "n": self.n,
             "r": self.r,
-            "coloring_rle": [list(run) for run in self.rle],
-            "verified": self.verified,
+            "coloring_rle": self.rle,
+            "verified": True,  # the package writes only the certificates _certify checked
             "box_relative": self.box_relative,
         }
 
     @classmethod
     def from_json(cls, data: dict) -> "AvoidCertificate":
-        """The certificate a JSON object holds, its fields type-checked and its
-        box_relative true exactly when its family is not box-complete (else
-        ValueError).  Its coloring is for verify_certificate to check."""
-        cert = cls(
-            PatternFamily.from_json(data["family"]),
-            _json_int(data["n"], "certificate 'n'"),
-            _json_int(data["r"], "certificate 'r'"),
-            [_json_ints(run, "an RLE run") for run in data["coloring_rle"]],
-            _json_bool(data.get("verified", False), "certificate 'verified'"),
-            _json_bool(data.get("box_relative", False), "certificate 'box_relative'"),
-        )
-        if cert.box_relative == cert.family.box_complete():
-            raise ValueError(f"certificate has box_relative={str(cert.box_relative).lower()} for "
-                             f"a family that is {'' if cert.box_relative else 'not '}box-complete")
-        return cert
+        """The certificate a JSON object holds: ValueError unless n and r are JSON
+        integers, the runs decode (Coloring.from_rle), the flags are JSON booleans
+        and box_relative is "not box-complete".  "verified" is never trusted."""
+        family = PatternFamily.from_json(data["family"])
+        coloring = Coloring.from_rle(_json_int(data["n"], "certificate 'n'"),
+                                     _json_int(data["r"], "certificate 'r'"), data["coloring_rle"])
+        _json_bool(data.get("verified", False), "certificate 'verified'")
+        box_relative = _json_bool(data.get("box_relative", False), "certificate 'box_relative'")
+        if box_relative == family.box_complete():
+            raise ValueError(f"certificate has box_relative={str(box_relative).lower()} for "
+                             f"a family that is {'' if box_relative else 'not '}box-complete")
+        return cls(family, coloring)
 
 
 @dataclass
@@ -350,18 +357,12 @@ def _require_single_job(jobs: int) -> None:
 
 
 def _certify(family: PatternFamily, solution: list[int], r: int) -> AvoidCertificate:
-    """The certificate of a search answer, after one count_witnesses check;
-    box_relative when the family is not box-complete.
-
-    That check runs the search's own instance enumerator, and for a small
-    question the chunks it cached (witnesses._small_stream), so it is not
-    independent of the search."""
-    coloring = Coloring.from_sequence(solution, r)
-    if count_witnesses(family, coloring) != 0:
+    """The certificate of a search answer, passed by verify_certificate (which
+    is not independent of the search)."""
+    cert = AvoidCertificate(family, Coloring.from_sequence(solution, r))
+    if not verify_certificate(cert):
         raise RuntimeError("internal error: search returned a non-avoiding coloring")
-    return AvoidCertificate(
-        family, coloring.n, coloring.r, coloring.to_rle(), True, not family.box_complete()
-    )
+    return cert
 
 
 def exists_avoiding(
@@ -378,7 +379,7 @@ def exists_avoiding(
     """First avoiding coloring in canonical order, as a verified certificate.
 
     Box-incomplete families are rejected unless allow_box_relative is set, in
-    which case the certificate is stamped box_relative=True (the search then
+    which case the certificate has box_relative=True (the search then
     only rules out instances with assignments inside [1..N]^s).
     """
     _require_single_job(jobs)
@@ -479,16 +480,11 @@ def greedy_avoider(
 
 
 def verify_certificate(cert: AvoidCertificate) -> bool:
-    """Recompute the zero-witness claim from the stored coloring: False when
-    the runs do not decode to an r-coloring of [1..n] or some admissible
-    instance is monochromatic.  The box_relative flag is checked where a
-    certificate is read, by AvoidCertificate.from_json.
+    """Recompute the zero-witness claim: True when no admissible instance is
+    monochromatic under the certificate's coloring.  AvoidCertificate.from_json
+    checks its runs and its box_relative flag where a certificate is read.
 
     The recount runs the search's own instance enumerator, and for a small
     (family, N) the chunks it cached (witnesses._small_stream); a checker
     that shares nothing with the search is ROADMAP item 4."""
-    try:
-        coloring = cert.to_coloring()
-    except (ValueError, TypeError):
-        return False
-    return count_witnesses(cert.family, coloring) == 0
+    return count_witnesses(cert.family, cert.coloring) == 0

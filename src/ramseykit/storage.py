@@ -13,13 +13,14 @@ latest match that passes; failing ones are skipped).  Its fingerprint must be
 its family's (the embedded one; {x, x+y, xy} for a construction; the family
 of u for a reduction) and its params (r, n, box_relative, c) must agree with
 its payload.  A certificate (an avoider's, a threshold's) is read one way:
-AvoidCertificate.from_json, which refuses a box_relative flag that is not
-"not box-complete", the fingerprint check, verify_certificate.  A threshold
-above 1 needs the certificate of [1..value-1] in its r colors, exact or not,
-as that avoider proves T >= value (that T is not larger stays unchecked); a
-threshold of 1 needs none.  A witness runs _check_instance (verify_witness
-without colors, under the distinct flag it is filed with) and a color range
-check, a reduction its u/b checks, _check_solution (verify_quad_solution
+AvoidCertificate.from_json, which decodes its runs and refuses a box_relative
+flag that is not "not box-complete", the fingerprint check, verify_certificate
+("verified" is never trusted).  A threshold above 1 needs the certificate of
+[1..value-1] in its r colors, exact or not, as that avoider proves T >= value
+(that T is not larger stays unchecked); a threshold of 1 needs none.  A
+witness runs _check_instance (verify_witness without colors, under the
+distinct flag it is filed with) and a color range check, a reduction the u and
+b that quadratic_setup derives from its c, _check_solution (verify_quad_solution
 without domain and colors) and the decoding of its a from its source witness,
 and a construction an x/y range check.  No coloring is stored, so the colors
 of witnesses and reductions, and the witness box, stay unchecked.
@@ -61,7 +62,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 from .families import _json_bool, _json_int, _json_ints, preset_family, reduction_family
-from .reduction import _check_solution
+from .reduction import _check_solution, quadratic_setup
 from .search import AvoidCertificate, verify_certificate
 from .witnesses import _check_instance, witness_from_json
 
@@ -302,12 +303,9 @@ def _verify_payload(record: ResultRecord) -> None:
             _check_params(record, c=c)
             u = _json_ints(payload["u"], "'u'")
             b = _json_int(payload["b"], "'b'")
-            if len(u) != len(c):
-                raise ValueError(f"u has {len(u)} entries for {len(c)} coefficients")
-            if sum(cl * ul * ul for cl, ul in zip(c, u)) != 0:
-                raise ValueError("u does not clear the quadratic form")
-            if b != 2 * sum(cl * ul for cl, ul in zip(c, u)) or b <= 0:
-                raise ValueError("b is not twice the positive cross sum")
+            rd = quadratic_setup(c)  # the u and b that cmd_reduce files for c
+            if u != list(rd.u) or b != rd.b:
+                raise ValueError(f"u={u}, b={b} are not quadratic_setup's u={list(rd.u)}, b={rd.b}")
             a = _json_ints(payload["a"], "'a'")
             reason = _check_solution(c, a)
             if reason is not None:

@@ -284,7 +284,7 @@ def test_criterion_8_end_to_end_quadratic(criterion):
     for fam, strategy, seed in roster:
         cert = greedy_avoider(fam, 2, 200, strategy, seed=seed)
         assert cert is not None, f"greedy {strategy} found no avoider for {fam.name}"
-        colorings.append(cert.to_coloring())
+        colorings.append(cert.coloring)
     failures = 0
     for chi in colorings:
         sol = solve_quadratic(c, chi)
@@ -324,7 +324,7 @@ def test_criterion_9_property_suites(criterion):
         for perm in ([2, 3, 1], [3, 2, 1], [1, 3, 2])
     )
     cert = exists_avoiding(schur, 2, 4)
-    perm_ok = perm_ok and count_witnesses(schur, cert.to_coloring().permuted([2, 1])) == 0
+    perm_ok = perm_ok and count_witnesses(schur, cert.coloring.permuted([2, 1])) == 0
 
     # the pruned search and the naive enumerator agree on avoidability
     presets = ("schur", "vdw:3", "geometric:2", "x_xp1", "x_y_3xmy", "xyxy")

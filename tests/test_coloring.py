@@ -73,6 +73,15 @@ class TestConstruction:
         with pytest.raises(ValueError):
             Coloring(2, 2, [0, 1])
 
+    @pytest.mark.parametrize("n, r, colors, message", [
+        (0, 2, [], "N must be >= 1"),
+        (2, 0, [1, 1], "r must be >= 1"),
+    ])
+    def test_rejects_empty_domain_or_palette(self, n, r, colors, message):
+        with pytest.raises(ValueError) as info:
+            Coloring(n, r, colors)
+        assert str(info.value) == message
+
     def test_range_is_checked_before_the_int32_cast(self):
         # 2**32 + 1 wraps to 1 in int32
         with pytest.raises(ValueError, match="1..2"):
@@ -189,9 +198,13 @@ class TestRoundTrips:
         chi = Coloring.from_sequence([1, 1, 2, 3, 3, 3, 1, 2, 2, 1])
         assert Coloring.from_rle(chi.n, chi.r, iter(reference_rle(chi))) == chi
 
-    @pytest.mark.parametrize("runs", [[1, 3], [[1, 2, 0]], [[1, 2], [1]], [[1], [2]]])
+    @pytest.mark.parametrize("runs", [
+        [1, 3], [[1, 2, 0]], [[1, 2], [1]], [[1], [2]],
+        # iterating these yields 1 and 3, but a run is a list or a tuple
+        [{1: 0, 3: 0}], [{1, 3}],
+    ])
     def test_from_rle_rejects_non_pairs(self, runs):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="pairs of integers"):
             Coloring.from_rle(3, 2, runs)
 
     @pytest.mark.parametrize("runs", [

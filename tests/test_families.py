@@ -15,7 +15,7 @@ from ramseykit.families import (
     preset_from_string,
     reduction_family,
 )
-from ramseykit.polynomials import parse_poly
+from ramseykit.polynomials import IntPoly, parse_poly
 
 
 class TestPatternFamily:
@@ -28,6 +28,17 @@ class TestPatternFamily:
             PatternFamily(2, ())
         with pytest.raises(ValueError):
             PatternFamily.from_texts(1, ["x1"])
+
+    @pytest.mark.parametrize("make, exc, message", [
+        (lambda: PatternFamily(0, ()), ValueError, "a family needs at least one variable"),
+        (lambda: PatternFamily(1, ("x0",)), TypeError, "family terms must be IntPoly, got str"),
+        (lambda: PatternFamily(2, (IntPoly.var(1, 0),)), ValueError,
+         "term 'x0' has 1 variables, family declares 2"),
+    ])
+    def test_rejects_bad_fields(self, make, exc, message):
+        with pytest.raises(exc) as info:
+            make()
+        assert str(info.value) == message
 
     def test_with_terms(self):
         fam = preset_family("schur").with_terms("x0 + 2*x1")
@@ -138,10 +149,17 @@ class TestPresets:
 
     def test_vdw_terms(self):
         assert preset_family("vdw", 3).canonical_texts() == ("x0", "x0 + x1", "x0 + 2*x1")
-        with pytest.raises(ValueError):
-            preset_family("vdw", 1)
-        with pytest.raises(ValueError):
-            preset_family("vdw")
+
+    @pytest.mark.parametrize("name, k, message", [
+        ("vdw", None, "vdw needs k (progression length)"),
+        ("vdw", 1, "vdw needs k >= 2"),
+        ("geometric", None, "geometric needs k (ratio power count)"),
+        ("geometric", 0, "geometric needs k >= 1"),
+    ])
+    def test_rejects_missing_or_small_k(self, name, k, message):
+        with pytest.raises(ValueError) as info:
+            preset_family(name, k)
+        assert str(info.value) == message
 
     def test_geometric_terms(self):
         assert preset_family("geometric", 2).canonical_texts() == ("x0", "x0*x1", "x0*x1^2")
@@ -206,6 +224,18 @@ class TestPrefixProductFamily:
             prefix_product_family([["x0 + 1"]])
         with pytest.raises(ValueError):
             prefix_product_family([["x0"], ["x0"]])  # arity-2 slot, 1-var function
+
+    def test_rejects_function_of_wrong_arity(self):
+        with pytest.raises(ValueError) as info:
+            prefix_product_family([[IntPoly.var(2, 0)]])
+        assert str(info.value) == "function 'x0' should have 1 variables"
+
+    def test_rejects_constant_function_without_variables(self):
+        # prefix_product_family parses every function with at least one
+        # variable, so only a direct call reaches this case
+        with pytest.raises(ValueError) as info:
+            families._check_vanishes_in_last_var(IntPoly.const(0, 3))
+        assert str(info.value) == "'3' has no variables, so its constant term cannot vanish"
 
     def test_rejects_no_function_sets(self):
         with pytest.raises(ValueError, match="s must be >= 1"):

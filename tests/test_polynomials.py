@@ -219,6 +219,33 @@ class TestParsing:
             parse_poly("x3", 2)
 
 
+class TestValidation:
+    @pytest.mark.parametrize("make, exc, message", [
+        (lambda: IntPoly(-1), ValueError, "num_vars must be >= 0"),
+        (lambda: IntPoly(2, {(1,): 1}), ValueError, "exponent tuple (1,) does not have 2 entries"),
+        (lambda: IntPoly(1, {(-1,): 1}), ValueError, "negative exponent in (-1,)"),
+        (lambda: setattr(IntPoly.var(1, 0), "num_vars", 3), AttributeError,
+         "IntPoly is immutable"),
+        (lambda: IntPoly.var(2, 2), ValueError, "variable index 2 out of range for 2 variables"),
+        (lambda: IntPoly.var(2, 0) + IntPoly.var(3, 0), ValueError, "mixed variable counts"),
+        (lambda: IntPoly.var(1, 0) ** -1, ValueError, "negative power"),
+        (lambda: IntPoly.var(2, 0).max_abs_on_box((1,)), ValueError, "bounds length mismatch"),
+        (lambda: IntPoly.var(2, 0).evaluate((1,)), ValueError,
+         "point has 1 coordinates, polynomial has 2 variables"),
+        (lambda: IntPoly.var(2, 0).shift_vars(2, 3), ValueError,
+         "shifted variables fall outside the target space"),
+        (lambda: IntPoly.var(2, 0).shift_vars(-1, 3), ValueError,
+         "shifted variables fall outside the target space"),
+        (lambda: parse_poly("x0^-1"), ValueError, "exponent must be a plain nonnegative integer"),
+        (lambda: parse_poly("x0^x1"), ValueError, "exponent must be a plain nonnegative integer"),
+        (lambda: parse_poly("x0^"), ValueError, "exponent must be a plain nonnegative integer"),
+    ])
+    def test_rejects(self, make, exc, message):
+        with pytest.raises(exc) as info:
+            make()
+        assert str(info.value) == message
+
+
 class TestHelpers:
     def test_shift_vars(self):
         f = parse_poly("x0*x1", 2)

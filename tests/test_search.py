@@ -89,14 +89,13 @@ class TestExistsAvoiding:
 
     def test_certificate_is_verified_and_reusable(self):
         cert = exists_avoiding(preset_family("schur"), 2, 4)
-        assert cert is not None and cert.verified
-        assert verify_certificate(cert)
-        assert count_witnesses(preset_family("schur"), cert.to_coloring()) == 0
+        assert cert is not None and verify_certificate(cert)
+        assert count_witnesses(preset_family("schur"), cert.coloring) == 0
 
     def test_schur_n4_canonical_classes(self):
         # canonical-first search yields classes {1,4} and {2,3}
         cert = exists_avoiding(preset_family("schur"), 2, 4)
-        chi = cert.to_coloring()
+        chi = cert.coloring
         assert chi.class_values(1).tolist() == [1, 4]
         assert chi.class_values(2).tolist() == [2, 3]
 
@@ -152,7 +151,7 @@ class TestExistsAvoiding:
         for n in range(1, max_n + 1):
             oracle = naive_avoiding_canonical(fam, r, n)
             cert = exists_avoiding(fam, r, n)
-            got = None if cert is None else tuple(cert.to_coloring().colors.tolist())
+            got = None if cert is None else tuple(cert.coloring.colors.tolist())
             assert got == (oracle[0] if oracle else None), f"N={n}"
 
 
@@ -195,6 +194,19 @@ class TestThreshold:
         res = threshold(preset_family("vdw", 3), 2, 20)
         assert res.exact and res.value == 9
         assert res.value == naive_threshold(preset_family("vdw", 3), 2, 12)
+
+    def test_naive_threshold_none_below_t(self):
+        assert naive_threshold(preset_family("schur"), 2, 4) is None  # T = 5
+        assert threshold(preset_family("schur"), 2, 4).describe() == "T >= 5"
+
+    @pytest.mark.parametrize("oracle, r, n, message", [
+        (naive_exists_avoiding, 2, 27, "naive oracle infeasible: 2^27 colorings"),
+        (naive_avoiding_canonical, 3, 17, "naive oracle infeasible: 3^17 colorings"),
+    ])
+    def test_naive_oracle_refuses_infeasible_sizes(self, oracle, r, n, message):
+        with pytest.raises(ValueError) as info:
+            oracle(preset_family("schur"), r, n)
+        assert str(info.value) == message
 
     def test_xyxy(self):
         res = threshold(preset_family("xyxy"), 2, 20)
@@ -248,8 +260,7 @@ class TestThreshold:
             threshold(fam, 3, 20, max_nodes=below.nodes + 5)
         partial = info.value.partial
         assert partial.describe() == "T >= 14" and not partial.exact
-        assert partial.certificate.n == 13 and partial.certificate.verified
-        assert verify_certificate(partial.certificate)
+        assert partial.certificate.n == 13 and verify_certificate(partial.certificate)
         assert partial.certificate.rle == below.certificate.rle
         assert info.value.nodes == partial.nodes > below.nodes
 
@@ -364,7 +375,7 @@ class TestThreshold:
         assert (res.certificate is None) == (last is None)
         if last is not None:
             assert res.certificate.n == last.n and res.certificate.rle == last.rle
-            assert res.certificate.verified
+            assert verify_certificate(res.certificate)
 
     def test_json_round_trip(self):
         res = threshold(preset_family("schur"), 2, 20)
@@ -437,15 +448,14 @@ class TestColorPermutationEquivariance:
 
     def test_avoider_permutes_to_avoider(self):
         cert = exists_avoiding(preset_family("schur"), 2, 4)
-        chi = cert.to_coloring().permuted([2, 1])
+        chi = cert.coloring.permuted([2, 1])
         assert count_witnesses(preset_family("schur"), chi) == 0
 
 
 class TestGreedy:
     def test_first_fit_x_xp1(self):
         cert = greedy_avoider(preset_family("x_xp1"), 2, 200, "first-fit")
-        assert cert is not None and cert.verified
-        assert verify_certificate(cert)
+        assert cert is not None and verify_certificate(cert)
 
     def test_first_fit_dead_ends_on_schur(self):
         # first-fit paints itself into a corner: greedily feasible prefixes
@@ -458,7 +468,7 @@ class TestGreedy:
         b = greedy_avoider(preset_family("x_xp1"), 2, 50, "random", seed=11)
         assert (a is None) == (b is None)
         if a is not None:
-            assert a.to_coloring() == b.to_coloring()
+            assert a.coloring == b.coloring
 
     @pytest.mark.parametrize("fam, r, n", [
         (preset_family("schur"), 2, 4), (preset_family("schur"), 3, 12),
@@ -486,7 +496,7 @@ class TestGreedy:
 
         for seed in range(12):
             cert = greedy_avoider(fam, r, n, "random", seed=seed, restarts=6)
-            got = None if cert is None else cert.to_coloring().colors.tolist()
+            got = None if cert is None else cert.coloring.colors.tolist()
             assert got == reference(seed, 6), f"seed={seed}"
 
     def test_random_finds_schur_avoider_small(self):
@@ -563,12 +573,27 @@ class TestCertificates:
     def test_runs_that_do_not_decode_fail(self, rle):
         data = exists_avoiding(preset_family("schur"), 2, 4).to_json()
         data["coloring_rle"] = rle
-        assert not verify_certificate(AvoidCertificate.from_json(data))
+        with pytest.raises(ValueError, match="run"):
+            AvoidCertificate.from_json(data)
+
+    def test_fields_are_read_off_the_coloring(self):
+        cert = exists_avoiding(X_YMX, 2, 2, allow_box_relative=True)
+        assert (cert.n, cert.r, cert.rle, cert.box_relative) == (2, 2, [[1, 2]], True)
+        assert cert.rle == cert.coloring.to_rle()
+
+    def test_verified_is_written_true_and_never_read(self):
+        data = exists_avoiding(preset_family("schur"), 2, 4).to_json()
+        assert data["verified"] is True
+        data["coloring_rle"] = [[1, 4]]  # all-one is not avoiding at n=4
+        for flag in (True, False):
+            cert = AvoidCertificate.from_json(dict(data, verified=flag))
+            assert not verify_certificate(cert)
+            assert cert.to_json()["verified"] is True
 
     def test_json_round_trip(self):
         cert = exists_avoiding(preset_family("schur"), 2, 4)
         back = AvoidCertificate.from_json(json.loads(json.dumps(cert.to_json())))
-        assert back.to_coloring() == cert.to_coloring()
+        assert back.coloring == cert.coloring
         assert back.family == cert.family
 
 

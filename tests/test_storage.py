@@ -447,19 +447,11 @@ class TestOneCheckPerAnswer:
          "term values not pairwise distinct"),
         (reduction_of((1, -1), (1, -1), 4, (4, 2)), "expected 3 values, got 2"),
         (reduction_of((1, -4, 3), (-2, -1), 4, (17, 3, 1, 2)),
-         "u has 2 entries for 3 coefficients"),
+         "u=[-2, -1], b=4 are not quadratic_setup's u=[-2, -1, 0], b=4"),
     ], ids=["vdw3-nonpositive", "schur-distinct-param", "distinct-required-family",
             "reduction-short-a", "reduction-short-u"])
     def test_refused_skipped_and_reported(self, store, capsys, bad, reason):
-        with pytest.raises(StoreVerificationError, match=reason):
-            store.append(bad)
-        assert not store.path.exists()
-        write_unverified(store, bad)
-        assert store.lookup(bad.kind, bad.fingerprint, bad.params) is None
-        assert main(["cache", "verify", "--cache", str(store.path)]) == 1
-        assert capsys.readouterr().out == (
-            f"  #0 FAIL: {bad.kind} record: {reason}\n1 record(s) failed verification\n"
-        )
+        refused_skipped_and_reported(store, capsys, bad, reason)
 
     @given(st.data())
     @settings(max_examples=300, deadline=None)
@@ -597,14 +589,19 @@ class TestPayloadChecks:
          "witness values do not fit in [1..n]"),  # 3 * 3 > 6
         (lambda: refiled(construction_record(), witness={"x": 0, "y": 2, "color": 1}),
          "witness values do not fit in [1..n]"),
-        (lambda: refiled(reduction_record(), u=[1, 2]), "u does not clear the quadratic form"),
-        (lambda: refiled(reduction_record(), b=6), "b is not twice the positive cross sum"),
-        (lambda: refiled(reduction_record(), u=[-1, 1], b=-4),
-         "b is not twice the positive cross sum"),  # twice the cross sum, but negative
+        (lambda: refiled(reduction_record(), u=[1, 2]),
+         "u=[1, 2], b=4 are not quadratic_setup's u=[1, -1], b=4"),
+        (lambda: refiled(reduction_record(), b=6),
+         "u=[1, -1], b=6 are not quadratic_setup's u=[1, -1], b=4"),
+        (lambda: refiled(reduction_record(), u=[-1, 1], b=-4),  # twice the cross sum, but negative
+         "u=[-1, 1], b=-4 are not quadratic_setup's u=[1, -1], b=4"),
+        # clears the form with b twice the positive cross sum, and a decodes; not setup's u
+        (lambda: reduction_of((1, -1), (2, -2), 8, (40, 7, 3), (40, 8)),
+         "u=[2, -2], b=8 are not quadratic_setup's u=[1, -1], b=4"),
     ], ids=["witness-no-family", "threshold-zero", "threshold-negative",
             "construction-success-no-witness", "construction-witness-product-past-n",
             "construction-witness-zero", "reduction-u-not-clearing", "reduction-b-not-twice",
-            "reduction-b-negative"])
+            "reduction-b-negative", "reduction-u-not-setups"])
     def test_refused_skipped_and_reported(self, store, capsys, make, reason):
         refused_skipped_and_reported(store, capsys, make(), reason)
 
@@ -678,14 +675,16 @@ class TestJsonTypes:
         (lambda: recertified(avoiding_record(), r=2.9),
          "certificate 'r' must be an integer, got 2.9"),
         (lambda: recertified(avoiding_record(), coloring_rle=[[1.5, 1], [2.5, 2], [1.5, 1]]),
-         "an RLE run must be a list of integers, got [1.5, 1]"),
+         "runs must be [color, length] pairs of integers"),
+        (lambda: recertified(avoiding_record(), verified="yes"),
+         "certificate 'verified' must be true or false, got 'yes'"),
         (lambda: recertified(avoiding_record(), dict(avoiding_record().params, box_relative=True),
                              box_relative="no"),
          "certificate 'box_relative' must be true or false, got 'no'"),
         (lambda: refiled(witness_record(), assignment=[1.0, 1.0]),
          "witness 'assignment' must be a list of integers, got [1.0, 1.0]"),
     ], ids=["threshold-exact-string", "avoiding-float-n", "avoiding-float-r",
-            "avoiding-float-rle-colors", "avoiding-box_relative-string",
+            "avoiding-float-rle-colors", "avoiding-verified-string", "avoiding-box_relative-string",
             "witness-float-assignment"])
     def test_refused_skipped_and_reported(self, store, capsys, make, reason):
         refused_skipped_and_reported(store, capsys, make(), reason)

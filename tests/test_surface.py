@@ -27,7 +27,7 @@ PUBLIC_NAMES = [
 ]
 
 DATACLASS_FIELDS = {
-    "AvoidCertificate": ["family", "n", "r", "rle", "verified", "box_relative"],
+    "AvoidCertificate": ["family", "coloring"],
     "Coloring": ["n", "r", "colors"],
     "ConstructiveTrace": ["n", "r", "params", "t", "y", "b0_size", "set_sizes",
                           "repeat_pair", "witness", "failure_reason"],

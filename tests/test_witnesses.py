@@ -81,6 +81,11 @@ class TestEnumerateInstances:
         assert count_witnesses(fam, chi) == 0 and find_witness(fam, chi) is None
         assert list(iter_witnesses(fam, chi)) == []
 
+    def test_rejects_empty_domain(self):
+        with pytest.raises(ValueError) as info:
+            list(enumerate_instances(preset_family("schur"), 0))
+        assert str(info.value) == "N must be >= 1"
+
     def test_enumeration_complete(self):
         assert enumeration_complete(preset_family("schur"), 10)
         # a shrunken box can miss admissible assignments
