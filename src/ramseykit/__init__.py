@@ -30,7 +30,6 @@ from .witnesses import (
     Witness,
     count_witnesses,
     enumerate_instances,
-    enumeration_complete,
     find_witness,
     iter_witnesses,
     verify_witness,
@@ -79,7 +78,7 @@ __all__ = [
     # colorings
     "Coloring",
     # witnesses
-    "Instance", "Witness", "VerifyResult", "enumerate_instances", "enumeration_complete",
+    "Instance", "Witness", "VerifyResult", "enumerate_instances",
     "iter_witnesses", "find_witness", "count_witnesses",
     "verify_witness", "witness_to_json", "witness_from_json",
     # search

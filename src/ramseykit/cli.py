@@ -205,7 +205,6 @@ def cmd_avoid(args) -> int:
             args.n,
             max_nodes=args.max_nodes,
             time_limit=args.time_limit,
-            allow_box_relative=args.box_relative,
         )
         if cert is None:
             print(
@@ -217,9 +216,6 @@ def cmd_avoid(args) -> int:
     sizes = cert.coloring.class_sizes()
     print(f"avoiding coloring found: N={cert.n} r={cert.r}")
     print("class sizes: " + " ".join(f"{t}:{s}" for t, s in enumerate(sizes, 1)))
-    if cert.box_relative:
-        print("note: box-relative certificate (instances with assignments beyond "
-              f"[1..{cert.n}] are not ruled out)")
     payload = cert.to_json()
     if args.certificate:
         Path(args.certificate).write_text(json.dumps(payload, indent=2))
@@ -425,8 +421,6 @@ def build_parser() -> argparse.ArgumentParser:
     av.add_argument("--colors", type=int, required=True)
     av.add_argument("--n", type=int, required=True)
     av.add_argument("--certificate", default=None, help="write the certificate JSON here")
-    av.add_argument("--box-relative", action="store_true",
-                    help="accept box-incomplete families (weaker certificate)")
     av.add_argument("--greedy", choices=["first-fit", "random"], default=None,
                     help="heuristic instead of exhaustive search")
     av.add_argument("--restarts", type=int, default=32, help="restarts for --greedy random")

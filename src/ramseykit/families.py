@@ -195,8 +195,6 @@ def _check_vanishes_in_last_var(f: IntPoly) -> None:
     """
     if f.is_zero():
         return
-    if f.num_vars == 0:
-        raise ValueError(f"'{f}' has no variables, so its constant term cannot vanish")
     for exps, _ in f.monomials:
         if exps[-1] == 0:
             raise ValueError(
@@ -241,7 +239,10 @@ def prefix_product_family(
 
 
 def preset_family(name: str, k: int | None = None) -> PatternFamily:
-    """Named standard families; vdw and geometric take the length parameter k."""
+    """Named standard families; vdw and geometric take the length parameter k,
+    and the other presets refuse one."""
+    if k is not None and name in ("schur", "x_xp1", "x_y_3xmy", "xyxy"):
+        raise ValueError(f"preset {name!r} takes no parameter, got {k}")
     if name == "schur":
         return PatternFamily.from_texts(2, ["x0", "x1", "x0 + x1"], "schur")
     if name == "vdw":

@@ -64,7 +64,7 @@ __all__ = [
 
 
 class IncompleteBoxError(ValueError):
-    """The family admits assignments outside [1..N]^s, so [1..N]-search is unsound."""
+    """The family admits assignments outside [1..N]^s, so no search over [1..N] runs on it."""
 
 
 class SearchBudgetExceeded(RuntimeError):
@@ -90,7 +90,8 @@ class SearchStats:
 @dataclass
 class AvoidCertificate:
     """An avoiding coloring of a family, self-contained for re-verification.
-    box_relative: the family is not box-complete, so only [1..n]^s is covered."""
+    The searches make one only for a box-complete family; box_relative (only
+    [1..n]^s is covered) holds for one built by hand or read from an old store."""
 
     family: PatternFamily
     coloring: Coloring
@@ -209,19 +210,17 @@ class _Search:
     color below it (``used``).  ``index[p]`` holds the value sets by
     second-largest member p; ``by_top[t]`` holds their (p, others) by top t,
     in ascending p.  Only the sets with top <= n take part.  It refuses
-    r < 1, max_n < 1 and, unless box_relative, a box-incomplete family.
+    r < 1, max_n < 1 and, with IncompleteBoxError, a box-incomplete family.
     ``run`` yields the avoiders; ``nodes`` is all that is read back.
     """
 
-    def __init__(self, family: PatternFamily, r: int, max_n: int, *, n: int, size: int,
-                 box_relative: bool = False):
+    def __init__(self, family: PatternFamily, r: int, max_n: int, *, n: int, size: int):
         if r < 1 or max_n < 1:
             raise ValueError("need r >= 1 and n >= 1")
-        if not family.box_complete() and not box_relative:
+        if not family.box_complete():
             missing = sorted(set(range(family.num_vars)) - set(family.bounded_vars()))
             raise IncompleteBoxError(f"variables {missing} are not bounded by any all-positive "
-                                     "term; a box-relative search needs allow_box_relative=True "
-                                     "(avoid --box-relative)")
+                                     "term, so [1..N] does not hold every instance")
         self.family, self.r, self.max_n, self.n = family, r, max_n, n
         self.colors, self.dom, self.removed, self.used = [], [], [], []
         self._grow(size)
@@ -373,18 +372,15 @@ def exists_avoiding(
     jobs: int = 1,
     max_nodes: int | None = None,
     time_limit: float | None = None,
-    allow_box_relative: bool = False,
     stats: SearchStats | None = None,
 ) -> AvoidCertificate | None:
     """First avoiding coloring in canonical order, as a verified certificate.
 
-    Box-incomplete families are rejected unless allow_box_relative is set, in
-    which case the certificate has box_relative=True (the search then
-    only rules out instances with assignments inside [1..N]^s).
+    A box-incomplete family raises IncompleteBoxError.
     """
     _require_single_job(jobs)
     cap, deadline = _budget(max_nodes, time_limit)
-    search = _Search(family, r, n, n=n, size=n, box_relative=allow_box_relative)
+    search = _Search(family, r, n, n=n, size=n)
     first = next(search.run(cap, deadline), None)
     if stats is not None:
         stats.nodes += search.nodes
@@ -451,13 +447,14 @@ def greedy_avoider(
     first-fit: each position takes the smallest color still open to it
     (deterministic, single pass).  random: uniform choice among the open
     colors, with restarts.  A successful coloring is certified through one
-    count_witnesses check.
+    count_witnesses check.  A box-incomplete family raises IncompleteBoxError,
+    as in exists_avoiding.
     """
     if r < 1 or restarts < 1:
         raise ValueError("need r >= 1 and restarts >= 1")
     if strategy not in ("first-fit", "random"):
         raise ValueError(f"unknown strategy {strategy!r} (first-fit or random)")
-    search = _Search(family, r, n, n=0, size=n, box_relative=True)
+    search = _Search(family, r, n, n=0, size=n)
 
     def one_pass(pick) -> list[int] | None:
         for pos in range(1, n + 1):

@@ -63,7 +63,6 @@ __all__ = [
     "Witness",
     "VerifyResult",
     "enumerate_instances",
-    "enumeration_complete",
     "iter_witnesses",
     "find_witness",
     "count_witnesses",
@@ -121,17 +120,6 @@ def _normalize_box(family: PatternFamily, n: int, box: Sequence | None) -> Box:
         if lo < 1:
             raise ValueError("box lower bounds must be >= 1 (assignments are positive)")
     return tuple(out)
-
-
-def enumeration_complete(family: PatternFamily, n: int, box: Sequence | None = None) -> bool:
-    """True iff the box provably covers every admissible assignment.
-
-    The default box is [1..N] per variable, which is complete exactly when the
-    family's box_complete() holds; an explicit box is complete when it also
-    contains [1..N] in every coordinate.
-    """
-    nb = _normalize_box(family, n, box)
-    return family.box_complete() and all(lo == 1 and hi >= n for lo, hi in nb)
 
 
 def _last_var(term: IntPoly) -> int:
@@ -371,11 +359,7 @@ def _enumerate_chunks(terms: tuple[IntPoly, ...], n: int, nb: Box) -> Iterator[C
 def enumerate_instances(
     family: PatternFamily, n: int, box: Sequence | None = None
 ) -> Iterator[Instance]:
-    """Yield admissible instances in lexicographic assignment order.
-
-    Whether this stream provably contains *all* admissible instances is
-    reported by enumeration_complete(family, n, box).
-    """
+    """Yield admissible instances in lexicographic assignment order."""
     for cols, vals in _instance_chunks(family, n, box):
         rows = zip(zip(*(c.tolist() for c in cols)), zip(*(x.tolist() for x in vals)))
         for assignment, values in rows:

@@ -156,6 +156,12 @@ class TestFamily:
         assert code == 2
         assert "error:" in err and "schur" in err  # names the valid presets
 
+    @pytest.mark.parametrize("spec", ["schur:7", "xyxy:2", "x_xp1:5", "x_y_3xmy:1"])
+    def test_preset_given_a_parameter_it_does_not_take(self, capsys, spec):
+        name, _, k = spec.partition(":")
+        assert run(capsys, "family", "show", "--preset", spec) == (
+            2, "", f"error: preset '{name}' takes no parameter, got {k}\n")
+
 
 class TestWitness:
     def test_single(self, capsys, solid6):
@@ -294,16 +300,18 @@ class TestAvoid:
         )
         assert ResultStore(cache).verify_all() == []
 
-    def test_box_incomplete_family_names_the_flag(self, capsys, tmp_path):
+    def test_box_incomplete_family_is_refused(self, capsys, tmp_path):
         fam = tmp_path / "x-ymx.json"
         fam.write_text(json.dumps({"num_vars": 2, "terms": ["x0", "x1 - x0"],
                                    "distinct_required": True}))
-        argv = ("avoid", "--family", str(fam), "--colors", "2", "--n", "2")
-        assert run(capsys, *argv) == (
-            2, "", "error: variables [1] are not bounded by any all-positive term; a box-"
-                   "relative search needs allow_box_relative=True (avoid --box-relative)\n")
-        code, out, _ = run(capsys, *argv, "--box-relative")
-        assert code == 0 and "note: box-relative certificate" in out
+        cache = tmp_path / "store.jsonl"
+        for argv in (["avoid", "--n", "2"], ["avoid", "--n", "2", "--greedy", "first-fit"],
+                     ["threshold", "--max-n", "2"]):
+            assert run(capsys, *argv, "--family", str(fam), "--colors", "2",
+                       "--cache", str(cache)) == (
+                2, "", "error: variables [1] are not bounded by any all-positive term, "
+                       "so [1..N] does not hold every instance\n")
+        assert not cache.exists()
 
 
 class TestThreshold:

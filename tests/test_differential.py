@@ -1,0 +1,87 @@
+"""A seeded random-family differential: the engines against the naive oracles.
+
+The families are drawn once from a fixed seed: 1-3 variables and 1-3 random
+terms of degree <= 2 with coefficients in {-2..3}, half of them with the bare
+variables added (which makes them box-complete) and 30 % requiring distinct
+values.  Each check walks every family and names the first one that differs.
+A family found failing here becomes a named regression case elsewhere.
+"""
+
+import itertools
+import random
+
+import pytest
+
+from ramseykit.bruteforce import naive_avoiding_canonical, naive_count_witnesses, naive_instances
+from ramseykit.coloring import Coloring
+from ramseykit.families import PatternFamily
+from ramseykit.polynomials import IntPoly
+from ramseykit.search import (
+    IncompleteBoxError,
+    exists_avoiding,
+    find_all_avoiding,
+    greedy_avoider,
+    threshold,
+)
+from ramseykit.witnesses import count_witnesses, enumerate_instances
+
+SEED = 20261020
+FAMILY_COUNT = 300
+
+
+def random_family(rng: random.Random) -> PatternFamily:
+    num_vars = rng.randint(1, 3)
+    monomials = [e for e in itertools.product(range(3), repeat=num_vars) if sum(e) <= 2]
+    terms = []
+    for _ in range(rng.randint(1, 3)):
+        picked = rng.sample(monomials, rng.randint(1, min(3, len(monomials))))
+        terms.append(IntPoly(num_vars, {e: rng.randint(-2, 3) for e in picked}))
+    if rng.random() < 0.5:
+        terms += [IntPoly.var(num_vars, i) for i in range(num_vars)]
+    return PatternFamily(num_vars, tuple(terms), distinct_required=rng.random() < 0.3)
+
+
+_rng = random.Random(SEED)
+FAMILIES = [random_family(_rng) for _ in range(FAMILY_COUNT)]
+COMPLETE = [f for f in FAMILIES if f.box_complete()]
+INCOMPLETE = [f for f in FAMILIES if not f.box_complete()]
+
+
+def test_both_kinds_are_drawn():
+    assert len(COMPLETE) >= FAMILY_COUNT // 4 and len(INCOMPLETE) >= FAMILY_COUNT // 4
+
+
+@pytest.mark.parametrize("n", [1, 3, 7, 12])
+def test_enumerate_instances_matches_naive(n):
+    for fam in FAMILIES:
+        got = [(i.assignment, i.term_values) for i in enumerate_instances(fam, n)]
+        assert got == naive_instances(fam, n), str(fam)
+
+
+def test_count_witnesses_matches_naive():
+    rng = random.Random(SEED + 1)
+    for fam in FAMILIES:
+        for _ in range(2):
+            n, r = rng.randint(1, 12), rng.randint(1, 3)
+            chi = Coloring.random_uniform(n, r, rng.randrange(1 << 30))
+            assert count_witnesses(fam, chi) == naive_count_witnesses(fam, chi), (str(fam), chi)
+
+
+def test_searches_match_naive_on_box_complete_families():
+    rng = random.Random(SEED + 2)
+    for fam in COMPLETE:
+        r, n = rng.randint(1, 3), rng.randint(1, 7)
+        canonical = naive_avoiding_canonical(fam, r, n)
+        cert = exists_avoiding(fam, r, n)
+        got = None if cert is None else tuple(cert.coloring.colors.tolist())
+        assert got == (canonical[0] if canonical else None), (str(fam), r, n)
+        for strategy in ("first-fit", "random"):
+            cert = greedy_avoider(fam, r, n, strategy, seed=rng.randrange(1 << 30), restarts=4)
+            assert cert is None or naive_count_witnesses(fam, cert.coloring) == 0, str(fam)
+
+
+@pytest.mark.parametrize("search", [exists_avoiding, threshold, find_all_avoiding, greedy_avoider])
+def test_searches_refuse_box_incomplete_families(search):
+    for fam in INCOMPLETE:
+        with pytest.raises(IncompleteBoxError):
+            search(fam, 2, 5)

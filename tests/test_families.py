@@ -161,6 +161,13 @@ class TestPresets:
             preset_family(name, k)
         assert str(info.value) == message
 
+    @pytest.mark.parametrize("spec", ["schur:7", "xyxy:2", "x_xp1:5", "x_y_3xmy:1", "schur:0"])
+    def test_rejects_k_it_does_not_take(self, spec):
+        name, _, k = spec.partition(":")
+        with pytest.raises(ValueError) as info:
+            preset_from_string(spec)
+        assert str(info.value) == f"preset '{name}' takes no parameter, got {k}"
+
     def test_geometric_terms(self):
         assert preset_family("geometric", 2).canonical_texts() == ("x0", "x0*x1", "x0*x1^2")
 
@@ -169,7 +176,9 @@ class TestPresets:
 
     def test_preset_from_string(self):
         assert preset_from_string("vdw:3") == preset_family("vdw", 3)
-        assert preset_from_string("schur") == preset_family("schur")
+        assert preset_from_string("geometric:2") == preset_family("geometric", 2)
+        for name in ("schur", "x_xp1", "x_y_3xmy", "xyxy"):
+            assert preset_from_string(name) == preset_family(name)
         with pytest.raises(ValueError):
             preset_from_string("vdw:x")
         with pytest.raises(ValueError):
@@ -231,11 +240,9 @@ class TestPrefixProductFamily:
         assert str(info.value) == "function 'x0' should have 1 variables"
 
     def test_rejects_constant_function_without_variables(self):
-        # prefix_product_family parses every function with at least one
-        # variable, so only a direct call reaches this case
         with pytest.raises(ValueError) as info:
-            families._check_vanishes_in_last_var(IntPoly.const(0, 3))
-        assert str(info.value) == "'3' has no variables, so its constant term cannot vanish"
+            prefix_product_family([[IntPoly.const(0, 3)]])
+        assert str(info.value) == "function '3' should have 1 variables"
 
     def test_rejects_no_function_sets(self):
         with pytest.raises(ValueError, match="s must be >= 1"):

@@ -103,17 +103,17 @@ class TestExistsAvoiding:
         assert exists_avoiding(preset_family("schur"), 2, 5) is None
         assert exists_avoiding(preset_family("xyxy"), 2, 4) is None
 
-    def test_box_incomplete_rejected_by_default(self):
+    def test_box_incomplete_rejected(self):
         fam = PatternFamily.from_texts(2, ["x0", "x0 - x1"])
         with pytest.raises(IncompleteBoxError):
             exists_avoiding(fam, 2, 10)
 
-    def test_box_relative_stamps_certificate(self):
-        fam = PatternFamily.from_texts(2, ["x0", "x0 - x1"])  # avoided at N=2, not N=3
-        for cert in (exists_avoiding(fam, 2, 2, allow_box_relative=True),
-                     greedy_avoider(fam, 2, 2)):
-            assert cert.box_relative
+    def test_box_relative_only_by_hand(self):
+        # no search makes a box-relative certificate; one built by hand is one
+        fam = PatternFamily.from_texts(2, ["x0", "x0 - x1"])
+        assert AvoidCertificate(fam, Coloring.from_sequence([1, 2], 2)).box_relative
         assert not exists_avoiding(preset_family("schur"), 2, 4).box_relative
+        assert not greedy_avoider(preset_family("x_xp1"), 2, 20).box_relative
 
     def test_budget_raises(self):
         with pytest.raises(SearchBudgetExceeded):
@@ -526,8 +526,8 @@ SEARCHES = {
 
 
 class TestAdmission:
-    """The exhaustive searches refuse r < 1, N < 1 and box-incomplete
-    families alike (greedy_avoider accepts the last: TestExistsAvoiding)."""
+    """The exhaustive searches refuse r < 1 and N < 1 alike, and every search
+    refuses a box-incomplete family with the same error."""
 
     @pytest.mark.parametrize("name", SEARCHES)
     @pytest.mark.parametrize("r, n", [(0, 3), (2, 0), (-1, -1)])
@@ -535,19 +535,19 @@ class TestAdmission:
         with pytest.raises(ValueError, match="need r >= 1 and n >= 1"):
             SEARCHES[name](preset_family("schur"), r, n)
 
-    @pytest.mark.parametrize("name", SEARCHES)
-    def test_box_incomplete(self, name):
+    @pytest.mark.parametrize("search", [*SEARCHES.values(), greedy_avoider],
+                             ids=lambda f: f.__name__)
+    def test_box_incomplete(self, search):
         with pytest.raises(IncompleteBoxError) as info:
-            SEARCHES[name](X_YMX, 2, 2)
-        assert str(info.value) == (
-            "variables [1] are not bounded by any all-positive term; a box-relative "
-            "search needs allow_box_relative=True (avoid --box-relative)")
+            search(X_YMX, 2, 2)
+        assert str(info.value) == ("variables [1] are not bounded by any all-positive term, "
+                                   "so [1..N] does not hold every instance")
 
 
 class TestCertificates:
     def test_box_relative_flag_must_match_family(self):
         # the {x, y - x} avoider at N=2 is box-relative, the schur one at N=4 is not
-        incomplete = exists_avoiding(X_YMX, 2, 2, allow_box_relative=True)
+        incomplete = AvoidCertificate(X_YMX, Coloring.solid(2, r=2))
         complete = exists_avoiding(preset_family("schur"), 2, 4)
         for cert, flag, no in [(incomplete, "false", "not "), (complete, "true", "")]:
             data = cert.to_json()
@@ -577,7 +577,7 @@ class TestCertificates:
             AvoidCertificate.from_json(data)
 
     def test_fields_are_read_off_the_coloring(self):
-        cert = exists_avoiding(X_YMX, 2, 2, allow_box_relative=True)
+        cert = AvoidCertificate(X_YMX, Coloring.solid(2, r=2))
         assert (cert.n, cert.r, cert.rle, cert.box_relative) == (2, 2, [[1, 2]], True)
         assert cert.rle == cert.coloring.to_rle()
 

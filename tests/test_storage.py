@@ -19,7 +19,7 @@ from ramseykit.cli import main
 from ramseykit.coloring import Coloring
 from ramseykit.families import PatternFamily, preset_family, reduction_family
 from ramseykit.reduction import QuadSolution, quadratic_setup, verify_quad_solution
-from ramseykit.search import exists_avoiding, threshold
+from ramseykit.search import AvoidCertificate, exists_avoiding, threshold
 from ramseykit.storage import (
     ResultRecord,
     ResultStore,
@@ -611,9 +611,9 @@ X_YMX = PatternFamily.from_texts(2, ["x0", "x1 - x0"], "x-ymx", distinct_require
 
 
 def box_relative_record(family, flag):
-    """An avoiding record of the family at N=2, r=2, filed under box_relative
-    flag whatever its family is."""
-    cert = exists_avoiding(family, 2, 2, allow_box_relative=True)
+    """An avoiding record of the family at N=2, r=2 (the colouring 1, 2, which
+    avoids schur and X_YMX), filed under box_relative flag whatever its family is."""
+    cert = AvoidCertificate(family, Coloring.from_sequence([1, 2], 2))
     return ResultRecord("avoiding", family.fingerprint(), {"n": 2, "r": 2, "box_relative": flag},
                         dict(cert.to_json(), box_relative=flag), {})
 
@@ -758,7 +758,8 @@ class TestEarlierStore:
     each with --cache; c12.txt and c200.txt are Coloring.random_uniform(12, 2, 3)
     and (200, 2, 5), solid6.txt Coloring.solid(6), and x-ymx.json the family
     {x0, x1 - x0} with distinct values.  tests/golden/store.list is its
-    `cache list` output."""
+    `cache list` output.  `avoid --box-relative` is gone since, and no search
+    makes a box-relative avoider now; the stored one is still read and served."""
 
     PATH = str(GOLDEN / "store.jsonl")
 

@@ -1,12 +1,14 @@
 """Snapshot of the public surface: the package's ``__all__``, the field names
-of its exported dataclasses, and the option strings of every CLI subcommand.
+of its exported dataclasses, the parameters of its exported functions, and
+the option strings of every CLI subcommand.
 
-Adding or removing a public name, a field or a flag means editing this file,
-so the change shows in review; a removal is also named in CHANGES.md.
+Adding or removing a public name, a field, a parameter or a flag means editing
+this file, so the change shows in review; a removal is also named in CHANGES.md.
 """
 
 import argparse
 import dataclasses
+import inspect
 
 import ramseykit
 from ramseykit import cli
@@ -17,7 +19,7 @@ PUBLIC_NAMES = [
     "PRESET_NAMES", "PatternFamily", "QuadSolution", "ReductionData", "ResultRecord",
     "ResultStore", "SearchBudgetExceeded", "SearchStats", "StoreVerificationError",
     "ThresholdResult", "VerifyResult", "Witness", "__version__",
-    "count_witnesses", "enumerate_instances", "enumeration_complete", "exists_avoiding",
+    "count_witnesses", "enumerate_instances", "exists_avoiding",
     "exp_lift", "find_all_avoiding", "find_witness", "greedy_avoider", "iter_witnesses",
     "lift_coloring", "make_provenance", "parse_poly", "prefix_product_family",
     "preset_family", "preset_from_string", "quadratic_setup",
@@ -43,8 +45,37 @@ DATACLASS_FIELDS = {
     "Witness": ["assignment", "term_values", "color"],
 }
 
+# each parameter's name, kind (the / and * markers) and default; annotations left out
+FUNCTION_SIGNATURES = {
+    "count_witnesses": "(family, coloring, *, distinct=None, box=None)",
+    "enumerate_instances": "(family, n, box=None)",
+    "exists_avoiding": "(family, r, n, *, jobs=1, max_nodes=None, time_limit=None, stats=None)",
+    "exp_lift": "(chi, base)",
+    "find_all_avoiding": "(family, r, n)",
+    "find_witness": "(family, coloring, *, distinct=None, box=None)",
+    "greedy_avoider": "(family, r, n, strategy='first-fit', *, seed=0, restarts=32)",
+    "iter_witnesses": "(family, coloring, *, distinct=None, box=None)",
+    "lift_coloring": "(chi, b)",
+    "make_provenance": "()",
+    "parse_poly": "(text, num_vars=None)",
+    "prefix_product_family": "(function_sets, name=None)",
+    "preset_family": "(name, k=None)",
+    "preset_from_string": "(spec)",
+    "quadratic_setup": "(c)",
+    "reduction_family": "(u, name=None)",
+    "run_construction": "(coloring, *, y_max=None, size_floor=1, max_rounds=None)",
+    "solution_to_json": "(rd, sol)",
+    "solve_quadratic": "(c, chi, search_box=None)",
+    "threshold": "(family, r, max_n, *, jobs=1, max_nodes=None, time_limit=None)",
+    "verify_certificate": "(cert)",
+    "verify_quad_solution": "(c, chi, sol)",
+    "verify_witness": "(family, coloring, witness, *, distinct=None)",
+    "witness_from_json": "(data)",
+    "witness_to_json": "(family, coloring, witness)",
+}
+
 SUBCOMMAND_OPTIONS = {
-    "avoid": ["--box-relative", "--cache", "--certificate", "--colors", "--family",
+    "avoid": ["--cache", "--certificate", "--colors", "--family",
               "--greedy", "--max-nodes", "--n", "--restarts", "--seed", "--time-limit"],
     "cache": ["--cache"],
     "construct": ["--cache", "--coloring", "--max-rounds", "--size-floor", "--trace",
@@ -90,6 +121,16 @@ def test_dataclass_fields():
         if dataclasses.is_dataclass(obj := getattr(ramseykit, name))
     }
     assert found == DATACLASS_FIELDS
+
+
+def test_function_signatures():
+    found = {}
+    for name in ramseykit.__all__:
+        if inspect.isfunction(fn := getattr(ramseykit, name)):
+            sig = inspect.signature(fn)
+            params = [p.replace(annotation=p.empty) for p in sig.parameters.values()]
+            found[name] = str(sig.replace(parameters=params, return_annotation=sig.empty))
+    assert found == FUNCTION_SIGNATURES
 
 
 def test_subcommand_options():

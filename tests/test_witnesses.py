@@ -19,7 +19,6 @@ from ramseykit.witnesses import (
     Witness,
     count_witnesses,
     enumerate_instances,
-    enumeration_complete,
     find_witness,
     iter_witnesses,
     verify_witness,
@@ -85,13 +84,6 @@ class TestEnumerateInstances:
         with pytest.raises(ValueError) as info:
             list(enumerate_instances(preset_family("schur"), 0))
         assert str(info.value) == "N must be >= 1"
-
-    def test_enumeration_complete(self):
-        assert enumeration_complete(preset_family("schur"), 10)
-        # a shrunken box can miss admissible assignments
-        assert not enumeration_complete(preset_family("schur"), 10, box=5)
-        # negative coefficients leave x1 unbounded by term admissibility
-        assert not enumeration_complete(PatternFamily.from_texts(2, ["x0", "x0 - x1"]), 10)
 
 
 class TestFindAndIterate:
