@@ -24,7 +24,6 @@ from .families import (
     PRESET_NAMES,
     PatternFamily,
     prefix_product_family,
-    preset_family,
     preset_from_string,
     reduction_family,
 )
@@ -220,7 +219,7 @@ def cmd_avoid(args) -> int:
     if args.certificate:
         Path(args.certificate).write_text(json.dumps(payload, indent=2))
         print(f"certificate written to {args.certificate}")
-    params = {"n": cert.n, "r": cert.r, "box_relative": cert.box_relative}
+    params = {"n": cert.n, "r": cert.r, "box_relative": False}
     _persist(args, "avoiding", fam.fingerprint(), params, payload)
     return 0
 
@@ -283,13 +282,6 @@ def cmd_construct(args) -> int:
     if args.trace:
         Path(args.trace).write_text(json.dumps(trace.to_json(), indent=2))
         print(f"trace written to {args.trace}")
-    _persist(
-        args,
-        "construction",
-        preset_family("xyxy").fingerprint(),
-        {"n": trace.n, "r": trace.r, **trace.params},
-        trace.to_json(),
-    )
     if trace.ok:
         x, y = trace.witness.assignment
         vals = ", ".join(str(v) for v in trace.witness.term_values)
@@ -307,9 +299,10 @@ def cmd_reduce(args) -> int:
     except DegenerateCoefficientsError as exc:
         print(f"degenerate coefficients: {exc}")
         return 1
+    # a bad --box is refused before anything is printed
+    sol = solve_quadratic(c, chi, search_box=parse_box_arg(args.box))
     print("u = (" + ", ".join(str(v) for v in rd.u) + ")")
     print(f"b = {rd.b}")
-    sol = solve_quadratic(c, chi, search_box=parse_box_arg(args.box))
     if sol is None:
         print("no solution found within the lifted search range")
         return 1
@@ -434,7 +427,7 @@ def build_parser() -> argparse.ArgumentParser:
     th.add_argument("--max-n", type=int, required=True)
     th.set_defaults(func=cmd_threshold)
 
-    co = sub.add_parser("construct", parents=[cache],
+    co = sub.add_parser("construct",
                         help="run the shift-intersect-dilate rounds on a coloring")
     co.add_argument("--coloring", required=True)
     co.add_argument("--y-max", type=int, default=None)

@@ -269,10 +269,11 @@ def preset_family(name: str, k: int | None = None) -> PatternFamily:
 
 
 def preset_from_string(spec: str) -> PatternFamily:
-    """Parse 'schur', 'vdw:3', 'geometric:2', ... into the named family."""
-    name, _, karg = spec.partition(":")
+    """Parse 'schur', 'vdw:3', 'geometric:2', ... into the named family; a
+    parameter after ':' must be an integer, so 'schur:' is refused."""
+    name, colon, karg = spec.partition(":")
     k = None
-    if karg:
+    if colon:
         try:
             k = int(karg)
         except ValueError:

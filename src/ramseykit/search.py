@@ -90,8 +90,8 @@ class SearchStats:
 @dataclass
 class AvoidCertificate:
     """An avoiding coloring of a family, self-contained for re-verification.
-    The searches make one only for a box-complete family; box_relative (only
-    [1..n]^s is covered) holds for one built by hand or read from an old store."""
+    The searches make one only for a box-complete family, and only such a
+    certificate is read back, so it rules out every instance in [1..n]."""
 
     family: PatternFamily
     coloring: Coloring
@@ -108,10 +108,6 @@ class AvoidCertificate:
     def rle(self) -> list[list[int]]:
         return self.coloring.to_rle()
 
-    @property
-    def box_relative(self) -> bool:
-        return not self.family.box_complete()
-
     def to_json(self) -> dict:
         return {
             "family_name": self.family.name,
@@ -121,22 +117,24 @@ class AvoidCertificate:
             "r": self.r,
             "coloring_rle": self.rle,
             "verified": True,  # the package writes only the certificates _certify checked
-            "box_relative": self.box_relative,
+            "box_relative": False,  # kept so that certificate files keep their form
         }
 
     @classmethod
     def from_json(cls, data: dict) -> "AvoidCertificate":
         """The certificate a JSON object holds: ValueError unless n and r are JSON
-        integers, the runs decode (Coloring.from_rle), the flags are JSON booleans
-        and box_relative is "not box-complete".  "verified" is never trusted."""
+        integers, the runs decode (Coloring.from_rle), the flags are JSON booleans,
+        box_relative is false and the family is box-complete.  "verified" is
+        never trusted."""
         family = PatternFamily.from_json(data["family"])
         coloring = Coloring.from_rle(_json_int(data["n"], "certificate 'n'"),
                                      _json_int(data["r"], "certificate 'r'"), data["coloring_rle"])
         _json_bool(data.get("verified", False), "certificate 'verified'")
-        box_relative = _json_bool(data.get("box_relative", False), "certificate 'box_relative'")
-        if box_relative == family.box_complete():
-            raise ValueError(f"certificate has box_relative={str(box_relative).lower()} for "
-                             f"a family that is {'' if box_relative else 'not '}box-complete")
+        if _json_bool(data.get("box_relative", False), "certificate 'box_relative'"):
+            raise ValueError("box-relative certificate: only whole-box certificates are read")
+        if not family.box_complete():
+            raise ValueError("certificate's family is not box-complete, so [1..n] does not "
+                             "hold every instance")
         return cls(family, coloring)
 
 
@@ -343,8 +341,8 @@ class _Search:
 
 
 def _budget(max_nodes: int | None, time_limit: float | None) -> tuple[float, float]:
-    """(node cap, deadline) of a search; a budget of 0 is valid, a negative one is not."""
-    if (max_nodes or 0) < 0 or (time_limit or 0) < 0:
+    """(node cap, deadline) of a search; a budget of 0 is valid, a negative or NaN one is not."""
+    if not ((max_nodes or 0) >= 0 and (time_limit or 0) >= 0):
         raise ValueError(f"need budgets >= 0 (max_nodes={max_nodes}, time_limit={time_limit})")
     cap = float("inf") if max_nodes is None else max_nodes
     return cap, float("inf") if time_limit is None else time.monotonic() + time_limit
@@ -479,7 +477,8 @@ def greedy_avoider(
 def verify_certificate(cert: AvoidCertificate) -> bool:
     """Recompute the zero-witness claim: True when no admissible instance is
     monochromatic under the certificate's coloring.  AvoidCertificate.from_json
-    checks its runs and its box_relative flag where a certificate is read.
+    checks its runs, and that its family is box-complete, where a certificate
+    is read.
 
     The recount runs the search's own instance enumerator, and for a small
     (family, N) the chunks it cached (witnesses._small_stream); a checker

@@ -7,23 +7,26 @@ Appends take an exclusive flock on a sidecar lock file, so concurrent
 processes sharing a cache cannot interleave partial lines.  The lock file is
 only the flock's target: nothing reads or writes its contents.
 
+Four kinds are kept: witness, avoiding, threshold and reduction; a line of
+any other kind (a construction trace, say) is quarantined.
+
 Trust model: a record is verified by recomputation before it is written, by
 verify_all() over every stored line, and by lookup() on what it serves (the
 latest match that passes; failing ones are skipped).  Its fingerprint must be
-its family's (the embedded one; {x, x+y, xy} for a construction; the family
-of u for a reduction) and its params (r, n, box_relative, c) must agree with
-its payload.  A certificate (an avoider's, a threshold's) is read one way:
-AvoidCertificate.from_json, which decodes its runs and refuses a box_relative
-flag that is not "not box-complete", the fingerprint check, verify_certificate
-("verified" is never trusted).  A threshold above 1 needs the certificate of
-[1..value-1] in its r colors, exact or not, as that avoider proves T >= value
-(that T is not larger stays unchecked); a threshold of 1 needs none.  A
-witness runs _check_instance (verify_witness without colors, under the
-distinct flag it is filed with) and a color range check, a reduction the u and
-b that quadratic_setup derives from its c, _check_solution (verify_quad_solution
-without domain and colors) and the decoding of its a from its source witness,
-and a construction an x/y range check.  No coloring is stored, so the colors
-of witnesses and reductions, and the witness box, stay unchecked.
+its family's (the embedded one; the family of u for a reduction) and its
+params (r, n, box_relative, c) must agree with its payload; box_relative is
+always false.  A certificate (an avoider's, a threshold's) is read one way:
+AvoidCertificate.from_json, which decodes its runs and refuses a box-relative
+certificate or a family that is not box-complete, the fingerprint check,
+verify_certificate ("verified" is never trusted).  A threshold above 1 needs
+the certificate of [1..value-1] in its r colors, exact or not, as that avoider
+proves T >= value (that T is not larger stays unchecked); a threshold of 1
+needs none.  A witness runs _check_instance (verify_witness without colors,
+under the distinct flag it is filed with) and a color range check, a reduction
+the u and b that quadratic_setup derives from its c, _check_solution
+(verify_quad_solution without domain and colors) and the decoding of its a
+from its source witness.  No coloring is stored, so the colors of witnesses
+and reductions, and the witness box, stay unchecked.
 records() validates structure only, quarantining lines that fail instead of
 raising, so one corrupt line cannot poison the rest of the cache.
 
@@ -61,7 +64,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 from typing import NamedTuple
 
-from .families import _json_bool, _json_int, _json_ints, preset_family, reduction_family
+from .families import _json_bool, _json_int, _json_ints, reduction_family
 from .reduction import _check_solution, quadratic_setup
 from .search import AvoidCertificate, verify_certificate
 from .witnesses import _check_instance, witness_from_json
@@ -75,7 +78,7 @@ __all__ = [
     "make_provenance",
 ]
 
-RECORD_KINDS = ("witness", "avoiding", "threshold", "construction", "reduction")
+RECORD_KINDS = ("witness", "avoiding", "threshold", "reduction")
 
 
 class StoreVerificationError(ValueError):
@@ -267,7 +270,7 @@ def _verify_payload(record: ResultRecord) -> None:
                 raise ValueError("color out of range")
         elif kind == "avoiding":
             cert = _read_certificate(record, payload)
-            _check_params(record, n=cert.n, r=cert.r, box_relative=cert.box_relative)
+            _check_params(record, n=cert.n, r=cert.r, box_relative=False)
         elif kind == "threshold":
             value = _json_int(payload["value"], "'value'")
             _json_bool(payload["exact"], "'exact'")  # threshold --cache reads it
@@ -287,17 +290,6 @@ def _verify_payload(record: ResultRecord) -> None:
                     raise ValueError(f"certificate has r={cert.r}, the payload r={r}")
                 if cert.n != value - 1:
                     raise ValueError(f"certificate colors [1..{cert.n}], expected [1..{value - 1}]")
-        elif kind == "construction":
-            _check_fingerprint(record, payload, preset_family("xyxy"), "{x, x+y, xy} family")
-            w = payload.get("witness")
-            if payload.get("failure_reason") is None and w is None:
-                raise ValueError("trace claims success but has no witness")
-            _check_params(record, n=payload.get("n"), r=payload.get("r"))
-            if w is not None:
-                x, y = _json_int(w["x"], "witness 'x'"), _json_int(w["y"], "witness 'y'")
-                n = _json_int(payload["n"], "'n'")
-                if x < 1 or y < 1 or x + y > n or x * y > n:
-                    raise ValueError("witness values do not fit in [1..n]")
         elif kind == "reduction":
             c = _json_ints(payload["c"], "'c'")
             _check_params(record, c=c)

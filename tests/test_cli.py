@@ -162,6 +162,11 @@ class TestFamily:
         assert run(capsys, "family", "show", "--preset", spec) == (
             2, "", f"error: preset '{name}' takes no parameter, got {k}\n")
 
+    @pytest.mark.parametrize("spec", ["schur:", "vdw:", "geometric:"])
+    def test_preset_given_an_empty_parameter(self, capsys, spec):
+        assert run(capsys, "family", "show", "--preset", spec) == (
+            2, "", f"error: bad preset parameter in '{spec}'\n")
+
 
 class TestWitness:
     def test_single(self, capsys, solid6):
@@ -386,26 +391,28 @@ class TestConstruct:
     def test_out_of_range_parameters_are_input_errors(
         self, capsys, solid6, tmp_path, flag, value, says
     ):
-        trace_path, cache = tmp_path / "trace.json", tmp_path / "store.jsonl"
+        trace_path = tmp_path / "trace.json"
         code, out, err = run(
-            capsys, "construct", "--coloring", solid6, flag, value,
-            "--trace", str(trace_path), "--cache", str(cache),
+            capsys, "construct", "--coloring", solid6, flag, value, "--trace", str(trace_path),
         )
         assert code == 2 and out == ""
         assert err == f"error: {says}\n"
-        assert not trace_path.exists() and not cache.exists()
+        assert not trace_path.exists()
 
     def test_trace_file_and_cache(self, capsys, solid6, tmp_path):
+        # the trace is written to --trace; the store keeps no construction,
+        # so --cache is a usage error that writes neither file
         trace_path = tmp_path / "trace.json"
         cache = tmp_path / "store.jsonl"
-        code, out, _ = run(
-            capsys, "construct", "--coloring", solid6,
-            "--trace", str(trace_path), "--cache", str(cache),
-        )
+        code, out, _ = run(capsys, "construct", "--coloring", solid6, "--trace", str(trace_path))
         assert code == 0 and f"trace written to {trace_path}" in out
         data = json.loads(trace_path.read_text())
         assert data["witness"]["x"] == 1 and data["witness"]["y"] == 1
-        assert ResultStore(cache).verify_all() == []
+        trace_path.unlink()
+        code, out, err = run(capsys, "construct", "--coloring", solid6,
+                             "--trace", str(trace_path), "--cache", str(cache))
+        assert code == 2 and out == "" and "unrecognized arguments: --cache" in err
+        assert not trace_path.exists() and not cache.exists()
 
 
 class TestReduce:
@@ -493,6 +500,19 @@ class TestReduce:
         data = json.loads(out_path.read_text())
         assert data["a"] == [8, 3, 1] and data["b"] == 4
         assert ResultStore(cache).verify_all() == []
+
+    @pytest.mark.parametrize("box, says", [
+        ("x", "invalid literal for int() with base 10: 'x'"),
+        ("5:2", "box needs 2 entries, got 1"),
+        ("1,2,3", "box needs 2 entries, got 3"),
+        ("0:5,1:5", "box lower bounds must be >= 1 (assignments are positive)"),
+    ])
+    def test_bad_box_refused_before_any_output(self, capsys, solid200, tmp_path, box, says):
+        out_path, cache = tmp_path / "sol.json", tmp_path / "store.jsonl"
+        code, out, err = run(capsys, "reduce", "--coeffs", "1,-1", "--coloring", solid200,
+                             "--box", box, "--out", str(out_path), "--cache", str(cache))
+        assert (code, out, err) == (2, "", f"error: {says}\n")
+        assert not out_path.exists() and not cache.exists()
 
 
 class TestLiftExp:
@@ -677,6 +697,10 @@ class TestExitCodes:
         ["threshold", "--family", "schur", "--colors", "3", "--max-n", "20",
          "--time-limit", "-1"],
         ["avoid", "--family", "schur", "--colors", "3", "--n", "13", "--max-nodes", "-3"],
+        # NaN compares false with everything: a test of "< 0" alone lets it through as no limit
+        ["threshold", "--family", "schur", "--colors", "2", "--max-n", "10",
+         "--time-limit", "nan"],
+        ["avoid", "--family", "schur", "--colors", "2", "--n", "4", "--time-limit", "nan"],
     ])
     def test_negative_budget_is_an_input_error(self, capsys, tmp_path, argv):
         cache = tmp_path / "store.jsonl"
@@ -712,6 +736,7 @@ class TestExitCodes:
         ["family", "show", "--preset", "schur", "--seed", "1"],
         ["avoid", "--family", "schur", "--colors", "2", "--n", "4", "--out", "x.json"],
         ["construct", "--coloring", "c.txt", "--out", "x.json"],
+        ["construct", "--coloring", "c.txt", "--cache", "s.jsonl"],
         ["cache", "list", "--cache", "s.jsonl", "--out", "x.json"],
         ["family", "show", "--preset", "schur", "--cache", "s.jsonl"],
         ["family", "prefix-product", "--functions", "f.json", "--cache", "s.jsonl"],

@@ -1,10 +1,13 @@
 """A seeded random-family differential: the engines against the naive oracles.
 
-The families are drawn once from a fixed seed: 1-3 variables and 1-3 random
-terms of degree <= 2 with coefficients in {-2..3}, half of them with the bare
-variables added (which makes them box-complete) and 30 % requiring distinct
-values.  Each check walks every family and names the first one that differs.
-A family found failing here becomes a named regression case elsewhere.
+The families are drawn once from fixed seeds: 1-3 variables and 1-3 random
+terms of degree <= 2, half of them with the bare variables added (which makes
+them box-complete) and 30 % requiring distinct values.  The first 300 take
+their coefficients from {-2..3}, and most of them admit no instance in a small
+box, since a term with a negative coefficient is rarely positive; 150 more take
+them from {0..3}, so that most of those do.  Each check walks every family and
+names the first one that differs.  A family found failing here becomes a named
+regression case elsewhere.
 """
 
 import itertools
@@ -27,28 +30,36 @@ from ramseykit.witnesses import count_witnesses, enumerate_instances
 
 SEED = 20261020
 FAMILY_COUNT = 300
+NONNEGATIVE_COUNT = 150
 
 
-def random_family(rng: random.Random) -> PatternFamily:
+def random_family(rng: random.Random, low: int = -2) -> PatternFamily:
     num_vars = rng.randint(1, 3)
     monomials = [e for e in itertools.product(range(3), repeat=num_vars) if sum(e) <= 2]
     terms = []
     for _ in range(rng.randint(1, 3)):
         picked = rng.sample(monomials, rng.randint(1, min(3, len(monomials))))
-        terms.append(IntPoly(num_vars, {e: rng.randint(-2, 3) for e in picked}))
+        terms.append(IntPoly(num_vars, {e: rng.randint(low, 3) for e in picked}))
     if rng.random() < 0.5:
         terms += [IntPoly.var(num_vars, i) for i in range(num_vars)]
     return PatternFamily(num_vars, tuple(terms), distinct_required=rng.random() < 0.3)
 
 
-_rng = random.Random(SEED)
-FAMILIES = [random_family(_rng) for _ in range(FAMILY_COUNT)]
+_rng, _nonnegative = random.Random(SEED), random.Random(SEED + 3)
+FAMILIES = ([random_family(_rng) for _ in range(FAMILY_COUNT)]
+            + [random_family(_nonnegative, 0) for _ in range(NONNEGATIVE_COUNT)])
 COMPLETE = [f for f in FAMILIES if f.box_complete()]
 INCOMPLETE = [f for f in FAMILIES if not f.box_complete()]
 
 
 def test_both_kinds_are_drawn():
     assert len(COMPLETE) >= FAMILY_COUNT // 4 and len(INCOMPLETE) >= FAMILY_COUNT // 4
+
+
+def test_most_families_have_instances():
+    # otherwise the comparisons below mostly compare empty with empty
+    have = [next(iter(enumerate_instances(fam, 12)), None) is not None for fam in FAMILIES]
+    assert sum(have) >= len(FAMILIES) // 2
 
 
 @pytest.mark.parametrize("n", [1, 3, 7, 12])
@@ -69,15 +80,18 @@ def test_count_witnesses_matches_naive():
 
 def test_searches_match_naive_on_box_complete_families():
     rng = random.Random(SEED + 2)
+    answers = {True: 0, False: 0}  # found an avoider, or showed there is none
     for fam in COMPLETE:
         r, n = rng.randint(1, 3), rng.randint(1, 7)
         canonical = naive_avoiding_canonical(fam, r, n)
         cert = exists_avoiding(fam, r, n)
         got = None if cert is None else tuple(cert.coloring.colors.tolist())
         assert got == (canonical[0] if canonical else None), (str(fam), r, n)
+        answers[cert is not None] += 1
         for strategy in ("first-fit", "random"):
             cert = greedy_avoider(fam, r, n, strategy, seed=rng.randrange(1 << 30), restarts=4)
             assert cert is None or naive_count_witnesses(fam, cert.coloring) == 0, str(fam)
+    assert min(answers.values()) >= len(COMPLETE) // 10, answers
 
 
 @pytest.mark.parametrize("search", [exists_avoiding, threshold, find_all_avoiding, greedy_avoider])

@@ -168,6 +168,12 @@ class TestPresets:
             preset_from_string(spec)
         assert str(info.value) == f"preset '{name}' takes no parameter, got {k}"
 
+    @pytest.mark.parametrize("spec", ["schur:", "vdw:", "geometric:", "xyxy:"])
+    def test_rejects_empty_parameter(self, spec):
+        with pytest.raises(ValueError) as info:
+            preset_from_string(spec)
+        assert str(info.value) == f"bad preset parameter in {spec!r}"
+
     def test_geometric_terms(self):
         assert preset_family("geometric", 2).canonical_texts() == ("x0", "x0*x1", "x0*x1^2")
 

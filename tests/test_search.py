@@ -109,22 +109,32 @@ class TestExistsAvoiding:
             exists_avoiding(fam, 2, 10)
 
     def test_box_relative_only_by_hand(self):
-        # no search makes a box-relative certificate; one built by hand is one
+        # no search makes a certificate of a box-incomplete family; one built
+        # by hand writes box_relative false like any other, and is not read back
         fam = PatternFamily.from_texts(2, ["x0", "x0 - x1"])
-        assert AvoidCertificate(fam, Coloring.from_sequence([1, 2], 2)).box_relative
-        assert not exists_avoiding(preset_family("schur"), 2, 4).box_relative
-        assert not greedy_avoider(preset_family("x_xp1"), 2, 20).box_relative
+        data = AvoidCertificate(fam, Coloring.from_sequence([1, 2], 2)).to_json()
+        assert data["box_relative"] is False
+        with pytest.raises(ValueError, match="family is not box-complete"):
+            AvoidCertificate.from_json(data)
+        assert exists_avoiding(preset_family("schur"), 2, 4).to_json()["box_relative"] is False
+        assert greedy_avoider(preset_family("x_xp1"), 2, 20).to_json()["box_relative"] is False
 
     def test_budget_raises(self):
         with pytest.raises(SearchBudgetExceeded):
             exists_avoiding(preset_family("schur"), 3, 13, max_nodes=50)
 
-    @pytest.mark.parametrize("budget", [{"max_nodes": -1}, {"time_limit": -1}])
+    # NaN compares false with everything: a test of "< 0" alone lets it through as no limit
+    @pytest.mark.parametrize("budget", [{"max_nodes": -1}, {"time_limit": -1},
+                                        {"time_limit": float("nan")}])
     def test_negative_budget_rejected(self, budget):
         with pytest.raises(ValueError, match="need budgets >= 0"):
             exists_avoiding(preset_family("schur"), 3, 13, **budget)
         with pytest.raises(ValueError, match="need budgets >= 0"):
             threshold(preset_family("schur"), 3, 20, **budget)
+
+    def test_infinite_time_limit_is_no_limit(self):
+        assert threshold(preset_family("schur"), 2, 10, time_limit=float("inf")).describe() == "T = 5"
+        assert exists_avoiding(preset_family("schur"), 2, 4, time_limit=float("inf")) is not None
 
     def test_zero_budget_is_valid(self):
         with pytest.raises(SearchBudgetExceeded):
@@ -546,16 +556,18 @@ class TestAdmission:
 
 class TestCertificates:
     def test_box_relative_flag_must_match_family(self):
-        # the {x, y - x} avoider at N=2 is box-relative, the schur one at N=4 is not
-        incomplete = AvoidCertificate(X_YMX, Coloring.solid(2, r=2))
-        complete = exists_avoiding(preset_family("schur"), 2, 4)
-        for cert, flag, no in [(incomplete, "false", "not "), (complete, "true", "")]:
-            data = cert.to_json()
-            assert verify_certificate(AvoidCertificate.from_json(data))
-            data["box_relative"] = not data["box_relative"]
-            with pytest.raises(ValueError, match=f"certificate has box_relative={flag} for a "
-                                                 f"family that is {no}box-complete"):
-                AvoidCertificate.from_json(data)
+        # only box_relative=false with a box-complete family reads: the schur
+        # avoider at N=4; the {x, y - x} one at N=2 is refused whatever its flag
+        complete = exists_avoiding(preset_family("schur"), 2, 4).to_json()
+        assert verify_certificate(AvoidCertificate.from_json(complete))
+        incomplete = AvoidCertificate(X_YMX, Coloring.solid(2, r=2)).to_json()
+        for data in (complete, incomplete):
+            with pytest.raises(ValueError, match="^box-relative certificate: only whole-box "
+                                                 "certificates are read$"):
+                AvoidCertificate.from_json(dict(data, box_relative=True))
+        with pytest.raises(ValueError, match=r"^certificate's family is not box-complete, so "
+                                             r"\[1\.\.n\] does not hold every instance$"):
+            AvoidCertificate.from_json(incomplete)
 
     def test_tampered_certificate_fails(self):
         cert = exists_avoiding(preset_family("schur"), 2, 4)
@@ -578,7 +590,7 @@ class TestCertificates:
 
     def test_fields_are_read_off_the_coloring(self):
         cert = AvoidCertificate(X_YMX, Coloring.solid(2, r=2))
-        assert (cert.n, cert.r, cert.rle, cert.box_relative) == (2, 2, [[1, 2]], True)
+        assert (cert.n, cert.r, cert.rle) == (2, 2, [[1, 2]])
         assert cert.rle == cert.coloring.to_rle()
 
     def test_verified_is_written_true_and_never_read(self):

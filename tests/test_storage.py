@@ -120,12 +120,16 @@ def write_unverified(store, record):
         fh.write(line + "\n")
 
 
-XYXY_FP = preset_family("xyxy").fingerprint()
 REDUCTION_FP = reduction_family([1, -1]).fingerprint()
+# {x0}: every singleton is an instance, so T = 1 in any number of colors
+SINGLE_FP = PatternFamily.from_texts(1, ["x0"], "singleton").fingerprint()
 
 
-def plain_record(i):
-    return ResultRecord("construction", XYXY_FP, {"i": i}, {"failure_reason": "none"}, {})
+def plain_record(i, **params):
+    """A record filed under params {"i": i}: the threshold T = 1 of {x0}, which
+    needs no certificate, so that it checks in no time."""
+    return ResultRecord("threshold", SINGLE_FP, {"i": i, **params},
+                        {"exact": True, "r": 1, "value": 1}, {})
 
 
 def stored_params(store):
@@ -209,16 +213,16 @@ class TestLineIndexMemo:
         go = store.path.with_name("go")
         script = (
             "import os, sys, time\n"
-            "from ramseykit.families import preset_family\n"
+            "from ramseykit.families import PatternFamily\n"
             "from ramseykit.storage import ResultRecord, ResultStore\n"
-            "fp = preset_family('xyxy').fingerprint()\n"
+            "fp = PatternFamily.from_texts(1, ['x0'], 'singleton').fingerprint()\n"
             "store = ResultStore(sys.argv[1])\n"
             "print('ready', flush=True)\n"
             "while not os.path.exists(sys.argv[3]):\n"
             "    time.sleep(0.001)\n"
             "for i in range(50):\n"
-            "    rec = ResultRecord('construction', fp, {'proc': sys.argv[2], 'i': i},\n"
-            "                       {'failure_reason': 'none'}, {})\n"
+            "    rec = ResultRecord('threshold', fp, {'proc': sys.argv[2], 'i': i},\n"
+            "                       {'exact': True, 'r': 1, 'value': 1}, {})\n"
             "    store.append(rec)\n"
         )
         names = "abcd"[:count]
@@ -349,14 +353,6 @@ def threshold_record(r, max_n=20):
     return ResultRecord("threshold", res.fingerprint, {"r": r}, payload, {})
 
 
-def construction_record():
-    from ramseykit.construction import run_construction
-
-    trace = run_construction(Coloring.solid(6))
-    return ResultRecord("construction", preset_family("xyxy").fingerprint(),
-                        {"n": 6, "r": 1, **trace.params}, trace.to_json(), {})
-
-
 def reduction_record():
     payload = {"c": [1, -1], "u": [1, -1], "b": 4, "a": [8, 3, 1], "color": 1,
                "source_witness": [8, 4]}
@@ -374,11 +370,9 @@ class TestParamsAgreeWithPayload:
         (avoiding_record, {"box_relative": True}),
         (witness_record, {"n": 7}),
         (witness_record, {"r": 2}),
-        (construction_record, {"n": 7}),
-        (construction_record, {"r": 2}),
         (reduction_record, {"c": [2, -2]}),
     ], ids=["threshold-r", "avoiding-n", "avoiding-r", "avoiding-box_relative", "witness-n",
-            "witness-r", "construction-n", "construction-r", "reduction-c"])
+            "witness-r", "reduction-c"])
     def test_misfiled_record_refused_skipped_and_reported(self, store, make, params):
         good = make()
         store.append(good)
@@ -540,12 +534,10 @@ def refiled(record, fingerprint=None, **payload):
 
 
 class TestFiledUnderTheirFamily:
-    """A construction is filed under {x, x+y, xy} and a reduction under the
-    family of its u, and a reduction's a must decode from its source witness."""
+    """A reduction is filed under the family of its u, and its a must decode
+    from its source witness."""
 
     @pytest.mark.parametrize("make, reason", [
-        (lambda: refiled(construction_record(), SCHUR_FP),
-         "{x, x+y, xy} family does not match the record's fingerprint"),
         (lambda: refiled(reduction_record(), SCHUR_FP),
          "family of u does not match the record's fingerprint"),
         (lambda: refiled(reduction_record(), source_witness=[1, 1]),
@@ -556,16 +548,16 @@ class TestFiledUnderTheirFamily:
          "source witness (8, 6) is not two positive multiples of b"),
         (lambda: refiled(reduction_record(), source_witness=[-8, 4]),
          "source witness (-8, 4) is not two positive multiples of b"),
-    ], ids=["construction-under-schur", "reduction-under-schur", "reduction-source-1-1",
+    ], ids=["reduction-under-schur", "reduction-source-1-1",
             "reduction-source-other-solution", "reduction-source-not-multiple",
             "reduction-source-negative"])
     def test_refused_skipped_and_reported(self, store, capsys, make, reason):
         refused_skipped_and_reported(store, capsys, make(), reason)
 
     def test_genuine_records_accepted(self, store):
-        for record in (construction_record(), reduction_record()):
-            store.append(record)
-            assert store.lookup(record.kind, record.fingerprint, record.params) == record
+        record = reduction_record()
+        store.append(record)
+        assert store.lookup(record.kind, record.fingerprint, record.params) == record
         assert store.verify_all() == []
 
 
@@ -583,12 +575,6 @@ class TestPayloadChecks:
         (lambda: without_family(witness_record()), "witness record must embed its family"),
         (lambda: refiled(threshold_record(2), value=0), "threshold value must be positive"),
         (lambda: refiled(threshold_record(2), value=-5), "threshold value must be positive"),
-        (lambda: refiled(construction_record(), witness=None),
-         "trace claims success but has no witness"),
-        (lambda: refiled(construction_record(), witness={"x": 3, "y": 3, "color": 1}),
-         "witness values do not fit in [1..n]"),  # 3 * 3 > 6
-        (lambda: refiled(construction_record(), witness={"x": 0, "y": 2, "color": 1}),
-         "witness values do not fit in [1..n]"),
         (lambda: refiled(reduction_record(), u=[1, 2]),
          "u=[1, 2], b=4 are not quadratic_setup's u=[1, -1], b=4"),
         (lambda: refiled(reduction_record(), b=6),
@@ -599,8 +585,7 @@ class TestPayloadChecks:
         (lambda: reduction_of((1, -1), (2, -2), 8, (40, 7, 3), (40, 8)),
          "u=[2, -2], b=8 are not quadratic_setup's u=[1, -1], b=4"),
     ], ids=["witness-no-family", "threshold-zero", "threshold-negative",
-            "construction-success-no-witness", "construction-witness-product-past-n",
-            "construction-witness-zero", "reduction-u-not-clearing", "reduction-b-not-twice",
+            "reduction-u-not-clearing", "reduction-b-not-twice",
             "reduction-b-negative", "reduction-u-not-setups"])
     def test_refused_skipped_and_reported(self, store, capsys, make, reason):
         refused_skipped_and_reported(store, capsys, make(), reason)
@@ -626,26 +611,31 @@ def box_relative_threshold():
                         dict(good.payload, certificate=cert), {})
 
 
+BOX_RELATIVE = "box-relative certificate: only whole-box certificates are read"
+INCOMPLETE = ("certificate's family is not box-complete, so [1..n] does not hold every "
+              "instance")
+
+
 class TestBoxRelativeMatchesFamily:
-    """A certificate is box-relative exactly when its family is not
-    box-complete: one that says otherwise is refused, skipped and reported."""
+    """Only a certificate that covers the whole box is read: its box_relative
+    flag is false and its family box-complete.  A box-relative one, such as
+    earlier versions stored, is refused, skipped and reported, and so is a
+    certificate of a box-incomplete family whatever its flag says."""
 
     @pytest.mark.parametrize("make, reason", [
-        (lambda: box_relative_record(X_YMX, False),
-         "certificate has box_relative=false for a family that is not box-complete"),
-        (lambda: box_relative_record(preset_family("schur"), True),
-         "certificate has box_relative=true for a family that is box-complete"),
-        (box_relative_threshold,
-         "certificate has box_relative=true for a family that is box-complete"),
-    ], ids=["incomplete-filed-false", "schur-filed-true", "threshold-schur-true"])
+        (lambda: box_relative_record(X_YMX, False), INCOMPLETE),
+        (lambda: box_relative_record(X_YMX, True), BOX_RELATIVE),
+        (lambda: box_relative_record(preset_family("schur"), True), BOX_RELATIVE),
+        (box_relative_threshold, BOX_RELATIVE),
+    ], ids=["incomplete-filed-false", "incomplete-filed-true", "schur-filed-true",
+            "threshold-schur-true"])
     def test_refused_skipped_and_reported(self, store, capsys, make, reason):
         refused_skipped_and_reported(store, capsys, make(), reason)
 
     def test_genuine_records_accepted(self, store):
-        for record in (box_relative_record(X_YMX, True),
-                       box_relative_record(preset_family("schur"), False)):
-            store.append(record)
-            assert store.lookup(record.kind, record.fingerprint, record.params) == record
+        record = box_relative_record(preset_family("schur"), False)
+        store.append(record)
+        assert store.lookup(record.kind, record.fingerprint, record.params) == record
         assert store.verify_all() == []
 
 
@@ -743,9 +733,10 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 class TestEarlierStore:
-    """tests/golden/store.jsonl holds one record of each kind (a witness, two
-    avoiders, one of them box-relative, an exact threshold, a lower bound, a
-    reduction and a construction), written by commit f22c7f9 with
+    """tests/golden/store.jsonl holds one record of each kind an earlier version
+    stored (a witness, two avoiders, one of them box-relative, an exact
+    threshold, a lower bound, a reduction and a construction), written by
+    commit f22c7f9 with
 
         witness --family schur --coloring c12.txt
         avoid --family schur --colors 2 --n 4
@@ -758,25 +749,36 @@ class TestEarlierStore:
     each with --cache; c12.txt and c200.txt are Coloring.random_uniform(12, 2, 3)
     and (200, 2, 5), solid6.txt Coloring.solid(6), and x-ymx.json the family
     {x0, x1 - x0} with distinct values.  tests/golden/store.list is its
-    `cache list` output.  `avoid --box-relative` is gone since, and no search
-    makes a box-relative avoider now; the stored one is still read and served."""
+    `cache list` output.  `avoid --box-relative`, the construction kind and
+    `construct --cache` are gone since: the box-relative avoider (#2) fails
+    verification and the construction (#6) is quarantined as a kind the store
+    does not keep; the other five records still verify and are served."""
 
     PATH = str(GOLDEN / "store.jsonl")
 
-    def test_every_line_verifies(self, capsys):
-        assert main(["cache", "verify", "--cache", self.PATH]) == 0
-        assert capsys.readouterr().out == "all 7 record(s) verified\n"
+    def test_only_the_removed_forms_fail(self, capsys):
+        assert main(["cache", "verify", "--cache", self.PATH]) == 1
+        assert capsys.readouterr().out == (
+            "  #6 FAIL: unknown kind 'construction'\n"
+            f"  #2 FAIL: avoiding record: {BOX_RELATIVE}\n"
+            "2 record(s) failed verification\n"
+        )
 
     def test_list_unchanged(self, capsys):
         assert main(["cache", "list", "--cache", self.PATH]) == 0
-        assert capsys.readouterr().out == (GOLDEN / "store.list").read_text()
+        out, err = capsys.readouterr()
+        assert out == (GOLDEN / "store.list").read_text()
+        assert err == "  #6 QUARANTINED: unknown kind 'construction'\n"
 
     def test_every_record_served(self):
+        """Every record of a kind and form the store keeps is served."""
         store = ResultStore(self.PATH)
         good, bad = store.records()
-        assert len(good) == 7 and bad == []
-        for _, record in good:
-            assert store.lookup(record.kind, record.fingerprint, record.params) == record
+        assert [i for i, _ in good] == [0, 1, 2, 3, 4, 5] and bad == [
+            (6, "unknown kind 'construction'")]
+        for i, record in good:
+            served = store.lookup(record.kind, record.fingerprint, record.params)
+            assert served == (None if i == 2 else record)
 
 
 def malformed_lines():
@@ -899,8 +901,7 @@ class TestQuarantine:
 
     def test_read_as_utf8_whatever_the_locale(self, store):
         """A record holding UTF-8 text reads the same under an ASCII locale."""
-        rec = ResultRecord("construction", XYXY_FP, {"note": "caf\u00e9 \u2013 \u00fc"},
-                           {"failure_reason": "none"}, {})
+        rec = plain_record(0, note="caf\u00e9 \u2013 \u00fc")
         store.append(rec)
         raw = json.dumps(rec.to_json(), sort_keys=True, separators=(",", ":"), ensure_ascii=False)
         store.path.write_bytes(raw.encode("utf-8") + b"\n")
@@ -1014,7 +1015,7 @@ class TestVerifiedMemo:
         assert store.verify_all() == [] and len(checks) == 1
         store.path.write_text(store.path.read_text().replace('"i":0', '"i":1'))
         assert store.verify_all() == [] and len(checks) == 2
-        assert store.lookup("construction", XYXY_FP, {"i": 1}) == plain_record(1)
+        assert store.lookup("threshold", SINGLE_FP, {"i": 1}) == plain_record(1)
         assert len(checks) == 2
 
     def test_one_line_in_two_stores_verified_once(self, store, checks, tmp_path):
@@ -1068,7 +1069,7 @@ class TestLineKeyMemo:
         first = self.keys(store)
         assert len(parses) == 4
         store.append(plain_record(3))
-        assert store.lookup("construction", XYXY_FP, {"i": 0}) == plain_record(0)
+        assert store.lookup("threshold", SINGLE_FP, {"i": 0}) == plain_record(0)
         assert store.verify_all() == [(3, first[1][0][1])]
         assert self.keys(store)[0][:3] == first[0] and len(parses) == 5
 
@@ -1090,8 +1091,8 @@ class TestLineKeyMemo:
         store.path.write_text("\n".join(lines) + "\n")
         assert [key.params for _, key in self.keys(store)[0]] == ['{"i": 0}', '{"i": 7}', '{"i": 2}']
         assert len(parses) == 4
-        assert store.lookup("construction", XYXY_FP, {"i": 1}) is None
-        assert store.lookup("construction", XYXY_FP, {"i": 7}) == plain_record(7)
+        assert store.lookup("threshold", SINGLE_FP, {"i": 1}) is None
+        assert store.lookup("threshold", SINGLE_FP, {"i": 7}) == plain_record(7)
 
     def test_truncated_replaced_and_regrown(self, store, tmp_path):
         for i in range(3):
@@ -1100,18 +1101,18 @@ class TestLineKeyMemo:
         store.path.write_text("")
         assert self.keys(store) == ([], [])
         assert storage._LINES == {}  # only the latest read's lines
-        assert store.lookup("construction", XYXY_FP, {"i": 0}) is None
+        assert store.lookup("threshold", SINGLE_FP, {"i": 0}) is None
         fresh = tmp_path / "fresh.jsonl"
         ResultStore(fresh).append(plain_record(5))
         os.replace(fresh, store.path)
         assert [key.params for _, key in self.keys(store)[0]] == ['{"i": 5}']
         store.path.unlink()
         assert self.keys(store) == ([], []) and store.verify_all() == []
-        assert store.lookup("construction", XYXY_FP, {"i": 5}) is None
+        assert store.lookup("threshold", SINGLE_FP, {"i": 5}) is None
         store.append(plain_record(6))
         assert [key.params for _, key in self.keys(store)[0]] == ['{"i": 6}']
         assert len(storage._LINES) == 1
-        assert store.lookup("construction", XYXY_FP, {"i": 5}) is None
+        assert store.lookup("threshold", SINGLE_FP, {"i": 5}) is None
 
     def test_two_stores_in_one_process(self, tmp_path):
         a, b = ResultStore(tmp_path / "a.jsonl"), ResultStore(tmp_path / "b.jsonl")
@@ -1121,8 +1122,8 @@ class TestLineKeyMemo:
                 f'{{"i": {j}}}' for j in range(1, i + 1, 2)]
             assert [key.params for _, key in self.keys(b)[0]] == [
                 f'{{"i": {j}}}' for j in range(0, i + 1, 2)]
-        assert a.lookup("construction", XYXY_FP, {"i": 0}) is None
-        assert b.lookup("construction", XYXY_FP, {"i": 0}) == plain_record(0)
+        assert a.lookup("threshold", SINGLE_FP, {"i": 0}) is None
+        assert b.lookup("threshold", SINGLE_FP, {"i": 0}) == plain_record(0)
 
     def test_new_line_decoded_once(self, store, monkeypatch):
         """An appended line is decoded once for its key and its check; a line
@@ -1140,10 +1141,10 @@ class TestLineKeyMemo:
         assert len(decoded) == 1
         write_unverified(store, plain_record(1))
         decoded.clear()
-        served = store.lookup("construction", XYXY_FP, {"i": 1})
+        served = store.lookup("threshold", SINGLE_FP, {"i": 1})
         assert served == plain_record(1) and len(decoded) == 2
         served.payload.clear()
-        assert store.lookup("construction", XYXY_FP, {"i": 1}) == plain_record(1)
+        assert store.lookup("threshold", SINGLE_FP, {"i": 1}) == plain_record(1)
         assert len(decoded) == 3  # a line that has passed is parsed only to be served
 
     def test_served_records_are_fresh(self, store):

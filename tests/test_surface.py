@@ -78,8 +78,7 @@ SUBCOMMAND_OPTIONS = {
     "avoid": ["--cache", "--certificate", "--colors", "--family",
               "--greedy", "--max-nodes", "--n", "--restarts", "--seed", "--time-limit"],
     "cache": ["--cache"],
-    "construct": ["--cache", "--coloring", "--max-rounds", "--size-floor", "--trace",
-                  "--y-max"],
+    "construct": ["--coloring", "--max-rounds", "--size-floor", "--trace", "--y-max"],
     "family": [],
     "family prefix-product": ["--functions", "--name", "--out"],
     "family show": ["--file", "--out", "--preset"],
