@@ -270,14 +270,14 @@ def preset_family(name: str, k: int | None = None) -> PatternFamily:
 
 def preset_from_string(spec: str) -> PatternFamily:
     """Parse 'schur', 'vdw:3', 'geometric:2', ... into the named family; a
-    parameter after ':' must be an integer, so 'schur:' is refused."""
+    parameter after ':' must be ASCII digits, as in coloring files, so
+    'schur:', 'vdw: 3', 'vdw:+3' and 'vdw:1_0' are refused."""
     name, colon, karg = spec.partition(":")
     k = None
     if colon:
-        try:
-            k = int(karg)
-        except ValueError:
-            raise ValueError(f"bad preset parameter in {spec!r}") from None
+        if not (karg.isascii() and karg.isdigit()):
+            raise ValueError(f"bad preset parameter in {spec!r}")
+        k = int(karg)
     return preset_family(name, k)
 
 

@@ -167,6 +167,11 @@ class TestFamily:
         assert run(capsys, "family", "show", "--preset", spec) == (
             2, "", f"error: bad preset parameter in '{spec}'\n")
 
+    def test_preset_parameter_is_ascii_digits(self, capsys):
+        # int() would run it as vdw:10
+        assert run(capsys, "family", "show", "--preset", "vdw:1_0") == (
+            2, "", "error: bad preset parameter in 'vdw:1_0'\n")
+
 
 class TestWitness:
     def test_single(self, capsys, solid6):
@@ -663,10 +668,12 @@ class TestExitCodes:
         assert (code, out, err) == (3, "", "resource limit: node budget exceeded\n")
 
     def test_budget_threshold_prints_proven_bound(self, capsys, tmp_path):
-        # the nodes of a run to max_n=13 leave 5 for the N=14 refutation
+        # a run to max_n=13 places 132 colors and the N=14 refutation 69
+        # more, so a budget of 200 runs out inside the refutation
         from ramseykit.search import threshold
 
-        budget = threshold(preset_family("schur"), 3, 13).nodes + 5
+        assert threshold(preset_family("schur"), 3, 13).nodes == 132
+        budget = 132 + 68
         cache = tmp_path / "store.jsonl"
         code, out, err = run(
             capsys, "threshold", "--family", "schur", "--colors", "3",
@@ -676,6 +683,9 @@ class TestExitCodes:
         assert err.startswith("resource limit: threshold undecided at N=14")
         good, bad = ResultStore(cache).records()
         assert good == [] and bad == []  # a partial bound is not cached
+        code, out, _ = run(capsys, "threshold", "--family", "schur", "--colors", "3",
+                           "--max-n", "20", "--max-nodes", str(budget + 1))
+        assert (code, out) == (0, "T = 14\n")
 
     @pytest.mark.parametrize("argv", [
         ["threshold", "--family", "schur", "--colors", "0", "--max-n", "5"],

@@ -5,8 +5,10 @@ terms of degree <= 2, half of them with the bare variables added (which makes
 them box-complete) and 30 % requiring distinct values.  The first 300 take
 their coefficients from {-2..3}, and most of them admit no instance in a small
 box, since a term with a negative coefficient is rarely positive; 150 more take
-them from {0..3}, so that most of those do.  Each check walks every family and
-names the first one that differs.  A family found failing here becomes a named
+them from {0..3}, so that most of those do.  On the box-complete families,
+threshold is checked against naive_threshold, and the fail-first engine that
+refutes for it against naive_exists_avoiding.  Each check walks every family
+and names the first one that differs.  A family found failing here becomes a named
 regression case elsewhere.
 """
 
@@ -15,12 +17,20 @@ import random
 
 import pytest
 
-from ramseykit.bruteforce import naive_avoiding_canonical, naive_count_witnesses, naive_instances
+from ramseykit.bruteforce import (
+    naive_avoiding_canonical,
+    naive_count_witnesses,
+    naive_exists_avoiding,
+    naive_instances,
+    naive_threshold,
+)
 from ramseykit.coloring import Coloring
 from ramseykit.families import PatternFamily
 from ramseykit.polynomials import IntPoly
 from ramseykit.search import (
     IncompleteBoxError,
+    _FailFirst,
+    _Search,
     exists_avoiding,
     find_all_avoiding,
     greedy_avoider,
@@ -91,6 +101,39 @@ def test_searches_match_naive_on_box_complete_families():
         for strategy in ("first-fit", "random"):
             cert = greedy_avoider(fam, r, n, strategy, seed=rng.randrange(1 << 30), restarts=4)
             assert cert is None or naive_count_witnesses(fam, cert.coloring) == 0, str(fam)
+    assert min(answers.values()) >= len(COMPLETE) // 10, answers
+
+
+def test_threshold_matches_naive_on_box_complete_families():
+    # value, exactness and the lex-first avoider at T-1 (at max_n for a bound);
+    # threshold's refutations come from the fail-first engine
+    rng = random.Random(SEED + 4)
+    exact = 0
+    for fam in COMPLETE:
+        r = rng.randint(1, 3)
+        max_n = {1: 12, 2: 10, 3: 8}[r]
+        res = threshold(fam, r, max_n)
+        t = naive_threshold(fam, r, max_n)
+        assert (res.value, res.exact) == ((t, True) if t else (max_n + 1, False)), (str(fam), r)
+        below = res.value - 1
+        if below:
+            got = tuple(res.certificate.coloring.colors.tolist())
+            assert got == naive_avoiding_canonical(fam, r, below)[0], (str(fam), r)
+        else:
+            assert res.certificate is None, (str(fam), r)
+        exact += res.exact
+    assert min(exact, len(COMPLETE) - exact) >= len(COMPLETE) // 10, exact
+
+
+def test_fail_first_engine_matches_naive():
+    rng = random.Random(SEED + 5)
+    answers = {True: 0, False: 0}  # refuted, or found an avoider
+    for fam in COMPLETE:
+        r, n = rng.randint(1, 3), rng.randint(1, 8)
+        engine = _FailFirst(_Search(fam, r, n, n=n, size=n))
+        refuted = engine.refutes(0, float("inf"), float("inf"))
+        assert refuted == (not naive_exists_avoiding(fam, r, n)), (str(fam), r, n)
+        answers[refuted] += 1
     assert min(answers.values()) >= len(COMPLETE) // 10, answers
 
 

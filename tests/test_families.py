@@ -174,6 +174,13 @@ class TestPresets:
             preset_from_string(spec)
         assert str(info.value) == f"bad preset parameter in {spec!r}"
 
+    # int() alone reads these as vdw:10, vdw:3, vdw:3 and geometric:2
+    @pytest.mark.parametrize("spec", ["vdw:1_0", "vdw: 3", "vdw:+3", "geometric:\u0662"])
+    def test_rejects_parameter_not_ascii_digits(self, spec):
+        with pytest.raises(ValueError) as info:
+            preset_from_string(spec)
+        assert str(info.value) == f"bad preset parameter in {spec!r}"
+
     def test_geometric_terms(self):
         assert preset_family("geometric", 2).canonical_texts() == ("x0", "x0*x1", "x0*x1^2")
 

@@ -262,17 +262,20 @@ class TestThreshold:
             threshold(preset_family("schur"), 3, 14, max_nodes=30)
 
     def test_budget_keeps_proven_bound(self):
-        # the nodes of a run to max_n=13 leave 5 for the N=14 refutation
+        # a run to max_n=13 places 132 colors; the fail-first refutation of
+        # N=14 places 69 more, so a budget that stops one short of them ends
+        # inside it with the bound proven below
         fam = preset_family("schur")
         below = threshold(fam, 3, 13)
-        assert not below.exact and below.value == 14
+        assert not below.exact and below.value == 14 and below.nodes == 132
+        assert threshold(fam, 3, 20, max_nodes=below.nodes + 69).describe() == "T = 14"
         with pytest.raises(SearchBudgetExceeded) as info:
-            threshold(fam, 3, 20, max_nodes=below.nodes + 5)
+            threshold(fam, 3, 20, max_nodes=below.nodes + 68)
         partial = info.value.partial
         assert partial.describe() == "T >= 14" and not partial.exact
         assert partial.certificate.n == 13 and verify_certificate(partial.certificate)
         assert partial.certificate.rle == below.certificate.rle
-        assert info.value.nodes == partial.nodes > below.nodes
+        assert info.value.nodes == partial.nodes == below.nodes + 69
 
     def test_budget_before_any_avoider(self):
         with pytest.raises(SearchBudgetExceeded) as info:
@@ -305,21 +308,21 @@ class TestThreshold:
 
     @pytest.fixture
     def placed(self, monkeypatch):
-        """The positions _Search.place is called at, in call order."""
+        """The positions the DFS (_Search.place) and the refutation engine
+        (_FailFirst.place) color, in call order."""
         made = []
-        real = search._Search.place
+        for engine in (search._Search, search._FailFirst):
+            def counting(self, p, c, real=engine.place):
+                made.append(p)
+                return real(self, p, c)
 
-        def counting(self, p, c):
-            made.append(p)
-            return real(self, p, c)
-
-        monkeypatch.setattr(search._Search, "place", counting)
+            monkeypatch.setattr(engine, "place", counting)
         return made
 
     @pytest.mark.parametrize("name, r, max_n, answer, nodes", [
-        ("schur", 2, 20, "T = 5", 5),
-        ("schur", 3, 20, "T = 14", 205),
-        ("xyxy", 3, 72, "T >= 73", 150),
+        ("schur", 2, 20, "T = 5", 13),
+        ("schur", 3, 20, "T = 14", 201),
+        ("xyxy", 3, 72, "T >= 73", 366),
         ("x_xp1", 3, 3000, "T >= 3001", 3000),
     ], ids=["schur-r2", "schur-r3", "xyxy-r3", "x_xp1-r3"])
     def test_nodes_are_the_colors_placed(self, placed, name, r, max_n, answer, nodes):
@@ -343,20 +346,23 @@ class TestThreshold:
 
     def test_open_undoes_to_the_emptying_position(self):
         # xyxy at r=3: opening 36 empties its mask at p=20 (and 72 at p=27);
-        # an open that only backtracks from N thrashes through 21..35
+        # an open that only backtracks from N thrashes through 21..35.  Each
+        # of the five N that empty (16, 36, 40, 52, 72) also asks the engine,
+        # which finds an avoider in N nodes: 216 of the 366
         fam = preset_family("xyxy")
-        res = threshold(fam, 3, 72, max_nodes=150)
-        assert res.describe() == "T >= 73" and res.nodes == 150
+        res = threshold(fam, 3, 72, max_nodes=366)
+        assert res.describe() == "T >= 73" and res.nodes == 366
         with pytest.raises(SearchBudgetExceeded) as info:
-            threshold(fam, 3, 72, max_nodes=149)
+            threshold(fam, 3, 72, max_nodes=365)
         partial = info.value.partial
-        assert partial.describe() == "T >= 72" and partial.nodes == 150
+        assert partial.describe() == "T >= 72" and partial.nodes == 366
         assert partial.certificate.rle == exists_avoiding(fam, 3, 71).rle
 
     def test_node_budget_partials_are_deterministic(self):
-        # whatever the budget, the partial T >= N carries the lex-first avoider at N-1
+        # whatever the budget, the partial T >= N carries the lex-first avoider
+        # at N-1; the run places 201 colors, so budget 200 ends in the refutation
         fam = preset_family("schur")
-        for budget in range(0, 205, 12):
+        for budget in range(0, 201, 8):
             partials = []
             for _ in range(2):
                 with pytest.raises(SearchBudgetExceeded) as info:
@@ -393,6 +399,79 @@ class TestThreshold:
         assert data["value"] == 5 and data["exact"] is True
         cert = AvoidCertificate.from_json(data["certificate"])
         assert verify_certificate(cert)
+
+
+class TestFailFirst:
+    """The engine that decides [1..N] for threshold when the avoider at N-1
+    leaves N no color."""
+
+    @staticmethod
+    def _engine(fam, r, n):
+        return search._FailFirst(search._Search(fam, r, n, n=n, size=n))
+
+    @pytest.mark.parametrize("fam", EQUIVALENCE_FAMILIES, ids=_family_id)
+    @pytest.mark.parametrize("r", [1, 2, 3])
+    def test_matches_naive(self, fam, r):
+        for n in range(1, 9 if r == 3 else 12):
+            engine = self._engine(fam, r, n)
+            refuted = engine.refutes(0, float("inf"), float("inf"))
+            assert refuted == (not naive_exists_avoiding(fam, r, n)), (n, engine.nodes)
+
+    @pytest.mark.parametrize("name, k, r, n, nodes", [
+        ("schur", None, 3, 14, 69),  # the DFS: 197
+        ("vdw", 3, 3, 27, 2611),  # the DFS: 30,284
+        ("vdw", 4, 2, 35, 1246),
+    ])
+    def test_refutation_nodes(self, name, k, r, n, nodes):
+        for _ in range(2):  # the order has no ties left, so the count repeats
+            engine = self._engine(preset_family(name, k), r, n)
+            assert engine.refutes(0, float("inf"), float("inf")) and engine.nodes == nodes
+
+    @pytest.mark.parametrize("start", [0, 1000])
+    def test_clock_read_at_multiples_of_2048(self, start):
+        # the count continues the caller's, and so does the clock
+        engine = self._engine(preset_family("vdw", 3), 3, 27)
+        with pytest.raises(SearchBudgetExceeded, match="time limit exceeded") as info:
+            engine.refutes(start, float("inf"), 0)
+        assert info.value.nodes == 2048
+
+    def test_asked_only_where_the_avoider_does_not_extend(self, monkeypatch):
+        asked = []
+        real = search._FailFirst.refutes
+
+        def recording(self, nodes, cap, deadline):
+            answer = real(self, nodes, cap, deadline)
+            asked.append((self.n, answer, self.nodes - nodes))
+            return answer
+
+        monkeypatch.setattr(search._FailFirst, "refutes", recording)
+        res = threshold(preset_family("vdw", 3), 3, 30)
+        assert res.describe() == "T = 27" and res.nodes == 6573
+        # N = 22..26 have avoiders (the DFS then finds the lex-first one);
+        # N = 27 has none, so the run ends without the DFS's 30,284-node refutation
+        assert asked == [(22, False, 22), (23, False, 23), (24, False, 28), (25, False, 222),
+                         (26, False, 250), (27, True, 2611)]
+
+    def test_asked_where_a_singleton_leaves_no_color(self):
+        # {x+10, 2x} holds the singleton {20}: opening 20 strikes nothing, yet
+        # 20 has no color.  The engine refutes in 0 nodes, where the DFS would
+        # search all of [1..19] (5,631 nodes)
+        fam = PatternFamily.from_texts(1, ["x0 + 10", "2*x0"], "singleton-20")
+        res = threshold(fam, 2, 40)
+        assert res.describe() == "T = 20" and res.nodes == 19
+        assert res.certificate.rle == exists_avoiding(fam, 2, 19).rle
+
+    @pytest.mark.parametrize("name, k, r, n, nodes", [
+        ("schur", None, 4, 43, 3631),
+        ("schur", None, 3, 13, 80),
+        ("schur", None, 3, 14, 197),
+        ("vdw", 3, 3, 26, 3295),
+    ])
+    def test_exists_avoiding_stays_on_the_dfs(self, name, k, r, n, nodes, monkeypatch):
+        monkeypatch.setattr(search, "_FailFirst", None)  # any use would raise
+        stats = SearchStats()
+        exists_avoiding(preset_family(name, k), r, n, stats=stats)
+        assert stats.nodes == nodes
 
 
 class TestOneCheckPerAnswer:
