@@ -8,6 +8,7 @@ answers against the unfiltered oracle.
 
 import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -604,6 +605,47 @@ class TestGreedy:
             greedy_avoider(preset_family("schur"), 2, 5, strategy, restarts=0)
 
 
+GREEDY_GOLDEN = Path(__file__).resolve().parent / "golden" / "greedy.json"
+
+# criterion 8's roster (tests/test_acceptance.py), at r=2 and N=200
+GREEDY_CRITERION_8 = [
+    (preset_family("x_xp1"), "first-fit", 0),
+    (preset_family("x_xp1"), "random", 1),
+    (preset_family("x_xp1"), "random", 2),
+    (PatternFamily.from_texts(1, ["x0", "2*x0"], "doubling"), "first-fit", 0),
+    (PatternFamily.from_texts(1, ["x0", "2*x0"], "doubling"), "random", 3),
+    (PatternFamily.from_texts(1, ["x0", "x0 + 7"], "gap7"), "first-fit", 0),
+    (PatternFamily.from_texts(1, ["x0", "x0 + 7"], "gap7"), "random", 4),
+]
+
+
+def greedy_golden_entries():
+    """greedy_avoider's colouring (RLE, or None) for every preset at r = 2, 3
+    and N = 50, 200, first-fit and random with seeds 0-2, then criterion 8's
+    inputs; tests/golden/greedy.json pins them."""
+    questions = []
+    for spec in ("schur", "vdw:3", "vdw:4", "geometric:2", "x_xp1", "x_y_3xmy", "xyxy"):
+        name, _, k = spec.partition(":")
+        fam = preset_family(name, int(k) if k else None)
+        for r in (2, 3):
+            for n in (50, 200):
+                questions.append((fam, r, n, "first-fit", 0))
+                questions += [(fam, r, n, "random", seed) for seed in range(3)]
+    questions += [(fam, 2, 200, strategy, seed) for fam, strategy, seed in GREEDY_CRITERION_8]
+    for fam, r, n, strategy, seed in questions:
+        cert = greedy_avoider(fam, r, n, strategy, seed=seed)
+        yield {"family": fam.name, "r": r, "n": n, "strategy": strategy, "seed": seed,
+               "rle": None if cert is None else cert.rle}
+
+
+def test_greedy_colorings_match_golden():
+    want = json.loads(GREEDY_GOLDEN.read_text())
+    got = list(greedy_golden_entries())
+    assert len(got) == len(want)
+    for k, (entry, expected) in enumerate(zip(got, want)):
+        assert entry == expected, f"greedy question {k} differs"
+
+
 # {x, y - x} with distinct values: y is bounded by no all-positive term
 X_YMX = PatternFamily.from_texts(2, ["x0", "x1 - x0"], "x-ymx", distinct_required=True)
 
@@ -720,3 +762,10 @@ class TestGeneratorContainment:
         assert verify_witness(preset_family("xyxy"), chi, w).ok
         schur_w = Witness((2, 4), (2, 4, 6), 1)
         assert not verify_witness(preset_family("schur"), chi, schur_w).ok
+
+
+if __name__ == "__main__":
+    # rewrite the greedy golden from the package in src/:
+    #   PYTHONPATH=src python tests/test_search.py
+    entries = [json.dumps(entry) for entry in greedy_golden_entries()]
+    GREEDY_GOLDEN.write_text("[\n" + ",\n".join(entries) + "\n]\n")
