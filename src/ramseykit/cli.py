@@ -70,22 +70,26 @@ def load_family_arg(text: str) -> PatternFamily:
 
 def parse_box_arg(text: str | None):
     """--box forms: '100' (uniform cap), '10,20' (per-variable caps),
-    '2:10,1:20' (per-variable lo:hi ranges)."""
+    '2:10,1:20' (per-variable lo:hi ranges).  A box that holds no assignment
+    is refused: a cap below 1, or a range with hi < lo."""
     if text is None:
         return None
     parts = [p.strip() for p in text.split(",") if p.strip()]
     if not parts:
         raise ValueError("--box must not be empty")
-    if len(parts) == 1 and ":" not in parts[0]:
-        return int(parts[0])
     out = []
     for p in parts:
         if ":" in p:
             lo, _, hi = p.partition(":")
-            out.append((int(lo), int(hi)))
+            entry = (int(lo), int(hi))
+            if entry[1] < entry[0]:
+                raise ValueError(f"--box must not be empty: range {p} has hi < lo")
         else:
-            out.append(int(p))
-    return out
+            entry = int(p)
+            if entry < 1:
+                raise ValueError(f"--box must not be empty: cap {entry} is below 1")
+        out.append(entry)
+    return out[0] if len(parts) == 1 and ":" not in parts[0] else out
 
 
 def parse_coeffs(text: str) -> tuple[int, ...]:

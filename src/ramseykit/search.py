@@ -2,24 +2,29 @@
 
 An r-coloring of [1..N] *avoids* a family when no admissible instance is
 monochromatic; the threshold T(P, r) is the least N with no avoiding
-coloring.  The search is a backtracking DFS over positions 1..N in fixed
-order, with forward checking (Haralick & Elliott, AIJ 1980):
+coloring.  One search state (_Search) colors positions 1..N in two orders,
+both with forward checking (Haralick & Elliott, AIJ 1980):
 
-  * every admissible value set is indexed once by its second-largest member
-    p, as (top, lower members other than p), sorted by top; a singleton set
-    {v} is stored under 0 and leaves position v no color at all;
-  * each position keeps a bitmask of the colors still open to it.  Placing
-    color c at p removes c from the top of every set indexed under p whose
-    lower members are all colored c (the top is that set's only uncolored
-    member), and the branch dies as soon as some mask is empty.  The
-    removals are trailed per position and restored on backtracking;
-  * symmetry breaking is the canonical color-introduction rule -- position 1
-    takes color 1 and each new color label appears in increasing order --
-    which divides the tree by up to r! and keeps the first avoider
-    deterministic (forward checking prunes dead subtrees earlier but never
-    reorders them, so the lexicographically first avoider is unchanged);
-  * a node is one color placed; node and wall-clock budgets surface as
-    SearchBudgetExceeded, a first-class outcome distinct from "no avoider".
+  * every admissible value set is read once per index size as a bitmask of
+    its members below the top, listed by top and by second-largest member; a
+    singleton set {v} leaves position v no color at all;
+  * each position keeps a bitmask of the colors still open to it, and each
+    color a bitmask of the positions it is on.  Placing color c strikes c from
+    the one member not colored c of every set whose other members all are,
+    and the branch dies as soon as some mask is empty.  The strikes are kept
+    per position and restored by one undo, last in first out;
+  * the fixed order (``run``) colors 1..N in turn, so a set can only be
+    completed at its top.  With the canonical color-introduction rule --
+    position 1 takes color 1 and each new color label appears in increasing
+    order -- its first avoider is the lexicographically first one (forward
+    checking prunes dead subtrees earlier but never reorders them);
+  * the fail-first order (``refutes``) colors the most constrained position
+    next, ties to the position in the most value sets.  It only decides
+    whether [1..N] has any avoider, in far fewer nodes: 2,611 against 30,284
+    for vdw:3 at r=3, N=27;
+  * a node is one color placed in either order; node and wall-clock budgets
+    cover both and surface as SearchBudgetExceeded, a first-class outcome
+    distinct from "no avoider".
 
 threshold runs one search that grows with N (incremental as in Een &
 Sorensson, SAT 2003).  It yields the lex-first avoider at N and opens N+1 in
@@ -31,18 +36,15 @@ it; for a box-complete family the sets at N are those with top <= N, so the
 live state stays valid.
 
 One dispatch rule, with no setting: when opening N leaves it no color (a
-strike emptied it, or a singleton {N} gave it none), threshold first asks a
-second engine, _FailFirst, whether [1..N] has any avoider.  It
-colors the most constrained position next (fail-first, ties to the position
-in the most value sets), which refutes in far fewer nodes than the fixed
-order: 2,611 against 30,284 for vdw:3 at r=3, N=27.  "None" ends the run
-with T = N exact and the avoider at N-1 that the DFS holds; "some" lets the
-DFS backtrack to the lex-first avoider at N as before.  exists_avoiding,
-find_all_avoiding and greedy_avoider never use it.  A node is one color
-placed by either engine, and the budgets cover both.
+strike emptied it, or a singleton {N} gave it none), threshold first asks the
+fail-first order, on a fresh state over [1..N], whether [1..N] has any
+avoider.  "None" ends the run with T = N exact and the avoider at N-1 that the
+fixed order holds; "some" lets the fixed order backtrack to the lex-first
+avoider at N as before.  exists_avoiding, find_all_avoiding and
+greedy_avoider use the fixed order only.
 
-Only the reported avoider goes through count_witnesses.  A refutation, the
-engine's or the DFS's, is checked by nothing (ROADMAP item 4).  When a
+Only the reported avoider goes through count_witnesses.  A refutation, in
+either order, is checked by nothing (ROADMAP item 4).  When a
 budget runs out, the exception carries the partial ThresholdResult: the
 bound proven so far.
 
@@ -51,7 +53,7 @@ There is no parallel mode; ``jobs`` is accepted only as 1.
 
 from __future__ import annotations
 
-import bisect
+import copy
 import random
 import time
 from dataclasses import dataclass
@@ -215,18 +217,25 @@ def build_instance_index(
 
 
 class _Search:
-    """One forward-checking search over positions 1..n, where n grows to max_n.
+    """One forward-checking search state over positions 1..n, where n grows to
+    max_n, and the two orders that color it.
 
-    Per position: its color (kept after an undo, so the next color to try is
-    one above it; a fresh position is set to 0), the bitmask of colors still
-    open (``dom``), the tops its color struck (``removed``) and the largest
-    color below it (``used``).  ``index[p]`` holds the value sets by
-    second-largest member p; ``by_top[t]`` holds their (p, others) by top t,
-    in ascending p.  Only the sets with top <= n take part.  ``member_of``,
-    the same sets by each member for _FailFirst, is built when first needed
-    and dropped when the index grows.  It refuses r < 1, max_n < 1 and, with
-    IncompleteBoxError, a box-incomplete family.  ``run`` yields the
-    avoiders; ``nodes`` is all that is read back.
+    Per position: its color (kept after an undo, so the fixed order tries the
+    one above it next; a fresh position is set to 0), the bitmask of colors
+    still open (``dom``), the positions its color struck (``removed``) and the
+    largest color below it (``used``); ``on[c]`` has bit q for each q colored
+    c.  Each color placed has one ``undo``, taken last in, first out.
+
+    The value sets are read once per index size into one form, (top, p,
+    below): the largest member, the second-largest and a bitmask of the
+    members below p.  ``fixed[p]`` lists them by p in ascending top, and
+    ``by_top[t]`` by top in ascending p.  ``member_of[q]`` holds, for each set
+    with q as a member, a bitmask of its other members; the first refutation
+    builds it and later ones extend it as n grows.  Only the sets with top
+    <= n take part.  It refuses r < 1, max_n < 1 and, with
+    IncompleteBoxError, a box-incomplete family.  ``run`` yields the avoiders
+    and ``refutes`` decides whether there is any; ``nodes`` is all that is
+    read back.
     """
 
     def __init__(self, family: PatternFamily, r: int, max_n: int, *, n: int, size: int):
@@ -237,101 +246,118 @@ class _Search:
             raise IncompleteBoxError(f"variables {missing} are not bounded by any all-positive "
                                      "term, so [1..N] does not hold every instance")
         self.family, self.r, self.max_n, self.n = family, r, max_n, n
-        self.colors, self.dom, self.removed, self.used = [], [], [], []
+        self.size, self.singletons, self.member_of, self.members_top = 0, [], [[]], 0
+        self._clear()
         self._grow(size)
 
     def _grow(self, size: int) -> None:
-        """Index the value sets inside [1..size] and make room for its positions."""
-        self.index = build_instance_index(self.family, size)
-        self.by_top: list[list[tuple[int, tuple[int, ...]]]] = [[] for _ in range(size + 1)]
+        """Read the value sets inside [1..size] and make room for its positions."""
+        buckets = build_instance_index(self.family, size)
+        self.fixed = fixed = [[] for _ in range(size + 1)]
+        self.by_top = by_top = [[] for _ in range(size + 1)]
         for p in range(1, size + 1):
-            for top, others in self.index[p]:
-                self.by_top[top].append((p, others))
-        extra = size + 2 - len(self.colors)
+            add = fixed[p].append
+            for top, others in buckets[p]:
+                below = 0
+                for o in others:
+                    below |= 1 << o
+                entry = (top, p, below)
+                add(entry)
+                by_top[top].append(entry)
+        self.singletons = [top for top, _ in buckets[0]]
+        self.member_of += [[] for _ in range(size - self.size)]
+        self.size = size
+        self._room()
+
+    def _clear(self) -> None:
+        """Nothing colored."""
+        self.colors, self.dom, self.removed, self.used = [], [], [], []
+        self.on = [0] * (self.r + 1)
+        self._room()
+
+    def _room(self) -> None:
+        """Positions up to size + 1, each new one with every color open."""
+        extra = self.size + 2 - len(self.colors)
         self.colors += [0] * extra
         self.dom += [(1 << self.r) - 1] * extra
         self.removed += [[] for _ in range(extra)]
         self.used += [0] * extra
-        for top, _ in self.index[0]:  # a singleton {top} leaves top no color
+        for top in self.singletons:  # a singleton {top} leaves top no color
             self.dom[top] = 0
-        self.size = size
-        self.member_of: list[tuple[list[int], list[int]]] | None = None
-
-    def sets_by_member(self) -> list[tuple[list[int], list[int]]]:
-        """member_of[p] = (tops, masks) of the value sets (but singletons) that
-        have p as a member, sorted by top: a mask holds bit q for each other
-        member q.  Built once per index size, on the first refutation."""
-        if self.member_of is None:
-            by_member: list[list[tuple[int, int]]] = [[] for _ in range(self.size + 1)]
-            for p in range(1, self.size + 1):
-                for top, others in self.index[p]:
-                    mask = 1 << p | 1 << top
-                    for o in others:
-                        mask |= 1 << o
-                    for m in others + (p, top):
-                        by_member[m].append((top, mask ^ 1 << m))
-            self.member_of = []
-            for sets in by_member:
-                sets.sort()
-                self.member_of.append(([top for top, _ in sets], [mask for _, mask in sets]))
-        return self.member_of
 
     def place(self, p: int, c: int) -> bool:
-        """Color p with c and strike c from each top it completes; False once a mask empties."""
-        colors, dom, n = self.colors, self.dom, self.n
-        colors[p] = c
+        """Color p with c, all of 1..p-1 colored and none above: strike c from
+        each top it completes; False once a mask empties."""
+        dom, n = self.dom, self.n
+        self.colors[p] = c
+        self.on[c] = on = self.on[c] | 1 << p
         bit = 1 << (c - 1)
         removed = self.removed[p]
-        for top, others in self.index[p]:
+        for top, _, below in self.fixed[p]:
             if top > n:
                 break
-            if dom[top] & bit:
-                for o in others:
-                    if colors[o] != c:
-                        break
-                else:
-                    dom[top] ^= bit
-                    removed.append(top)
-                    if not dom[top]:
-                        return False
+            if dom[top] & bit and on & below == below:
+                dom[top] ^= bit
+                removed.append(top)
+                if not dom[top]:
+                    return False
+        return True
+
+    def place_any(self, p: int, c: int) -> bool:
+        """Color p with c, in any order: strike c from the one member not colored
+        c of each set that has one; False once a mask empties.  A struck member
+        that is colored keeps its own color, so only an uncolored one can empty,
+        and its strike is undone before it is uncolored."""
+        dom = self.dom
+        self.colors[p] = c
+        self.on[c] = on = self.on[c] | 1 << p
+        off, bit = ~on, 1 << (c - 1)
+        removed = self.removed[p]
+        for mask in self.member_of[p]:
+            rest = mask & off  # the other members not colored c: never none
+            if rest & (rest - 1):
+                continue
+            q = rest.bit_length() - 1
+            if dom[q] & bit:
+                dom[q] ^= bit
+                removed.append(q)
+                if not dom[q]:
+                    return False
         return True
 
     def undo(self, p: int) -> None:
-        bit = 1 << (self.colors[p] - 1)
-        dom = self.dom
-        removed = self.removed[p]
-        for top in removed:
-            dom[top] |= bit
+        """Take back p's color and its strikes; the color stays in colors[p]."""
+        c = self.colors[p]
+        bit, dom, removed = 1 << (c - 1), self.dom, self.removed[p]
+        for q in removed:
+            dom[q] |= bit
         removed.clear()
+        self.on[c] ^= 1 << p
 
     def open(self) -> int:
         """Open position n+1 next to the colored 1..n: strike each color that
-        some set with top n+1 has on all lower members, on the trail of the
+        some set with top n+1 has on all lower members, as a strike of the
         lowest such p.  Returns the p whose strike empties n+1, else 0."""
         m = self.n = self.n + 1
         if m > self.size:
             self._grow(min(self.max_n, max(2 * self.size, _FIRST_INDEX_SIZE)))
-        colors, dom, removed = self.colors, self.dom, self.removed
-        for p, others in self.by_top[m]:
+        colors, dom, on, removed = self.colors, self.dom, self.on, self.removed
+        for _, p, below in self.by_top[m]:
             c = colors[p]
             bit = 1 << (c - 1)
-            if dom[m] & bit:
-                for o in others:
-                    if colors[o] != c:
-                        break
-                else:
-                    dom[m] ^= bit
-                    removed[p].append(m)
-                    if not dom[m]:
-                        return p
+            if dom[m] & bit and on[c] & below == below:
+                dom[m] ^= bit
+                removed[p].append(m)
+                if not dom[m]:
+                    return p
         return 0
 
     def run(self, cap: float, deadline: float) -> Iterator[list[int]]:
         """Canonical DFS from position 1, as color lists: the lex-first avoider
         at each n < max_n it holds, opening n+1 after it, then every avoider at
-        max_n in lex order; it ends when [1..n] has none, which _FailFirst
+        max_n in lex order; it ends when [1..n] has none, which ``refutes``
         decides for an opened n left no color.  ``nodes``, the colors placed
-        so far by both, is current at each item and at the end."""
+        so far in both orders, is current at each item and at the end."""
         r, max_n = self.r, self.max_n
         colors, dom, used = self.colors, self.dom, self.used
         place, undo = self.place, self.undo
@@ -372,11 +398,9 @@ class _Search:
                 p = self.open()
                 n += 1
                 if not dom[n]:  # the avoider at n-1 leaves n no color: is there any at n?
-                    engine = _FailFirst(self)
-                    if engine.refutes(nodes, cap, deadline):
-                        self.nodes = engine.nodes
+                    if self.refutes(nodes, cap, deadline):
                         return
-                    nodes = engine.nodes
+                    nodes = self.nodes
                     tick = nodes - nodes % 2048 + 2048
                 colors[n] = 0
                 pos = p or n  # if n emptied, p is where a fresh search would fail
@@ -384,75 +408,33 @@ class _Search:
                     undo(q)
         self.nodes = nodes
 
-
-class _FailFirst:
-    """Whether [1..n] has any avoider, decided from nothing by a search that
-    colors the most constrained position next.
-
-    Its state is its own; the index is _Search's, as the sets each position is
-    a member of, each a bitmask of its other members.  Placing c at p strikes c
-    from the one uncolored member of each set whose other members are all
-    colored c, on a trail undone in order.  The next position is the uncolored
-    one with the fewest open colors (fail-first), then the most value sets
-    (dom/deg), then the lowest, so node counts repeat.  It may take a color
-    already used or the least unused one: unused colors are interchangeable,
-    so this loses no avoider.  ``nodes`` continues the caller's count under
-    the same budgets, with the clock read at every multiple of 2048 nodes.
-    """
-
-    def __init__(self, search: _Search):
-        r, n = self.r, self.n = search.r, search.n
-        self.sets = [masks[:bisect.bisect_right(tops, n)]
-                     for tops, masks in search.sets_by_member()[: n + 1]]
-        self.order = sorted(range(1, n + 1), key=lambda p: (-len(self.sets[p]), p))
-        self.colors = [0] * (n + 1)
-        self.dom = [(1 << r) - 1] * (n + 1)
-        for top, _ in search.index[0]:
-            if top > n:
-                break
-            self.dom[top] = 0
-        self.on = [0] * (r + 1)  # on[c]: bit q for each q colored c
-        self.free = (1 << (n + 1)) - 2  # bit q for each uncolored q
-        self.trail: list[int] = []
-        self.nodes = 0
-
-    def place(self, p: int, c: int) -> bool:
-        """Color p with c and strike c from the last uncolored member of each set
-        it leaves one short of monochromatic; False once a mask empties."""
-        dom, trail = self.dom, self.trail
-        self.colors[p] = c
-        self.free = free = self.free ^ 1 << p
-        self.on[c] = on = self.on[c] | 1 << p
-        off, bit = ~on, 1 << (c - 1)
-        for mask in self.sets[p]:
-            rest = mask & off  # the other members not colored c
-            if rest & (rest - 1) or not rest & free:
-                continue
-            q = rest.bit_length() - 1  # the only one, and uncolored
-            if dom[q] & bit:
-                dom[q] ^= bit
-                trail.append(q)
-                if not dom[q]:
-                    return False
-        return True
-
-    def undo(self, p: int, start: int) -> None:
-        """Uncolor p and restore the strikes from trail[start:]."""
-        c = self.colors[p]
-        bit, dom, trail = 1 << (c - 1), self.dom, self.trail
-        for q in trail[start:]:
-            dom[q] |= bit
-        del trail[start:]
-        self.colors[p] = 0
-        self.free |= 1 << p
-        self.on[c] ^= 1 << p
-
     def refutes(self, nodes: int, cap: float, deadline: float) -> bool:
-        """True when no r-coloring of [1..n] avoids, False at the first avoider."""
-        r, order, dom, colors = self.r, self.order, self.dom, self.colors
-        place, undo = self.place, self.undo
+        """True when no r-coloring of [1..n] avoids, False at the first avoider.
+
+        It searches a fresh state, coloring the most constrained position
+        next: the uncolored one with the fewest open colors (fail-first), then
+        the most value sets (dom/deg), then the lowest, so node counts repeat.
+        It may take a color already used or the least unused one: unused
+        colors are interchangeable, so this loses no avoider.  ``nodes``
+        continues the caller's count under the same budgets, with the clock
+        read at every multiple of 2048 nodes, and is left in ``self.nodes``.
+        n never falls between two calls, so member_of only grows.
+        """
+        r, n, member_of, by_top = self.r, self.n, self.member_of, self.by_top
+        for top in range(self.members_top + 1, n + 1):
+            for _, p, below in by_top[top]:
+                whole = rest = below | 1 << p | 1 << top
+                while rest:
+                    low = rest & -rest
+                    member_of[low.bit_length() - 1].append(whole ^ low)
+                    rest ^= low
+        self.members_top = n
+        state = copy.copy(self)  # the value sets, with nothing colored
+        state._clear()
+        order = sorted(range(1, n + 1), key=lambda p: (-len(member_of[p]), p))
+        colors, dom, place, undo = state.colors, state.dom, state.place_any, state.undo
         tick = nodes - nodes % 2048 + 2048
-        stack: list[tuple[int, int, int]] = []  # (position, its trail start, colors used before)
+        stack: list[tuple[int, int]] = []  # (position, colors used before)
         p = c = used = 0
         while True:
             if not p:  # the next position: fewest open colors, then first in order
@@ -472,12 +454,13 @@ class _FailFirst:
             while c <= limit and not open_colors >> (c - 1) & 1:
                 c += 1
             if c > limit:
+                colors[p] = 0
                 if not stack:
                     self.nodes = nodes
                     return True
-                p, start, used = stack.pop()
+                p, used = stack.pop()
                 c = colors[p]
-                undo(p, start)
+                undo(p)
                 continue
             nodes += 1
             if nodes > cap:
@@ -486,13 +469,12 @@ class _FailFirst:
                 if time.monotonic() > deadline:
                     raise SearchBudgetExceeded("time limit exceeded", nodes)
                 tick = nodes + 2048
-            start = len(self.trail)
             if place(p, c):
-                stack.append((p, start, used))
+                stack.append((p, used))
                 used = max(used, c)
                 p = c = 0
             else:
-                undo(p, start)
+                undo(p)
 
 
 def _budget(max_nodes: int | None, time_limit: float | None) -> tuple[float, float]:
@@ -563,8 +545,8 @@ def threshold(
 
     One search runs from N=1 up and opens N+1 in place once it holds the
     avoider at N; where that avoider leaves N+1 no color, the fail-first
-    engine decides whether [1..N+1] has any.  ``nodes``, which max_nodes
-    bounds, counts the colors both place.
+    order decides whether [1..N+1] has any.  ``nodes``, which max_nodes
+    bounds, counts the colors both orders place.
     """
     _require_single_job(jobs)
     cap, deadline = _budget(max_nodes, time_limit)
@@ -608,19 +590,18 @@ def greedy_avoider(
         raise ValueError("need r >= 1 and restarts >= 1")
     if strategy not in ("first-fit", "random"):
         raise ValueError(f"unknown strategy {strategy!r} (first-fit or random)")
-    search = _Search(family, r, n, n=0, size=n)
+    search = _Search(family, r, n, n=n, size=n)
+    colors, dom = search.colors, search.dom
 
     def one_pass(pick) -> list[int] | None:
         for pos in range(1, n + 1):
-            search.open()
-            legal = [c for c in range(1, r + 1) if search.dom[pos] >> (c - 1) & 1]
+            legal = [c for c in range(1, r + 1) if dom[pos] >> (c - 1) & 1]
             if not legal:
                 for placed in range(pos - 1, 0, -1):  # a restart starts from nothing
                     search.undo(placed)
-                search.n = 0
                 return None
             search.place(pos, pick(legal))
-        return search.colors[1 : n + 1]
+        return colors[1 : n + 1]
 
     pick = random.Random(seed).choice if strategy == "random" else lambda legal: legal[0]
     for _ in range(restarts if strategy == "random" else 1):

@@ -57,7 +57,8 @@ class TestArgHelpers:
         with pytest.raises(ValueError):
             parse_box_arg("ten")
 
-    @pytest.mark.parametrize("text", [",", " , ,", ""])
+    @pytest.mark.parametrize("text", [",", " , ,", "", "0", "-3", "0,0", "5,0", "5:2,1:3",
+                                      "1:3,4:3"])
     def test_box_rejects_empty(self, text):
         with pytest.raises(ValueError, match="--box must not be empty"):
             parse_box_arg(text)
@@ -247,6 +248,19 @@ class TestWitness:
         assert code == 2 and out == ""
         assert err == "error: --cache stores one witness; it cannot be combined with --all\n"
         assert not cache.exists()
+
+    @pytest.mark.parametrize("box, says", [
+        ("0", "cap 0 is below 1"),
+        ("-3", "cap -3 is below 1"),
+        ("5:2,1:3", "range 5:2 has hi < lo"),
+    ])
+    def test_empty_box_is_usage_error(self, capsys, solid6, tmp_path, box, says):
+        # a box with no assignment in it would only report "no monochromatic witness"
+        out_path, cache = tmp_path / "w.json", tmp_path / "store.jsonl"
+        code, out, err = run(capsys, "witness", "--family", "schur", "--coloring", solid6,
+                             "--box", box, "--out", str(out_path), "--cache", str(cache))
+        assert (code, out, err) == (2, "", f"error: --box must not be empty: {says}\n")
+        assert not out_path.exists() and not cache.exists()
 
     def test_distinct_flag(self, capsys, solid6):
         code, out, _ = run(
@@ -508,9 +522,11 @@ class TestReduce:
 
     @pytest.mark.parametrize("box, says", [
         ("x", "invalid literal for int() with base 10: 'x'"),
-        ("5:2", "box needs 2 entries, got 1"),
+        ("2:5", "box needs 2 entries, got 1"),
         ("1,2,3", "box needs 2 entries, got 3"),
         ("0:5,1:5", "box lower bounds must be >= 1 (assignments are positive)"),
+        ("5:2", "--box must not be empty: range 5:2 has hi < lo"),
+        ("0,0", "--box must not be empty: cap 0 is below 1"),
     ])
     def test_bad_box_refused_before_any_output(self, capsys, solid200, tmp_path, box, says):
         out_path, cache = tmp_path / "sol.json", tmp_path / "store.jsonl"

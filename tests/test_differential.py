@@ -1,4 +1,4 @@
-"""A seeded random-family differential: the engines against the naive oracles.
+"""A seeded random-family differential: the searches against the naive oracles.
 
 The families are drawn once from fixed seeds: 1-3 variables and 1-3 random
 terms of degree <= 2, half of them with the bare variables added (which makes
@@ -6,10 +6,11 @@ them box-complete) and 30 % requiring distinct values.  The first 300 take
 their coefficients from {-2..3}, and most of them admit no instance in a small
 box, since a term with a negative coefficient is rarely positive; 150 more take
 them from {0..3}, so that most of those do.  On the box-complete families,
-threshold is checked against naive_threshold, and the fail-first engine that
-refutes for it against naive_exists_avoiding.  Each check walks every family
-and names the first one that differs.  A family found failing here becomes a named
-regression case elsewhere.
+threshold is checked against naive_threshold and, on one family in two,
+against fresh searches past its first index size; the fail-first order that
+refutes for it is checked against naive_exists_avoiding.  Each check walks its
+families and names the first one that differs.  A family found failing here
+becomes a named regression case elsewhere.
 """
 
 import itertools
@@ -29,7 +30,6 @@ from ramseykit.families import PatternFamily
 from ramseykit.polynomials import IntPoly
 from ramseykit.search import (
     IncompleteBoxError,
-    _FailFirst,
     _Search,
     exists_avoiding,
     find_all_avoiding,
@@ -130,11 +130,35 @@ def test_fail_first_engine_matches_naive():
     answers = {True: 0, False: 0}  # refuted, or found an avoider
     for fam in COMPLETE:
         r, n = rng.randint(1, 3), rng.randint(1, 8)
-        engine = _FailFirst(_Search(fam, r, n, n=n, size=n))
+        engine = _Search(fam, r, n, n=n, size=n)
         refuted = engine.refutes(0, float("inf"), float("inf"))
         assert refuted == (not naive_exists_avoiding(fam, r, n)), (str(fam), r, n)
         answers[refuted] += 1
     assert min(answers.values()) >= len(COMPLETE) // 10, answers
+
+
+def test_threshold_matches_fresh_searches_past_the_index_doubling():
+    # threshold's first index covers [1..16]; past it, the index is read again
+    # and the refutation's member lists are extended.  Every other family is
+    # asked for T up to 20 and compared with a fresh exists_avoiding at each N:
+    # value, exactness and the avoider at T-1 (at 20 for a bound)
+    questions = crossed = 0
+    for fam in COMPLETE[::2]:
+        for r in (2, 3):
+            res = threshold(fam, r, 20, max_nodes=20000)
+            value, exact, last = 21, False, None
+            for n in range(1, 21):
+                cert = exists_avoiding(fam, r, n)
+                if cert is None:
+                    value, exact = n, True
+                    break
+                last = cert
+            assert (res.value, res.exact) == (value, exact), (str(fam), r)
+            got = None if res.certificate is None else res.certificate.rle
+            assert got == (None if last is None else last.rle), (str(fam), r)
+            questions += 1
+            crossed += value > 16
+    assert crossed >= questions // 2, (crossed, questions)
 
 
 @pytest.mark.parametrize("search", [exists_avoiding, threshold, find_all_avoiding, greedy_avoider])

@@ -309,15 +309,15 @@ class TestThreshold:
 
     @pytest.fixture
     def placed(self, monkeypatch):
-        """The positions the DFS (_Search.place) and the refutation engine
-        (_FailFirst.place) color, in call order."""
+        """The positions the DFS (_Search.place) and the refutation
+        (_Search.place_any) color, in call order."""
         made = []
-        for engine in (search._Search, search._FailFirst):
-            def counting(self, p, c, real=engine.place):
+        for order in ("place", "place_any"):
+            def counting(self, p, c, real=getattr(search._Search, order)):
                 made.append(p)
                 return real(self, p, c)
 
-            monkeypatch.setattr(engine, "place", counting)
+            monkeypatch.setattr(search._Search, order, counting)
         return made
 
     @pytest.mark.parametrize("name, r, max_n, answer, nodes", [
@@ -403,12 +403,12 @@ class TestThreshold:
 
 
 class TestFailFirst:
-    """The engine that decides [1..N] for threshold when the avoider at N-1
-    leaves N no color."""
+    """The fail-first refutation that decides [1..N] for threshold when the
+    avoider at N-1 leaves N no color."""
 
     @staticmethod
     def _engine(fam, r, n):
-        return search._FailFirst(search._Search(fam, r, n, n=n, size=n))
+        return search._Search(fam, r, n, n=n, size=n)
 
     @pytest.mark.parametrize("fam", EQUIVALENCE_FAMILIES, ids=_family_id)
     @pytest.mark.parametrize("r", [1, 2, 3])
@@ -438,20 +438,39 @@ class TestFailFirst:
 
     def test_asked_only_where_the_avoider_does_not_extend(self, monkeypatch):
         asked = []
-        real = search._FailFirst.refutes
+        real = search._Search.refutes
 
         def recording(self, nodes, cap, deadline):
             answer = real(self, nodes, cap, deadline)
             asked.append((self.n, answer, self.nodes - nodes))
             return answer
 
-        monkeypatch.setattr(search._FailFirst, "refutes", recording)
+        monkeypatch.setattr(search._Search, "refutes", recording)
         res = threshold(preset_family("vdw", 3), 3, 30)
         assert res.describe() == "T = 27" and res.nodes == 6573
         # N = 22..26 have avoiders (the DFS then finds the lex-first one);
         # N = 27 has none, so the run ends without the DFS's 30,284-node refutation
         assert asked == [(22, False, 22), (23, False, 23), (24, False, 28), (25, False, 222),
                          (26, False, 250), (27, True, 2611)]
+
+    def test_member_lists_carry_across_index_sizes(self, monkeypatch):
+        # vdw:4 at r=2 asks at 14 on the index of [1..16], at 19 and 25 on that
+        # of [1..32] and at 34 and 35 on that of [1..40]: the member lists built
+        # at 14 are extended as the index grows, and the refutation at 35 places
+        # the 1,246 colors of one on a fresh state
+        asked = []
+        real = search._Search.refutes
+
+        def recording(self, nodes, cap, deadline):
+            answer = real(self, nodes, cap, deadline)
+            asked.append((self.n, self.size, answer, self.nodes - nodes))
+            return answer
+
+        monkeypatch.setattr(search._Search, "refutes", recording)
+        res = threshold(preset_family("vdw", 4), 2, 40)
+        assert res.describe() == "T = 35" and res.nodes == 2561
+        assert asked == [(14, 16, False, 14), (19, 32, False, 27), (25, 32, False, 25),
+                         (34, 40, False, 446), (35, 40, True, 1246)]
 
     def test_asked_where_a_singleton_leaves_no_color(self):
         # {x+10, 2x} holds the singleton {20}: opening 20 strikes nothing, yet
@@ -469,7 +488,7 @@ class TestFailFirst:
         ("vdw", 3, 3, 26, 3295),
     ])
     def test_exists_avoiding_stays_on_the_dfs(self, name, k, r, n, nodes, monkeypatch):
-        monkeypatch.setattr(search, "_FailFirst", None)  # any use would raise
+        monkeypatch.setattr(search._Search, "refutes", None)  # any use would raise
         stats = SearchStats()
         exists_avoiding(preset_family(name, k), r, n, stats=stats)
         assert stats.nodes == nodes
