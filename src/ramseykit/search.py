@@ -5,9 +5,9 @@ monochromatic; the threshold T(P, r) is the least N with no avoiding
 coloring.  One search state (_Search) colors positions 1..N in two orders,
 both with forward checking (Haralick & Elliott, AIJ 1980):
 
-  * every admissible value set is read once per index size as a bitmask of
-    its members below the top, listed by top and by second-largest member; a
-    singleton set {v} leaves position v no color at all;
+  * every admissible value set is read once per index size as its top, its
+    second-largest member p and a bitmask of its members below p, listed by
+    p and by top; a singleton set {v} leaves position v no color at all;
   * each position keeps a bitmask of the colors still open to it, and each
     color a bitmask of the positions it is on.  Placing color c strikes c from
     the one member not colored c of every set whose other members all are,
@@ -255,12 +255,13 @@ class _Search:
         buckets = build_instance_index(self.family, size)
         self.fixed = fixed = [[] for _ in range(size + 1)]
         self.by_top = by_top = [[] for _ in range(size + 1)]
+        masks = {(): 0}  # one mask per tuple of lower members, shared by its sets
         for p in range(1, size + 1):
             add = fixed[p].append
             for top, others in buckets[p]:
-                below = 0
-                for o in others:
-                    below |= 1 << o
+                below = masks.get(others)
+                if below is None:
+                    below = masks[others] = sum(1 << o for o in others)
                 entry = (top, p, below)
                 add(entry)
                 by_top[top].append(entry)
@@ -590,11 +591,13 @@ def greedy_avoider(
         raise ValueError("need r >= 1 and restarts >= 1")
     if strategy not in ("first-fit", "random"):
         raise ValueError(f"unknown strategy {strategy!r} (first-fit or random)")
-    search = _Search(family, r, n, n=n, size=n)
+    search = _Search(family, r, n, n=0, size=n)
     colors, dom = search.colors, search.dom
 
     def one_pass(pick) -> list[int] | None:
         for pos in range(1, n + 1):
+            if pos > search.n:  # later passes strike it from place's forward checking
+                search.open()
             legal = [c for c in range(1, r + 1) if dom[pos] >> (c - 1) & 1]
             if not legal:
                 for placed in range(pos - 1, 0, -1):  # a restart starts from nothing
