@@ -22,6 +22,21 @@ The ragged ranges are expanded with repeat/cumsum, so the cost grows with the
 admissible prefixes and instances (about N log N for {x, x+y, xy}), not with
 the [1..N]^s box.
 
+The witness queries prune a third way, by color.  They hand the enumerator
+the coloring's color table.  At a depth d >= 1 where a *shift term* finishes,
+a + x_d with coefficient exactly 1 on x_d and x_d in no other monomial, and
+where some term finished earlier, every witness below a row has a + x_d in
+the color c0 of the row's first carried value.  So the row's children are the
+v in [lo .. vmax] with a + v colored c0, gathered in ascending order from
+[1..N] sorted by (color, value), the slice found by two searchsorted calls on
+the keys color * (N + 1) + value (the sort is built once per query, at its
+first use).  The key bounds are clamped to values in [1..N], which a + v must
+lie in anyway; otherwise a row with a + lo <= 0, or a + vmax > N, would read
+into the neighbouring color's block.  The restriction removes only rows that
+_witness_mask rejects, which still judges every chunk; it is skipped on the
+object path, and a stream served from the small-stream cache is served
+whole, as enumerate_instances and the search's index see it.
+
 Chunks: at each depth the children are cut into windows, and each window is
 finished depth-first before the next, which keeps the lexicographic order and
 bounds memory.  The windows start at 2^10 rows, so find_witness builds little
@@ -127,6 +142,7 @@ def _last_var(term: IntPoly) -> int:
     return max(used) if used else -1
 
 
+@functools.lru_cache(maxsize=256)
 def _int64_safe(terms: tuple[IntPoly, ...], nb: Box) -> bool:
     bounds = [hi for _, hi in nb]
     return max(bounds) < _INT64_SAFE and all(
@@ -210,14 +226,16 @@ def _largest_v(coefs: dict, n: int, lo: int, hi: int, rows: int, dtype):
 def _depth_plan(terms: tuple[IntPoly, ...]):
     """What the enumerator needs at each depth d, for one term list.
 
-    Returns (constants, positive, finishing, bounds): the value of each term
-    without variables, by term index; whether each term has only positive
-    coefficients; finishing[d], the terms whose last variable is x_d; and
-    bounds[d], the _bound_coefficients of every positive term that uses x_d
-    and is still open at depth d (its last variable is x_d or later).  A
-    term without x_d needs no bound at depth d: its value at the padded
-    prefix was bounded at the depth of its previous variable, and a term
-    with none is bounded from its first variable on.
+    Returns (constants, positive, finishing, bounds, shifts): the value of
+    each term without variables, by term index; whether each term has only
+    positive coefficients; finishing[d], the terms whose last variable is
+    x_d; bounds[d], the _bound_coefficients of every positive term that uses
+    x_d and is still open at depth d (its last variable is x_d or later); and
+    shifts[d], the a of the first term finishing at d that is a + x_d with a
+    free of x_d (an int, or a polynomial in x_0..x_{d-1}), or None.  A term
+    without x_d needs no bound at depth d: its value at the padded prefix was
+    bounded at the depth of its previous variable, and a term with none is
+    bounded from its first variable on.
     """
     nv = terms[0].num_vars
     last = [_last_var(t) for t in terms]
@@ -232,7 +250,14 @@ def _depth_plan(terms: tuple[IntPoly, ...]):
         ]
         for d in range(nv)
     ]
-    return constants, positive, finishing, bounds
+    shifts = [None] * nv
+    for d in range(nv):
+        for i in finishing[d]:
+            coefs = _bound_coefficients(terms[i], d)
+            if set(coefs) <= {0, 1} and coefs[1] == 1:
+                shifts[d] = coefs.get(0, 0)
+                break
+    return constants, positive, finishing, bounds, shifts
 
 
 @functools.lru_cache(maxsize=64)
@@ -249,9 +274,13 @@ def _small_stream(terms: tuple[IntPoly, ...], n: int, nb: Box) -> tuple[Chunk, .
 
 
 def _instance_chunks(
-    family: PatternFamily, n: int, box: Sequence | None = None
+    family: PatternFamily, n: int, box: Sequence | None = None, table: np.ndarray | None = None
 ) -> Iterator[Chunk]:
     """The admissible instances over the box, as column chunks in lex order.
+
+    With a color table (_color_table of a coloring), a stream that is not
+    served from the cache may leave out instances whose values do not share
+    one color; a small stream is served whole either way.
 
     Each chunk is (assignment columns, term-value columns in term order); the
     value columns are int64, the assignment columns int64 or, when int64 is
@@ -268,27 +297,38 @@ def _instance_chunks(
     nb = _normalize_box(family, n, box)
     small = _small_stream(family.terms, n, nb)
     if small is None:
-        yield from _enumerate_chunks(family.terms, n, nb)
+        yield from _enumerate_chunks(family.terms, n, nb, table)
     else:
         for cols, vals in small:
             yield list(cols), list(vals)
 
 
-def _enumerate_chunks(terms: tuple[IntPoly, ...], n: int, nb: Box) -> Iterator[Chunk]:
+def _enumerate_chunks(
+    terms: tuple[IntPoly, ...], n: int, nb: Box, table: np.ndarray | None = None
+) -> Iterator[Chunk]:
     """_instance_chunks without the cache, over the normalized box nb; the
     columns it yields are read-only."""
     nv = len(nb)
-    constants, positive, finishing, bounds = _depth_plan(terms)
+    constants, positive, finishing, bounds, shifts = _depth_plan(terms)
     # constant terms either kill everything or impose nothing
     if any(not 1 <= c <= n for c in constants.values()):
         return
     dtype = np.int64 if _int64_safe(terms, nb) else object
     carried = [i for f in finishing for i in f]  # order of the value columns carried down
     slot = {i: pos for pos, i in enumerate(carried)}
+    if dtype is object:
+        table = None
+    # [1..n] sorted by (color, value), and its keys color * (n + 1) + value
+    ranked = keys = color_key = None
 
-    def child_counts(d: int, cols: list[np.ndarray], rows: int) -> np.ndarray:
+    def child_counts(d: int, cols: list[np.ndarray], vals: list[np.ndarray], rows: int):
         # children of each row: v in [lo .. vmax], where vmax is hi lowered to
-        # keep every positive term that is still open at depth d within n
+        # keep every positive term that is still open at depth d within n.
+        # Returns (their counts, None); or, when a shift term a + x_d finishes
+        # here and the rows' values already have a color, (counts, (left, a)):
+        # a row's children are then the v whose a + v has its color, ranked[j]
+        # - a for j in left, left + 1, ...
+        nonlocal ranked, keys, color_key
         lo, hi = nb[d]
         vmax = np.full(rows, hi, dtype=dtype)
         for coefs in bounds[d]:
@@ -297,17 +337,39 @@ def _enumerate_chunks(terms: tuple[IntPoly, ...], n: int, nb: Box) -> Iterator[C
                 for e, c in coefs.items()
             }
             vmax = np.minimum(vmax, _largest_v(evaluated, n, lo, hi, rows, dtype))
-        return np.maximum(vmax - lo + 1, 0).astype(np.int64, copy=False)
+        a = shifts[d]
+        if table is None or a is None or not vals:
+            return np.maximum(vmax - lo + 1, 0).astype(np.int64, copy=False), None
+        if ranked is None:  # the keys are distinct, so any sort orders them alike
+            color_key = np.multiply(table, n + 1, dtype=np.int64)
+            keys = np.sort(color_key[1:] + np.arange(1, n + 1))
+            ranked = keys % (n + 1)
+        # a + v must lie in [1..n] anyway; clamping to it keeps each row's
+        # keys inside its color's block (a bound past the other side of
+        # [1..n] leaves the row no children)
+        base = color_key[vals[0]]
+        if isinstance(a, int):
+            low = base + max(a + lo, 1)
+        else:
+            a = _eval_term_on_columns(a, cols)
+            low = base + np.maximum(a + lo, 1)
+        high = np.minimum(vmax + a, n)
+        high += base
+        left = keys.searchsorted(low)
+        return np.maximum(keys.searchsorted(high, side="right") - left, 0), (left, a)
 
     size = _FIRST_CHUNK
 
-    def descend(d, cols, vals, counts):
-        # cols/vals: rows at depth d (prefixes x_0..x_{d-1}); counts: their children
+    def descend(d, cols, vals, counts, gather):
+        # cols/vals: rows at depth d (prefixes x_0..x_{d-1}); counts, gather:
+        # their children, as child_counts returns them
         nonlocal size
         lo = nb[d][0]
         cum = np.cumsum(counts)
         total = int(cum[-1])
         first = cum - counts  # global index of each row's first child
+        # child g of row p is the (g - first[p])-th from lo, or ranked[g - skip[p]]
+        skip = first if gather is None else first - gather[0]
         start = 0
         while start < total:
             stop = min(total, start + size)
@@ -321,10 +383,18 @@ def _enumerate_chunks(terms: tuple[IntPoly, ...], n: int, nb: Box) -> Iterator[C
                 ends = np.minimum(cum[p0:p1], stop) - start
                 reps = np.concatenate((ends[:1], ends[1:] - ends[:-1]))
                 kids, kvals = _map_columns(lambda a: np.repeat(a[p0:p1], reps), cols, vals)
-                kids.append(np.arange(start, stop, dtype=np.int64) - np.repeat(first[p0:p1], reps))
+                kids.append(np.arange(start, stop, dtype=np.int64) - np.repeat(skip[p0:p1], reps))
             start = stop
-            # the new column holds offsets from lo so far; lo may exceed int64
-            kids[-1] = (kids[-1] if dtype is not object else kids[-1].astype(object)) + lo
+            if gather is None:
+                # the new column holds offsets from lo so far; lo may exceed int64
+                kids[-1] = (kids[-1] if dtype is not object else kids[-1].astype(object)) + lo
+            else:  # it holds indices into ranked
+                a = gather[1]
+                kids[-1] = ranked[kids[-1]]
+                if not isinstance(a, int):
+                    kids[-1] -= np.repeat(a[p0:p1], reps)
+                elif a:
+                    kids[-1] -= a
             keep = None
             for i in finishing[d]:
                 val = _eval_term_on_columns(terms[i], kids)
@@ -341,7 +411,7 @@ def _enumerate_chunks(terms: tuple[IntPoly, ...], n: int, nb: Box) -> Iterator[C
                 kvals[-fresh:] = [x.astype(np.int64) for x in kvals[-fresh:]]
             rows = len(kids[0])
             if d + 1 < nv:
-                yield from descend(d + 1, kids, kvals, child_counts(d + 1, kids, rows))
+                yield from descend(d + 1, kids, kvals, *child_counts(d + 1, kids, kvals, rows))
                 continue
             kvals = [
                 kvals[slot[i]] if i in slot else np.full(rows, constants[i], dtype=np.int64)
@@ -351,9 +421,9 @@ def _enumerate_chunks(terms: tuple[IntPoly, ...], n: int, nb: Box) -> Iterator[C
                 a.flags.writeable = False
             yield kids, kvals
 
-    counts0 = int(np.min(child_counts(0, [], 1)))
+    counts0 = int(np.min(child_counts(0, [], [], 1)[0]))
     if counts0 > 0:
-        yield from descend(0, [], [], np.array([counts0], dtype=np.int64))
+        yield from descend(0, [], [], np.array([counts0], dtype=np.int64), None)
 
 
 def enumerate_instances(
@@ -387,6 +457,18 @@ def _witness_mask(vals: list[np.ndarray], table: np.ndarray, distinct: bool):
     return ok, c0
 
 
+def _witness_chunks(
+    family: PatternFamily, coloring: Coloring, distinct: bool | None, box: Sequence | None
+) -> Iterator[tuple[Chunk, np.ndarray, np.ndarray]]:
+    """((cols, vals), _witness_mask of the chunk) for the chunks of the
+    witness queries, in lexicographic order."""
+    if distinct is None:
+        distinct = family.distinct_required
+    table = _color_table(coloring)
+    for chunk in _instance_chunks(family, coloring.n, box, table):
+        yield chunk, *_witness_mask(chunk[1], table, distinct)
+
+
 def iter_witnesses(
     family: PatternFamily,
     coloring: Coloring,
@@ -395,11 +477,7 @@ def iter_witnesses(
     box: Sequence | None = None,
 ) -> Iterator[Witness]:
     """Witnesses in lexicographic assignment order (streaming)."""
-    if distinct is None:
-        distinct = family.distinct_required
-    table = _color_table(coloring)
-    for cols, vals in _instance_chunks(family, coloring.n, box):
-        ok, c0 = _witness_mask(vals, table, distinct)
+    for (cols, vals), ok, c0 in _witness_chunks(family, coloring, distinct, box):
         (hits,) = np.nonzero(ok)
         if not len(hits):
             continue
@@ -417,7 +495,12 @@ def find_witness(
     box: Sequence | None = None,
 ) -> Witness | None:
     """Lexicographically smallest witness, or None."""
-    return next(iter_witnesses(family, coloring, distinct=distinct, box=box), None)
+    for (cols, vals), ok, c0 in _witness_chunks(family, coloring, distinct, box):
+        if ok.any():
+            i = int(ok.argmax())  # only this row becomes Python ints
+            return Witness(tuple(int(c[i]) for c in cols), tuple(int(x[i]) for x in vals),
+                           int(c0[i]))
+    return None
 
 
 def count_witnesses(
@@ -428,13 +511,8 @@ def count_witnesses(
     box: Sequence | None = None,
 ) -> int:
     """Exact witness count."""
-    if distinct is None:
-        distinct = family.distinct_required
-    table = _color_table(coloring)
-    total = 0
-    for _, vals in _instance_chunks(family, coloring.n, box):
-        total += int(np.count_nonzero(_witness_mask(vals, table, distinct)[0]))
-    return total
+    chunks = _witness_chunks(family, coloring, distinct, box)
+    return sum(int(np.count_nonzero(ok)) for _, ok, _ in chunks)
 
 
 def _check_instance(

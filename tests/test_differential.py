@@ -11,6 +11,10 @@ against fresh searches past its first index size; the fail-first order that
 refutes for it is checked against naive_exists_avoiding.  Each check walks its
 families and names the first one that differs.  A family found failing here
 becomes a named regression case elsewhere.
+
+The witness queries are also checked on a second draw of linear families,
+sized so that over a third of their streams pass the small-stream cache bound and
+meet the enumerator's color restriction.
 """
 
 import itertools
@@ -18,7 +22,9 @@ import random
 
 import pytest
 
+from ramseykit import witnesses
 from ramseykit.bruteforce import (
+    naive_all_witnesses,
     naive_avoiding_canonical,
     naive_count_witnesses,
     naive_exists_avoiding,
@@ -36,7 +42,7 @@ from ramseykit.search import (
     greedy_avoider,
     threshold,
 )
-from ramseykit.witnesses import count_witnesses, enumerate_instances
+from ramseykit.witnesses import count_witnesses, enumerate_instances, find_witness, iter_witnesses
 
 SEED = 20261020
 FAMILY_COUNT = 300
@@ -86,6 +92,64 @@ def test_count_witnesses_matches_naive():
             n, r = rng.randint(1, 12), rng.randint(1, 3)
             chi = Coloring.random_uniform(n, r, rng.randrange(1 << 30))
             assert count_witnesses(fam, chi) == naive_count_witnesses(fam, chi), (str(fam), chi)
+
+
+def linear_family(rng: random.Random, num_vars: int) -> PatternFamily:
+    # 1-2 terms c + sum c_i x_i with c_i in {-1, 0, 1}, one in five plus x0^2;
+    # most of them are some a + x_d.  7 in 10 add the bare variables
+    terms = []
+    for _ in range(rng.randint(1, 2)):
+        coefs = {(0,) * num_vars: rng.randint(-2, 2)}
+        for i in range(num_vars):
+            coefs[tuple(int(j == i) for j in range(num_vars))] = rng.choice((-1, 0, 0, 1, 1, 1))
+        if rng.random() < 0.2:
+            coefs[(2,) + (0,) * (num_vars - 1)] = 1
+        terms.append(IntPoly(num_vars, coefs))
+    if rng.random() < 0.7:
+        terms += [IntPoly.var(num_vars, i) for i in range(num_vars)]
+    return PatternFamily(num_vars, tuple(terms))
+
+
+def block_coloring(rng: random.Random, n: int, r: int) -> Coloring:
+    colors = []
+    while len(colors) < n:
+        colors += [rng.randint(1, r)] * rng.randint(1, 8)
+    return Coloring.from_sequence(colors[:n], r)
+
+
+def test_witness_queries_match_naive_past_the_cache():
+    # 2-variable families at N = 60 and 3-variable ones at N = 16, uniform or
+    # block colorings, a box one time in 7, distinct on or off: the count, the
+    # whole stream in order, and the first witness
+    rng = random.Random(SEED + 6)
+    cases = past = restricted = 0
+    for num_vars, n in [(2, 60), (3, 16)] * 48:
+        fam = linear_family(rng, num_vars)
+        r = rng.randint(1, 4)
+        if rng.random() < 0.5:
+            chi = Coloring.random_uniform(n, r, rng.randrange(1 << 30))
+        else:
+            chi = block_coloring(rng, n, r)
+        box = None
+        if rng.random() < 1 / 7:
+            box = [(rng.randint(1, 3), rng.randint(n // 2, n)) for _ in range(num_vars)]
+        distinct = rng.random() < 0.5
+        want = [w for w in naive_all_witnesses(fam, chi, distinct)
+                if box is None or all(lo <= x <= hi for x, (lo, hi) in zip(w[0], box))]
+        ws = iter_witnesses(fam, chi, distinct=distinct, box=box)
+        case = (str(fam), chi, box, distinct)
+        assert [(w.assignment, w.term_values, w.color) for w in ws] == want, case
+        assert count_witnesses(fam, chi, distinct=distinct, box=box) == len(want), case
+        first = find_witness(fam, chi, distinct=distinct, box=box)
+        got = None if first is None else (first.assignment, first.term_values, first.color)
+        assert got == (want[0] if want else None), case
+        cases += 1
+        nb = witnesses._normalize_box(fam, n, box)
+        if witnesses._small_stream(fam.terms, n, nb) is None:
+            past += 1
+            shifts = witnesses._depth_plan(fam.terms)[4]
+            restricted += r > 1 and any(a is not None for a in shifts[1:])
+    assert past >= cases // 4 and restricted >= cases // 5, (past, restricted, cases)
 
 
 def test_searches_match_naive_on_box_complete_families():

@@ -14,6 +14,7 @@ from ramseykit import witnesses
 from ramseykit.bruteforce import naive_all_witnesses, naive_count_witnesses, naive_instances
 from ramseykit.coloring import Coloring
 from ramseykit.families import PatternFamily, preset_family, reduction_family
+from ramseykit.polynomials import IntPoly
 from ramseykit.witnesses import (
     Instance,
     Witness,
@@ -405,6 +406,49 @@ class TestDefaultWindows:
         got = [(w.assignment, w.term_values, w.color) for w in iter_witnesses(family, chi, box=300)]
         assert got == oracle_witnesses(family, chi, None, 300)
         assert len(windows) >= 2 and max(windows) <= witnesses._MAX_CHUNK
+
+
+def assignments(chunks):
+    return [a for cols, _ in chunks for a in zip(*(c.tolist() for c in cols))]
+
+
+class TestColorRestriction:
+    """Given a color table, the enumerator keeps below a term a + x_d only
+    the x_d whose a + x_d has the color the row's values already share: it
+    drops rows that are no witnesses, and nothing else."""
+
+    @pytest.mark.parametrize("terms", [("x0", "x1 - x0", "x1 + 1"),
+                                       ("x0", "2*x1 + 1", "x1 - x0")])
+    @pytest.mark.parametrize("n", [50, 120])
+    def test_shift_terms_whose_a_goes_below_one(self, terms, n):
+        # x1 - x0 is a + x1 with a = -x0, so a + 1 <= 0 on every row: the
+        # lower bound of the row's keys must be clamped to the value 1
+        family = fam(2, *terms)
+        assert witnesses._depth_plan(family.terms)[4][1] == -IntPoly.var(2, 0)
+        for seed in range(3):
+            chi = Coloring.random_uniform(n, 2, seed)
+            want = naive_all_witnesses(family, chi)
+            assert count_witnesses(family, chi) == len(want)
+            got = [(w.assignment, w.term_values, w.color) for w in iter_witnesses(family, chi)]
+            assert got == want
+
+    @pytest.mark.parametrize("family", [preset_family("schur"), preset_family("vdw", 3),
+                                        preset_family("xyxy"), fam(2, "x0", "x0 + x1 - 5")],
+                             ids=lambda f: f.name or "shift-past-n")
+    def test_only_rows_that_are_no_witnesses_go(self, family):
+        # on the last family a + x1 with a = x0 - 5 has no bound but x1 <= N,
+        # so the upper bound of the row's keys must be clamped to the value N
+        n = 300
+        chi = Coloring.random_uniform(n, 2, 11)
+        full = assignments(witnesses._instance_chunks(family, n))
+        kept = assignments(witnesses._instance_chunks(family, n, None, witnesses._color_table(chi)))
+        assert len(full) > witnesses._FIRST_CHUNK  # not served from the cache
+        wanted = [w[0] for w in oracle_witnesses(family, chi, False, None)]
+        # kept lies between the witnesses and the full stream, in its order
+        position = {a: i for i, a in enumerate(full)}
+        assert [position[a] for a in kept] == sorted(position[a] for a in kept)
+        assert set(wanted) <= set(kept)
+        assert len(kept) < 0.6 * len(full)  # about half go at r = 2
 
 
 def stream_rows(family, n, box=None):
