@@ -193,6 +193,7 @@ def cmd_witness(args) -> int:
 
 def cmd_avoid(args) -> int:
     fam = load_family_arg(args.family)
+    _budget(args.max_nodes, args.time_limit)  # greedy reads no budget, but is refused one too
 
     if args.greedy:
         cert = greedy_avoider(

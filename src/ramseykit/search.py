@@ -5,9 +5,10 @@ monochromatic; the threshold T(P, r) is the least N with no avoiding
 coloring.  One search state (_Search) colors positions 1..N in two orders,
 both with forward checking (Haralick & Elliott, AIJ 1980):
 
-  * every admissible value set is read once per index size as its top, its
-    second-largest member p and a bitmask of its members below p, listed by
-    p and by top; a singleton set {v} leaves position v no color at all;
+  * every admissible value set is read once per index size, in the form
+    build_instance_index returns: its top, its second-largest member p and a
+    bitmask of its members below p, listed by p and filed again by top; a
+    singleton set {v} leaves position v no color at all;
   * each position keeps a bitmask of the colors still open to it, and each
     color a bitmask of the positions it is on.  Placing color c strikes c from
     the one member not colored c of every set whose other members all are,
@@ -24,7 +25,8 @@ both with forward checking (Haralick & Elliott, AIJ 1980):
     for vdw:3 at r=3, N=27;
   * a node is one color placed in either order; node and wall-clock budgets
     cover both and surface as SearchBudgetExceeded, a first-class outcome
-    distinct from "no avoider".
+    distinct from "no avoider".  One test per node covers both: the next
+    check is at the node cap or the next clock read (every 2048 nodes).
 
 threshold runs one search that grows with N (incremental as in Een &
 Sorensson, SAT 2003).  It yields the lex-first avoider at N and opens N+1 in
@@ -186,12 +188,13 @@ _FIRST_INDEX_SIZE = 16
 
 def build_instance_index(
     family: PatternFamily, n: int
-) -> list[list[tuple[int, tuple[int, ...]]]]:
-    """buckets[p] = sorted (top, others) of the admissible value sets whose
-    second-largest member is p: top is the largest member, others the members
-    below p.  A singleton set {v} is stored as (v, ()) in buckets[0].
+) -> list[list[tuple[int, int, int]]]:
+    """index[p] = sorted (top, p, below) of the admissible value sets whose
+    second-largest member is p: top is the largest member, below a bitmask of
+    the members below p, one mask shared by the sets with the same such
+    members.  A singleton set {v} is stored as (v, 0, 0) in index[0].
 
-    Sorting by top makes the sets inside [1..m] a prefix of every bucket.
+    Sorting by top makes the sets inside [1..m] a prefix of every list.
     """
     value_sets: set[tuple[int, ...]] = set()
     for _, vals in _instance_chunks(family, n):
@@ -204,16 +207,21 @@ def build_instance_index(
             table[:, 1:][repeated] = 0
             table.sort(axis=1)
         value_sets.update(map(tuple, table.tolist()))
-    buckets: list[list[tuple[int, tuple[int, ...]]]] = [[] for _ in range(n + 1)]
+    index: list[list[tuple[int, int, int]]] = [[] for _ in range(n + 1)]
+    masks: dict[tuple[int, ...], int] = {}
     for row in value_sets:
         vs = row[row.count(0):]
         if len(vs) == 1:
-            buckets[0].append((vs[0], ()))
-        else:
-            buckets[vs[-2]].append((vs[-1], vs[:-2]))
-    for bucket in buckets:
-        bucket.sort()
-    return buckets
+            index[0].append((vs[0], 0, 0))
+            continue
+        others = vs[:-2]
+        below = masks.get(others)
+        if below is None:
+            below = masks[others] = sum(1 << o for o in others)
+        index[vs[-2]].append((vs[-1], vs[-2], below))
+    for entries in index:
+        entries.sort()
+    return index
 
 
 class _Search:
@@ -222,17 +230,17 @@ class _Search:
 
     Per position: its color (kept after an undo, so the fixed order tries the
     one above it next; a fresh position is set to 0), the bitmask of colors
-    still open (``dom``), the positions its color struck (``removed``) and the
-    largest color below it (``used``); ``on[c]`` has bit q for each q colored
-    c.  Each color placed has one ``undo``, taken last in, first out.
+    still open (``dom``) and the positions its color struck (``removed``);
+    ``on[c]`` has bit q for each q colored c.  Each color placed has one
+    ``undo``, taken last in, first out.  Both orders introduce colors in
+    increasing order, so the colors in use are always 1..k, and k + 1 is the
+    first c >= 1 with ``on[c]`` zero.
 
-    The value sets are read once per index size into one form, (top, p,
-    below): the largest member, the second-largest and a bitmask of the
-    members below p.  ``fixed[p]`` lists them by p in ascending top, and
-    ``by_top[t]`` by top in ascending p.  ``member_of[q]`` holds, for each set
-    with q as a member, a bitmask of its other members; the first refutation
-    builds it and later ones extend it as n grows.  Only the sets with top
-    <= n take part.  It refuses r < 1, max_n < 1 and, with
+    ``fixed`` is build_instance_index at the index size, and ``by_top[t]``
+    files its entries again by top, in ascending p.  ``member_of[q]`` holds,
+    for each set with q as a member, a bitmask of its other members; the
+    first refutation builds it and later ones extend it as n grows.  Only the
+    sets with top <= n take part.  It refuses r < 1, max_n < 1 and, with
     IncompleteBoxError, a box-incomplete family.  ``run`` yields the avoiders
     and ``refutes`` decides whether there is any; ``nodes`` is all that is
     read back.
@@ -246,34 +254,25 @@ class _Search:
             raise IncompleteBoxError(f"variables {missing} are not bounded by any all-positive "
                                      "term, so [1..N] does not hold every instance")
         self.family, self.r, self.max_n, self.n = family, r, max_n, n
-        self.size, self.singletons, self.member_of, self.members_top = 0, [], [[]], 0
+        self.size, self.fixed, self.member_of, self.members_top = 0, [[]], [[]], 0
         self._clear()
         self._grow(size)
 
     def _grow(self, size: int) -> None:
         """Read the value sets inside [1..size] and make room for its positions."""
-        buckets = build_instance_index(self.family, size)
-        self.fixed = fixed = [[] for _ in range(size + 1)]
+        self.fixed = fixed = build_instance_index(self.family, size)
         self.by_top = by_top = [[] for _ in range(size + 1)]
-        masks = {(): 0}  # one mask per tuple of lower members, shared by its sets
-        for p in range(1, size + 1):
-            add = fixed[p].append
-            for top, others in buckets[p]:
-                below = masks.get(others)
-                if below is None:
-                    below = masks[others] = sum(1 << o for o in others)
-                entry = (top, p, below)
-                add(entry)
-                by_top[top].append(entry)
-        self.singletons = [top for top, _ in buckets[0]]
+        for entries in fixed[1:]:
+            for entry in entries:
+                by_top[entry[0]].append(entry)
         self.member_of += [[] for _ in range(size - self.size)]
         self.size = size
         self._room()
 
     def _clear(self) -> None:
         """Nothing colored."""
-        self.colors, self.dom, self.removed, self.used = [], [], [], []
-        self.on = [0] * (self.r + 1)
+        self.colors, self.dom, self.removed = [], [], []
+        self.on = [0] * (self.r + 2)  # on[0] and on[r + 1] stay 0
         self._room()
 
     def _room(self) -> None:
@@ -282,8 +281,7 @@ class _Search:
         self.colors += [0] * extra
         self.dom += [(1 << self.r) - 1] * extra
         self.removed += [[] for _ in range(extra)]
-        self.used += [0] * extra
-        for top in self.singletons:  # a singleton {top} leaves top no color
+        for top, _, _ in self.fixed[0]:  # a singleton {top} leaves top no color
             self.dom[top] = 0
 
     def place(self, p: int, c: int) -> bool:
@@ -360,23 +358,19 @@ class _Search:
         decides for an opened n left no color.  ``nodes``, the colors placed
         so far in both orders, is current at each item and at the end."""
         r, max_n = self.r, self.max_n
-        colors, dom, used = self.colors, self.dom, self.used
+        colors, dom, on = self.colors, self.dom, self.on
         place, undo = self.place, self.undo
-        n, nodes, tick = self.n, 0, 2048  # the clock is read every 2048 nodes
+        n, nodes, tick = self.n, 0, 0  # tick: the node count of the next budget check
         pos = 1
         while pos:
             c = colors[pos] + 1
-            limit = min(r, used[pos] + 1)
+            limit = min(r, on.index(0, 1))  # a used color or the least unused one
             open_colors = dom[pos]
             while c <= limit:
                 if open_colors >> (c - 1) & 1:
                     nodes += 1
-                    if nodes > cap:
-                        raise SearchBudgetExceeded("node budget exceeded", nodes)
                     if nodes >= tick:
-                        if time.monotonic() > deadline:
-                            raise SearchBudgetExceeded("time limit exceeded", nodes)
-                        tick = nodes + 2048
+                        tick = _check_budgets(nodes, cap, deadline)
                     if place(pos, c):
                         break
                     undo(pos)
@@ -386,7 +380,6 @@ class _Search:
                 if pos:
                     undo(pos)
                 continue
-            used[pos + 1] = max(used[pos], c)
             if pos < n:
                 pos += 1
                 colors[pos] = 0
@@ -402,7 +395,6 @@ class _Search:
                     if self.refutes(nodes, cap, deadline):
                         return
                     nodes = self.nodes
-                    tick = nodes - nodes % 2048 + 2048
                 colors[n] = 0
                 pos = p or n  # if n emptied, p is where a fresh search would fail
                 for q in range(n - 1, pos - 1, -1):
@@ -417,9 +409,9 @@ class _Search:
         the most value sets (dom/deg), then the lowest, so node counts repeat.
         It may take a color already used or the least unused one: unused
         colors are interchangeable, so this loses no avoider.  ``nodes``
-        continues the caller's count under the same budgets, with the clock
-        read at every multiple of 2048 nodes, and is left in ``self.nodes``.
-        n never falls between two calls, so member_of only grows.
+        continues the caller's count under the same budgets and is left in
+        ``self.nodes``.  n never falls between two calls, so member_of only
+        grows.
         """
         r, n, member_of, by_top = self.r, self.n, self.member_of, self.by_top
         for top in range(self.members_top + 1, n + 1):
@@ -433,10 +425,10 @@ class _Search:
         state = copy.copy(self)  # the value sets, with nothing colored
         state._clear()
         order = sorted(range(1, n + 1), key=lambda p: (-len(member_of[p]), p))
-        colors, dom, place, undo = state.colors, state.dom, state.place_any, state.undo
-        tick = nodes - nodes % 2048 + 2048
-        stack: list[tuple[int, int]] = []  # (position, colors used before)
-        p = c = used = 0
+        colors, dom, on = state.colors, state.dom, state.on
+        place, undo = state.place_any, state.undo
+        stack: list[int] = []  # the positions colored, in order
+        p = c = tick = 0
         while True:
             if not p:  # the next position: fewest open colors, then first in order
                 fewest = r + 1
@@ -450,7 +442,7 @@ class _Search:
                 if not p:
                     self.nodes = nodes
                     return False
-            open_colors, limit = dom[p], min(r, used + 1)
+            open_colors, limit = dom[p], min(r, on.index(0, 1))
             c += 1
             while c <= limit and not open_colors >> (c - 1) & 1:
                 c += 1
@@ -459,23 +451,29 @@ class _Search:
                 if not stack:
                     self.nodes = nodes
                     return True
-                p, used = stack.pop()
+                p = stack.pop()
                 c = colors[p]
                 undo(p)
                 continue
             nodes += 1
-            if nodes > cap:
-                raise SearchBudgetExceeded("node budget exceeded", nodes)
             if nodes >= tick:
-                if time.monotonic() > deadline:
-                    raise SearchBudgetExceeded("time limit exceeded", nodes)
-                tick = nodes + 2048
+                tick = _check_budgets(nodes, cap, deadline)
             if place(p, c):
-                stack.append((p, used))
-                used = max(used, c)
+                stack.append(p)
                 p = c = 0
             else:
                 undo(p)
+
+
+def _check_budgets(nodes: int, cap: float, deadline: float) -> float:
+    """Raise SearchBudgetExceeded once ``nodes`` colors placed pass cap, or the
+    clock, read at every multiple of 2048 nodes, passes deadline; else return
+    the node count of the next check (a search tests ``nodes >= tick``)."""
+    if nodes > cap:
+        raise SearchBudgetExceeded("node budget exceeded", nodes)
+    if not nodes % 2048 and time.monotonic() > deadline:
+        raise SearchBudgetExceeded("time limit exceeded", nodes)
+    return min(nodes - nodes % 2048 + 2048, cap + 1)
 
 
 def _budget(max_nodes: int | None, time_limit: float | None) -> tuple[float, float]:

@@ -727,6 +727,13 @@ class TestExitCodes:
         ["threshold", "--family", "schur", "--colors", "2", "--max-n", "10",
          "--time-limit", "nan"],
         ["avoid", "--family", "schur", "--colors", "2", "--n", "4", "--time-limit", "nan"],
+        # greedy reads no budget, yet a bad one is refused as on every other path
+        ["avoid", "--family", "schur", "--colors", "2", "--n", "4", "--greedy", "first-fit",
+         "--time-limit", "-5"],
+        ["avoid", "--family", "schur", "--colors", "2", "--n", "4", "--greedy", "first-fit",
+         "--time-limit", "nan"],
+        ["avoid", "--family", "schur", "--colors", "2", "--n", "4", "--greedy", "first-fit",
+         "--max-nodes", "-1"],
     ])
     def test_negative_budget_is_an_input_error(self, capsys, tmp_path, argv):
         cache = tmp_path / "store.jsonl"

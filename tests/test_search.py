@@ -69,9 +69,10 @@ class TestInstanceIndex:
             expected = [[] for _ in range(n + 1)]
             for vs in naive_value_sets(fam, n):
                 if len(vs) == 1:
-                    expected[0].append((vs[0], ()))
+                    expected[0].append((vs[0], 0, 0))
                 else:
-                    expected[vs[-2]].append((vs[-1], vs[:-2]))
+                    below = sum(1 << v for v in vs[:-2])
+                    expected[vs[-2]].append((vs[-1], vs[-2], below))
             assert build_instance_index(fam, n) == [sorted(b) for b in expected]
 
 
@@ -359,20 +360,28 @@ class TestThreshold:
         assert partial.describe() == "T >= 72" and partial.nodes == 366
         assert partial.certificate.rle == exists_avoiding(fam, 3, 71).rle
 
-    def test_node_budget_partials_are_deterministic(self):
-        # whatever the budget, the partial T >= N carries the lex-first avoider
-        # at N-1; the run places 201 colors, so budget 200 ends in the refutation
-        fam = preset_family("schur")
-        for budget in range(0, 201, 8):
+    @pytest.mark.parametrize("fam, r, max_n, budgets, placed, value", [
+        # the run places 201 colors, so budget 200 ends in the refutation
+        (preset_family("schur"), 3, 20, range(0, 201, 8), 201, 14),
+        # past the clock reads at 2048 and 4096 nodes: the fail-first order places
+        # nodes 1869-2118 (N=26) and 3963-6573 (N=27), the fixed order 2119-3962
+        (preset_family("vdw", 3), 3, 30, [2047, 2048, 2049, 3000, 4095, 4096, 4097, 6572],
+         6573, 27),
+    ], ids=["schur", "vdw3"])
+    def test_node_budget_partials_are_deterministic(self, fam, r, max_n, budgets, placed, value):
+        # whatever the budget, the partial T >= N carries the lex-first avoider at N-1
+        for budget in budgets:
             partials = []
             for _ in range(2):
                 with pytest.raises(SearchBudgetExceeded) as info:
-                    threshold(fam, 3, 20, max_nodes=budget)
+                    threshold(fam, r, max_n, max_nodes=budget)
                 partials.append(info.value.partial)
             partial = partials[0]
             assert partial == partials[1] and partial.nodes == budget + 1
             if partial.value > 1:
-                assert partial.certificate.rle == exists_avoiding(fam, 3, partial.value - 1).rle
+                assert partial.certificate.rle == exists_avoiding(fam, r, partial.value - 1).rle
+        res = threshold(fam, r, max_n, max_nodes=placed)
+        assert (res.value, res.exact, res.nodes) == (value, True, placed)
 
     def test_matches_fresh_search_vdw3_r3(self):
         # T = 27: the index is built at 16 and again at 30 before the refutation
