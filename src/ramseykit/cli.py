@@ -345,6 +345,8 @@ def cmd_cache(args) -> int:
     if not args.cache:
         raise ValueError("cache subcommand needs --cache PATH")
     store = ResultStore(args.cache)
+    if not store.path.exists():  # a mistyped path is not an empty store that verifies
+        raise ValueError(f"no results store at {args.cache}")
     # the keys alone: listing and counting parse no record
     read = store.index()
     if args.action == "list":

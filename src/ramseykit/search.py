@@ -2,8 +2,8 @@
 
 An r-coloring of [1..N] *avoids* a family when no admissible instance is
 monochromatic; the threshold T(P, r) is the least N with no avoiding
-coloring.  One search state (_Search) colors positions 1..N in two orders,
-both with forward checking (Haralick & Elliott, AIJ 1980):
+coloring.  One search state (_Search) colors positions 1..N with forward
+checking (Haralick & Elliott, AIJ 1980), in one depth-first loop:
 
   * every admissible value set is read once per index size, in the form
     build_instance_index returns: its top, its second-largest member p and a
@@ -14,15 +14,14 @@ both with forward checking (Haralick & Elliott, AIJ 1980):
     the one member not colored c of every set whose other members all are,
     and the branch dies as soon as some mask is empty.  The strikes are kept
     per position and restored by one undo, last in first out;
-  * the fixed order (``run``) colors 1..N in turn, so a set can only be
-    completed at its top.  With the canonical color-introduction rule --
-    position 1 takes color 1 and each new color label appears in increasing
-    order -- its first avoider is the lexicographically first one (forward
-    checking prunes dead subtrees earlier but never reorders them);
-  * the fail-first order (``refutes``) colors the most constrained position
-    next, ties to the position in the most value sets.  It only decides
-    whether [1..N] has any avoider, in far fewer nodes: 2,611 against 30,284
-    for vdw:3 at r=3, N=27;
+  * the loop takes a used color or the least unused one (canonical color
+    introduction), and two rules pick the next position.  The fixed order
+    (``run``) takes the lowest uncolored one, so a set can only be completed
+    at its top, and its first avoider is the lexicographically first one
+    (forward checking prunes dead subtrees earlier but never reorders them).
+    The fail-first order (``refutes``) takes the most constrained one, ties
+    to the one in the most value sets.  It only decides whether [1..N] has any
+    avoider, in far fewer nodes: 2,611 against 30,284 for vdw:3 at r=3, N=27;
   * a node is one color placed in either order; node and wall-clock budgets
     cover both and surface as SearchBudgetExceeded, a first-class outcome
     distinct from "no avoider".  One test per node covers both: the next
@@ -226,15 +225,15 @@ def build_instance_index(
 
 class _Search:
     """One forward-checking search state over positions 1..n, where n grows to
-    max_n, and the two orders that color it.
+    max_n, and the loop that colors it in either order.
 
-    Per position: its color (kept after an undo, so the fixed order tries the
-    one above it next; a fresh position is set to 0), the bitmask of colors
-    still open (``dom``) and the positions its color struck (``removed``);
-    ``on[c]`` has bit q for each q colored c.  Each color placed has one
-    ``undo``, taken last in, first out.  Both orders introduce colors in
-    increasing order, so the colors in use are always 1..k, and k + 1 is the
-    first c >= 1 with ``on[c]`` zero.
+    Per position: its color (kept after an undo, so the loop tries the one
+    above it next; 0 while uncolored), the bitmask of colors still open
+    (``dom``) and the positions its color struck (``removed``); ``on[c]`` has
+    bit q for each q colored c.  Each color placed has one ``undo``, taken
+    last in, first out.  Both orders introduce colors in increasing order, so
+    the colors in use are always 1..k, and k + 1 is the first c >= 1 with
+    ``on[c]`` zero.
 
     ``fixed`` is build_instance_index at the index size, and ``by_top[t]``
     files its entries again by top, in ascending p.  ``member_of[q]`` holds,
@@ -242,8 +241,8 @@ class _Search:
     first refutation builds it and later ones extend it as n grows.  Only the
     sets with top <= n take part.  It refuses r < 1, max_n < 1 and, with
     IncompleteBoxError, a box-incomplete family.  ``run`` yields the avoiders
-    and ``refutes`` decides whether there is any; ``nodes`` is all that is
-    read back.
+    and ``refutes`` decides whether there is any, both through ``_walk``;
+    ``nodes`` is all that is read back.
     """
 
     def __init__(self, family: PatternFamily, r: int, max_n: int, *, n: int, size: int):
@@ -352,70 +351,24 @@ class _Search:
         return 0
 
     def run(self, cap: float, deadline: float) -> Iterator[list[int]]:
-        """Canonical DFS from position 1, as color lists: the lex-first avoider
-        at each n < max_n it holds, opening n+1 after it, then every avoider at
-        max_n in lex order; it ends when [1..n] has none, which ``refutes``
-        decides for an opened n left no color.  ``nodes``, the colors placed
-        so far in both orders, is current at each item and at the end."""
-        r, max_n = self.r, self.max_n
-        colors, dom, on = self.colors, self.dom, self.on
-        place, undo = self.place, self.undo
-        n, nodes, tick = self.n, 0, 0  # tick: the node count of the next budget check
-        pos = 1
-        while pos:
-            c = colors[pos] + 1
-            limit = min(r, on.index(0, 1))  # a used color or the least unused one
-            open_colors = dom[pos]
-            while c <= limit:
-                if open_colors >> (c - 1) & 1:
-                    nodes += 1
-                    if nodes >= tick:
-                        tick = _check_budgets(nodes, cap, deadline)
-                    if place(pos, c):
-                        break
-                    undo(pos)
-                c += 1
-            else:
-                pos -= 1
-                if pos:
-                    undo(pos)
-                continue
-            if pos < n:
-                pos += 1
-                colors[pos] = 0
-                continue
-            self.nodes = nodes
-            yield colors[1 : n + 1]
-            if n == max_n:
-                undo(pos)  # keep scanning siblings
-            else:
-                p = self.open()
-                n += 1
-                if not dom[n]:  # the avoider at n-1 leaves n no color: is there any at n?
-                    if self.refutes(nodes, cap, deadline):
-                        return
-                    nodes = self.nodes
-                colors[n] = 0
-                pos = p or n  # if n emptied, p is where a fresh search would fail
-                for q in range(n - 1, pos - 1, -1):
-                    undo(q)
-        self.nodes = nodes
+        """The fixed order from position 1, as color lists: the lex-first
+        avoider at each n < max_n it holds, opening n+1 after it, then every
+        avoider at max_n in lex order; it ends when [1..n] has none, which
+        ``refutes`` decides for an opened n left no color.  ``nodes``, the
+        colors placed so far in both orders, is current at each item and at
+        the end."""
+        return self._walk(False, 0, cap, deadline)
 
     def refutes(self, nodes: int, cap: float, deadline: float) -> bool:
-        """True when no r-coloring of [1..n] avoids, False at the first avoider.
-
-        It searches a fresh state, coloring the most constrained position
-        next: the uncolored one with the fewest open colors (fail-first), then
-        the most value sets (dom/deg), then the lowest, so node counts repeat.
-        It may take a color already used or the least unused one: unused
-        colors are interchangeable, so this loses no avoider.  ``nodes``
+        """True when no r-coloring of [1..n] avoids, False at the first avoider
+        of the fail-first order, which it walks on a fresh state.  ``nodes``
         continues the caller's count under the same budgets and is left in
         ``self.nodes``.  n never falls between two calls, so member_of only
         grows.
         """
-        r, n, member_of, by_top = self.r, self.n, self.member_of, self.by_top
+        n, member_of = self.n, self.member_of
         for top in range(self.members_top + 1, n + 1):
-            for _, p, below in by_top[top]:
+            for _, p, below in self.by_top[top]:
                 whole = rest = below | 1 << p | 1 << top
                 while rest:
                     low = rest & -rest
@@ -424,45 +377,85 @@ class _Search:
         self.members_top = n
         state = copy.copy(self)  # the value sets, with nothing colored
         state._clear()
-        order = sorted(range(1, n + 1), key=lambda p: (-len(member_of[p]), p))
-        colors, dom, on = state.colors, state.dom, state.on
-        place, undo = state.place_any, state.undo
-        stack: list[int] = []  # the positions colored, in order
-        p = c = tick = 0
+        found = next(state._walk(True, nodes, cap, deadline), None)
+        self.nodes = state.nodes
+        return found is None
+
+    def _walk(
+        self, fail_first: bool, nodes: int, cap: float, deadline: float
+    ) -> Iterator[list[int]]:
+        """Depth-first over positions 1..n from nothing colored, yielding each
+        avoider as a color list; ``nodes`` continues the count given and is
+        left in ``self.nodes``.  A stack holds the positions colored.  Each
+        position tries its open colors above the one it last held; when none
+        is left, it is zeroed and the loop backs up to the top of the stack.
+        The fixed order colors position len(stack) + 1 with ``place``; the
+        fail-first order colors the uncolored position with the fewest open
+        colors, then the most value sets (dom/deg), then the lowest, so node
+        counts repeat, with ``place_any``.
+        """
+        r, max_n, n = self.r, self.max_n, self.n
+        colors, dom, on, undo = self.colors, self.dom, self.on, self.undo
+        if fail_first:
+            place, member_of = self.place_any, self.member_of
+            order = sorted(range(1, n + 1), key=lambda q: (-len(member_of[q]), q))
+        else:
+            place = self.place
+        stack: list[int] = []
+        p = tick = 0  # p: the position to color, 0 to pick the next; tick: the next budget check
         while True:
-            if not p:  # the next position: fewest open colors, then first in order
-                fewest = r + 1
-                for q in order:
-                    if not colors[q]:
-                        k = dom[q].bit_count()
-                        if k < fewest:
-                            p, fewest = q, k
-                            if k <= 1:
-                                break
-                if not p:
+            if not p:
+                if fail_first:
+                    fewest = r + 1
+                    for q in order:
+                        if not colors[q]:
+                            k = dom[q].bit_count()
+                            if k < fewest:
+                                p, fewest = q, k
+                                if k <= 1:
+                                    break
+                elif len(stack) < n:
+                    p = len(stack) + 1
+                    colors[p] = 0
+                if not p:  # all of 1..n colored
                     self.nodes = nodes
-                    return False
-            open_colors, limit = dom[p], min(r, on.index(0, 1))
-            c += 1
-            while c <= limit and not open_colors >> (c - 1) & 1:
+                    yield colors[1 : n + 1]
+                    if fail_first or n == max_n:  # its next sibling
+                        p = stack.pop()
+                        undo(p)
+                        continue
+                    q = self.open()
+                    n += 1
+                    if not dom[n]:  # the avoider at n-1 leaves n no color: is there any at n?
+                        if self.refutes(nodes, cap, deadline):
+                            return
+                        nodes = self.nodes
+                    if q:  # n emptied at q's strike, where a fresh search at n would first fail
+                        while len(stack) >= q:  # the stack holds 1..n-1
+                            undo(stack.pop())
+                        p = q
+                    continue
+            limit = min(r, on.index(0, 1))  # a used color or the least unused one
+            open_colors, c = dom[p], colors[p] + 1
+            while c <= limit:
+                if open_colors >> (c - 1) & 1:
+                    nodes += 1
+                    if nodes >= tick:
+                        tick = _check_budgets(nodes, cap, deadline)
+                    if place(p, c):
+                        break
+                    undo(p)
                 c += 1
-            if c > limit:
+            else:
                 colors[p] = 0
                 if not stack:
                     self.nodes = nodes
-                    return True
+                    return
                 p = stack.pop()
-                c = colors[p]
                 undo(p)
                 continue
-            nodes += 1
-            if nodes >= tick:
-                tick = _check_budgets(nodes, cap, deadline)
-            if place(p, c):
-                stack.append(p)
-                p = c = 0
-            else:
-                undo(p)
+            stack.append(p)
+            p = 0
 
 
 def _check_budgets(nodes: int, cap: float, deadline: float) -> float:

@@ -578,6 +578,14 @@ class TestCache:
         code, out, _ = run(capsys, "cache", "verify", "--cache", str(cache))
         assert code == 0 and "all 2 record(s) verified" in out
 
+    @pytest.mark.parametrize("action", ["list", "verify"])
+    def test_missing_store_is_an_error(self, capsys, tmp_path, action):
+        # a mistyped path must not pass as an empty store: "all 0 record(s) verified"
+        missing = tmp_path / "no" / "such.jsonl"
+        code, out, err = run(capsys, "cache", action, "--cache", str(missing))
+        assert (code, out, err) == (2, "", f"error: no results store at {missing}\n")
+        assert not missing.parent.exists()
+
     def test_verify_tampered(self, capsys, tmp_path):
         cache = self.seeded(capsys, tmp_path)
         lines = cache.read_text().splitlines()

@@ -462,6 +462,27 @@ class TestFailFirst:
         assert asked == [(22, False, 22), (23, False, 23), (24, False, 28), (25, False, 222),
                          (26, False, 250), (27, True, 2611)]
 
+    def test_refutation_leaves_the_callers_state(self, monkeypatch):
+        # the fail-first order colors a fresh copy: the fixed order's colors,
+        # open colors, color masks and strikes are the same after each call
+        asked = []
+        real = search._Search.refutes
+
+        def snapshot(state):
+            return (state.colors[:state.n + 1], list(state.dom), list(state.on),
+                    [list(struck) for struck in state.removed])
+
+        def checking(self, nodes, cap, deadline):
+            before = snapshot(self)
+            answer = real(self, nodes, cap, deadline)
+            assert snapshot(self) == before
+            asked.append(self.n)
+            return answer
+
+        monkeypatch.setattr(search._Search, "refutes", checking)
+        assert threshold(preset_family("vdw", 3), 3, 30).describe() == "T = 27"
+        assert asked == [22, 23, 24, 25, 26, 27]
+
     def test_member_lists_carry_across_index_sizes(self, monkeypatch):
         # vdw:4 at r=2 asks at 14 on the index of [1..16], at 19 and 25 on that
         # of [1..32] and at 34 and 35 on that of [1..40]: the member lists built
